@@ -342,12 +342,47 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
         warnings=warnings,
         timings=timings,
     )
+    written: list[str] = []
     staged(
         "emit", _emit_artifacts,
         out_dir, report, recap_results[selected_k], base_metrics,
-        stacking_report, models,
+        stacking_report, models, written,
     )
+    # written once the emit stage has returned, so that it includes "emit"
+    _write_artifacts(out_dir, report, {"timings.json": lambda p: _write_json(
+        p, report.timings, indent=2)}, written)
     return report
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_json(path: str, payload, indent: int | None = None) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent)
+
+
+def _write_artifacts(out_dir: str, report: RunReport, writers: dict,
+                     written: list[str]) -> None:
+    """Call each ``writers[rel_path](path)`` in order and list the file in
+    ``report.artifacts``; on failure remove every path in ``written``."""
+    try:
+        for rel_path, write_fn in writers.items():
+            path = os.path.join(out_dir, rel_path)
+            write_fn(path)
+            written.append(path)
+            # stored relative to the output directory so reports stay portable
+            # (and byte-identical across runs into different directories)
+            report.artifacts[rel_path] = rel_path
+    except Exception:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
 
 
 def _emit_artifacts(
@@ -357,70 +392,34 @@ def _emit_artifacts(
     base_metrics: dict[str, Metrics],
     stacking_report: StackingReport,
     models: dict,
+    written: list[str],
 ) -> None:
     os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
-    written: list[str] = []
-
-    def emit(rel_path: str, write_fn) -> None:
-        path = os.path.join(out_dir, rel_path)
-        write_fn(path)
-        written.append(path)
-        # stored relative to the output directory so reports stay portable
-        # (and byte-identical across runs into different directories)
-        report.artifacts[rel_path] = rel_path
-
-    try:
-        emit("recap_scores.csv", lambda p: export_scores_csv(recap_result, p))
-
-        table_rows = [(name, base_metrics[name]) for name in sorted(base_metrics)]
-        table_rows.append((
-            f"stacked({stacking_report.selected.combo_id}:"
-            f"{'+'.join(stacking_report.selected.members)})",
-            Metrics(
-                mse=stacking_report.selected.test_rmse ** 2,
-                rmse=stacking_report.selected.test_rmse,
-                mae=stacking_report.selected.test_mae,
-                mape=None,
-                n=0,
-            ),
-        ))
-
-        def write_table(p):
-            with open(p, "w") as fh:
-                fh.write(format_results_table(table_rows))
-
-        emit("metrics_table.csv", write_table)
-
-        def write_stacking(p):
-            with open(p, "w") as fh:
-                fh.write(stacking_report.to_csv())
-
-        emit("stacking_report.csv", write_stacking)
-        for name, model in models.items():
-            rel = os.path.join("models", f"{name}.json")
-            if name in ("lstm", "gru"):
-                def write_rnn(p, m=model):
-                    with open(p, "w") as fh:
-                        json.dump(rnn_to_dict(m), fh, sort_keys=True)
-                emit(rel, write_rnn)
-            else:
-                emit(rel, lambda p, m=model: save_model(m, p))
-
-        def write_report(p):
-            with open(p, "w") as fh:
-                json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-
-        emit("report.json", write_report)
-
-        def write_timings(p):
-            with open(p, "w") as fh:
-                json.dump(report.timings, fh, sort_keys=True, indent=2)
-
-        emit("timings.json", write_timings)
-    except Exception:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        raise
+    table_rows = [(name, base_metrics[name]) for name in sorted(base_metrics)]
+    table_rows.append((
+        f"stacked({stacking_report.selected.combo_id}:"
+        f"{'+'.join(stacking_report.selected.members)})",
+        Metrics(
+            mse=stacking_report.selected.test_rmse ** 2,
+            rmse=stacking_report.selected.test_rmse,
+            mae=stacking_report.selected.test_mae,
+            mape=None,
+            n=0,
+        ),
+    ))
+    writers = {
+        "recap_scores.csv": lambda p: export_scores_csv(recap_result, p),
+        "metrics_table.csv":
+            lambda p: _write_text(p, format_results_table(table_rows)),
+        "stacking_report.csv":
+            lambda p: _write_text(p, stacking_report.to_csv()),
+    }
+    for name, model in models.items():
+        writers[os.path.join("models", f"{name}.json")] = (
+            (lambda p, m=model: _write_json(p, rnn_to_dict(m)))
+            if name in ("lstm", "gru")
+            else (lambda p, m=model: save_model(m, p)))
+    # last, so that it lists every artifact above
+    writers["report.json"] = lambda p: _write_json(p, report.to_dict(),
+                                                   indent=2)
+    _write_artifacts(out_dir, report, writers, written)

@@ -1,5 +1,7 @@
 """GRU and LSTM sequence regressors trained with full backpropagation
-through time, plus the train-split min-max scaler.
+through time, plus the training pieces shared with the stacking meta-net:
+the min-max scaler (:class:`MinMaxScaler`), the optimiser (:class:`Adam`)
+and the minibatch early-stopping loop (:func:`train_minibatch`).
 
 The GRU uses the convention where the update gate multiplies the OLD state:
 h = z * h_prev + (1 - z) * h_tilde. The LSTM is the standard three-gate
@@ -9,8 +11,8 @@ against central finite differences (see :func:`gradient_check`).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,28 +104,6 @@ class LstmWeights:
         return cls(**kw)
 
 
-def gru_cell_forward(x: np.ndarray, h_prev: np.ndarray,
-                     w: GruWeights) -> np.ndarray:
-    """One GRU step; z gates the old state."""
-    z = _sigmoid(w.W_z @ x + w.U_z @ h_prev + w.b_z)
-    r = _sigmoid(w.W_r @ x + w.U_r @ h_prev + w.b_r)
-    h_tilde = np.tanh(w.W_h @ x + r * (w.U_h @ h_prev) + w.b_h)
-    return z * h_prev + (1.0 - z) * h_tilde
-
-
-def lstm_cell_forward(
-    x: np.ndarray, state: tuple[np.ndarray, np.ndarray], w: LstmWeights
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step; returns (h, c)."""
-    h_prev, c_prev = state
-    i = _sigmoid(w.W_i @ x + w.U_i @ h_prev + w.b_i)
-    f = _sigmoid(w.W_f @ x + w.U_f @ h_prev + w.b_f)
-    o = _sigmoid(w.W_o @ x + w.U_o @ h_prev + w.b_o)
-    c_tilde = np.tanh(w.W_c @ x + w.U_c @ h_prev + w.b_c)
-    c = f * c_prev + i * c_tilde
-    return o * np.tanh(c), c
-
-
 def _gru_forward(w: GruWeights, X: np.ndarray):
     """Batched forward over X (batch, time, features); returns (h_T, caches)."""
     batch, steps, _ = X.shape
@@ -210,35 +190,113 @@ def _lstm_backward(w: LstmWeights, caches, dh: np.ndarray) -> LstmWeights:
 
 @dataclass(frozen=True)
 class MinMaxScaler:
-    """Per-feature min-max learned from the training split only.
+    """Per-column min-max learned from the training split only.
 
-    Transform maps the training range into [0, 1]; constant features map to
-    0.5; out-of-range values are NOT clipped.
+    Transform maps the training range into [0, 1]; constant columns map to
+    0.5 and invert to their value; out-of-range values are NOT clipped.
     """
 
     mins: np.ndarray
     maxs: np.ndarray
 
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "MinMaxScaler":
+        return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
+
     def transform(self, X: np.ndarray) -> np.ndarray:
         span = self.maxs - self.mins
-        out = np.empty_like(X, dtype=float)
         constant = span == 0
-        safe = np.where(constant, 1.0, span)
-        out[...] = (X - self.mins) / safe
-        if constant.any():
-            out[..., constant] = 0.5
-        return out
+        return np.where(constant, 0.5,
+                        (X - self.mins) / np.where(constant, 1.0, span))
+
+    def inverse_transform(self, Xs: np.ndarray) -> np.ndarray:
+        span = self.maxs - self.mins
+        return np.where(span == 0, self.mins, Xs * span + self.mins)
 
 
 def fit_scaler(train: SequenceDataset) -> MinMaxScaler:
     if train.X.size == 0:
         raise ParameterError("training dataset is empty")
-    flat = train.X.reshape(-1, train.X.shape[-1])
-    return MinMaxScaler(mins=flat.min(axis=0), maxs=flat.max(axis=0))
+    return MinMaxScaler.fit(train.X.reshape(-1, train.X.shape[-1]))
 
 
 def apply_scaler(scaler: MinMaxScaler, data: SequenceDataset) -> SequenceDataset:
     return replace(data, X=scaler.transform(data.X))
+
+
+# --- shared training -----------------------------------------------------------
+
+
+class Adam:
+    """Adam (Kingma & Ba, 2015) updating a fixed list of arrays in place."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
+        self.params = params
+        self.learning_rate = learning_rate
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        b1, b2 = self.BETA1, self.BETA2
+        self.t += 1
+        for k, (p, grad) in enumerate(zip(self.params, grads)):
+            self.m[k] = b1 * self.m[k] + (1 - b1) * grad
+            self.v[k] = b2 * self.v[k] + (1 - b2) * grad**2
+            m_hat = self.m[k] / (1 - b1**self.t)
+            v_hat = self.v[k] / (1 - b2**self.t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
+def train_minibatch(
+    params: list[np.ndarray],
+    loss_and_grads: Callable[[np.ndarray], tuple[float, list[np.ndarray]]],
+    val_rmse: Callable[[], float],
+    n_rows: int,
+    cfg,
+    rng: np.random.Generator,
+) -> None:
+    """Minibatch Adam on ``params`` (in place) with early stopping.
+
+    ``loss_and_grads(rows)`` gives the loss on those training rows and one
+    gradient per array; ``val_rmse()`` scores the parameters after each epoch.
+    ``cfg`` has ``batch_size``, ``learning_rate``, ``max_epochs`` and
+    ``patience``; ``rng`` draws each epoch's row order. Stops after more than
+    ``patience`` epochs without improvement and leaves the best-validation
+    values; a non-finite loss raises :class:`TrainingError`.
+    """
+    opt = Adam(params, cfg.learning_rate)
+    best_val = np.inf
+    best = None
+    bad_epochs = 0
+    for epoch in range(cfg.max_epochs):
+        perm = rng.permutation(n_rows)
+        for start in range(0, n_rows, cfg.batch_size):
+            loss, grads = loss_and_grads(perm[start:start + cfg.batch_size])
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            opt.step(grads)
+        val = val_rmse()
+        if not np.isfinite(val):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+        if val < best_val:
+            best_val = val
+            best = [p.copy() for p in params]
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                break
+    if best is not None:
+        for p, saved in zip(params, best):
+            p[...] = saved
+
+
+# --- recurrent regressor -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -260,18 +318,12 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
-    optimizer: str = "adam"  # "adam" | "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
         if not (self.learning_rate > 0):
             raise ParameterError("learning_rate must be > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -282,14 +334,19 @@ class RnnRegressor:
     arch: RnnArch
     weights: GruWeights | LstmWeights
     head_w: np.ndarray
-    head_b: float
-    label_min: float = 0.0
-    label_max: float = 1.0
+    head_b: np.ndarray  # shape (1,)
+    label_scaler: MinMaxScaler = MinMaxScaler(mins=np.float64(0.0),
+                                              maxs=np.float64(1.0))
 
     def _forward(self, X: np.ndarray):
         if self.arch.cell == "gru":
             return _gru_forward(self.weights, X)
         return _lstm_forward(self.weights, X)
+
+    def params(self) -> list[np.ndarray]:
+        """The trainable arrays, in gradient order."""
+        arrays = [getattr(self.weights, n) for n in type(self.weights).FIELDS]
+        return arrays + [self.head_w, self.head_b]
 
 
 @dataclass(frozen=True)
@@ -297,33 +354,6 @@ class EpochRecord:
     epoch: int
     train_rmse: float
     val_rmse: float
-
-
-def _param_arrays(model: RnnRegressor) -> list[np.ndarray]:
-    arrays = [getattr(model.weights, n) for n in type(model.weights).FIELDS]
-    return arrays + [model.head_w, model._head_b_arr]
-
-
-class _Adam:
-    def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
-        self.cfg = cfg
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
-        self.t = 0
-
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        cfg = self.cfg
-        if cfg.optimizer == "sgd":
-            for a, grad in zip(arrays, grads):
-                a -= cfg.learning_rate * grad
-            return
-        self.t += 1
-        for k, (a, grad) in enumerate(zip(arrays, grads)):
-            self.m[k] = cfg.beta1 * self.m[k] + (1 - cfg.beta1) * grad
-            self.v[k] = cfg.beta2 * self.v[k] + (1 - cfg.beta2) * grad**2
-            m_hat = self.m[k] / (1 - cfg.beta1**self.t)
-            v_hat = self.v[k] / (1 - cfg.beta2**self.t)
-            a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
 def _loss_and_grads(model: RnnRegressor, X: np.ndarray, y: np.ndarray):
@@ -334,46 +364,31 @@ def _loss_and_grads(model: RnnRegressor, X: np.ndarray, y: np.ndarray):
     loss = float(np.mean(resid**2))
     dpred = 2.0 * resid / len(y)
     g_head_w = h_T.T @ dpred
-    g_head_b = float(dpred.sum())
+    g_head_b = np.array([dpred.sum()])
     dh = np.outer(dpred, model.head_w)
     if model.arch.cell == "gru":
         cell_grads = _gru_backward(model.weights, caches, dh)
     else:
         cell_grads = _lstm_backward(model.weights, caches, dh)
     grads = [getattr(cell_grads, n) for n in type(model.weights).FIELDS]
-    grads += [g_head_w, np.array([g_head_b])]
-    return loss, grads
+    return loss, grads + [g_head_w, g_head_b]
 
 
 def _build_model(arch: RnnArch, input_size: int, seed: int) -> RnnRegressor:
     rng = np.random.default_rng(derive_seed(seed, "rnn-init", arch.cell))
     cls = GruWeights if arch.cell == "gru" else LstmWeights
     weights = cls.init(rng, input_size, arch.hidden_size)
-    model = RnnRegressor(
+    return RnnRegressor(
         arch=arch,
         weights=weights,
         head_w=_glorot(rng, arch.hidden_size, 1)[:, 0],
-        head_b=0.0,
+        head_b=np.zeros(1),
     )
-    model._head_b_arr = np.array([0.0])
-    return model
 
 
 def _predict_scaled(model: RnnRegressor, X: np.ndarray) -> np.ndarray:
     h_T, _ = model._forward(X)
     return h_T @ model.head_w + model.head_b
-
-
-def _scale_label(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi == lo:
-        return np.full_like(y, 0.5)
-    return (y - lo) / (hi - lo)
-
-
-def _unscale_label(ys: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi == lo:
-        return np.full_like(ys, lo)
-    return ys * (hi - lo) + lo
 
 
 def train_rnn(
@@ -386,57 +401,36 @@ def train_rnn(
 
     Inputs must already be scaled with the training-split scaler. The label
     is min-max scaled internally from the training split and predictions are
-    returned in label units. Early stops after ``patience`` epochs without
-    validation improvement and returns the best-validation weights.
+    returned in label units. Trains with :func:`train_minibatch` and returns
+    the best-validation weights plus one :class:`EpochRecord` per epoch run.
     """
     if train.X.ndim != 3 or val.X.ndim != 3:
         raise ParameterError("expected sequence datasets (rows x lookback x F)")
     if train.X.shape[2] != val.X.shape[2]:
         raise ParameterError("train/val feature counts differ")
-    lo, hi = float(train.y.min()), float(train.y.max())
-    y_train = _scale_label(train.y, lo, hi)
-    y_val = _scale_label(val.y, lo, hi)
     model = _build_model(arch, train.X.shape[2], cfg.seed)
-    model.label_min, model.label_max = lo, hi
-    arrays = _param_arrays(model)
-    opt = _Adam(arrays, cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "rnn-batches"))
-    n = train.X.shape[0]
+    label_scaler = MinMaxScaler.fit(train.y)
+    model.label_scaler = label_scaler
+    y_train = label_scaler.transform(train.y)
+    y_val = label_scaler.transform(val.y)
+    span = float(label_scaler.maxs - label_scaler.mins) or 1.0
     history: list[EpochRecord] = []
-    best_val = np.inf
-    best_state = None
-    bad_epochs = 0
-    for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            loss, grads = _loss_and_grads(model, train.X[batch], y_train[batch])
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            opt.step(arrays, grads)
-            model.head_b = float(model._head_b_arr[0])
-        span = (hi - lo) if hi != lo else 1.0
+
+    def val_rmse() -> float:
         train_rmse = float(np.sqrt(np.mean(
             (_predict_scaled(model, train.X) - y_train) ** 2))) * span
         val_rmse = float(np.sqrt(np.mean(
             (_predict_scaled(model, val.X) - y_val) ** 2))) * span
-        if not np.isfinite(val_rmse):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        history.append(EpochRecord(epoch=epoch, train_rmse=train_rmse,
+        history.append(EpochRecord(epoch=len(history), train_rmse=train_rmse,
                                    val_rmse=val_rmse))
-        if val_rmse < best_val:
-            best_val = val_rmse
-            best_state = copy.deepcopy(
-                (model.weights, model.head_w.copy(), model.head_b)
-            )
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > cfg.patience:
-                break
-    if best_state is not None:
-        model.weights, model.head_w, model.head_b = best_state
-        model._head_b_arr = np.array([model.head_b])
+        return val_rmse
+
+    train_minibatch(
+        model.params(),
+        lambda rows: _loss_and_grads(model, train.X[rows], y_train[rows]),
+        val_rmse, train.X.shape[0], cfg,
+        np.random.default_rng(derive_seed(cfg.seed, "rnn-batches")),
+    )
     return model, history
 
 
@@ -444,8 +438,7 @@ def predict_rnn(model: RnnRegressor, data: SequenceDataset) -> np.ndarray:
     """One scalar per sequence row, in label units."""
     if data.X.ndim != 3 or data.X.shape[2] != model.weights.input_size:
         raise ParameterError("dataset shape does not match model input size")
-    scaled = _predict_scaled(model, data.X)
-    return _unscale_label(scaled, model.label_min, model.label_max)
+    return model.label_scaler.inverse_transform(_predict_scaled(model, data.X))
 
 
 def export_history_csv(history: list[EpochRecord], path) -> None:
@@ -464,7 +457,7 @@ def gradient_check(arch: RnnArch, seed: int, steps: int = 8,
     model = _build_model(arch, input_size, seed)
     X = rng.normal(size=(batch, steps, input_size))
     y = rng.normal(size=batch)
-    arrays = _param_arrays(model)
+    arrays = model.params()
     _, grads = _loss_and_grads(model, X, y)
 
     def loss_only() -> float:
@@ -479,13 +472,10 @@ def gradient_check(arch: RnnArch, seed: int, steps: int = 8,
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            model.head_b = float(model._head_b_arr[0])
             up = loss_only()
             flat[j] = orig - step
-            model.head_b = float(model._head_b_arr[0])
             down = loss_only()
             flat[j] = orig
-            model.head_b = float(model._head_b_arr[0])
             numeric = (up - down) / (2 * step)
             denom = max(abs(numeric), abs(gflat[j]), 1e-8)
             max_rel = max(max_rel, abs(numeric - gflat[j]) / denom)
@@ -505,9 +495,9 @@ def rnn_to_dict(model: RnnRegressor) -> dict:
         "weights": {n: getattr(model.weights, n).tolist()
                     for n in type(model.weights).FIELDS},
         "head_w": model.head_w.tolist(),
-        "head_b": model.head_b,
-        "label_min": model.label_min,
-        "label_max": model.label_max,
+        "head_b": float(model.head_b[0]),
+        "label_min": float(model.label_scaler.mins),
+        "label_max": float(model.label_scaler.maxs),
     }
 
 
@@ -517,13 +507,11 @@ def rnn_from_dict(data: dict) -> RnnRegressor:
     arch = RnnArch(cell=data["cell"], hidden_size=data["hidden_size"])
     cls = GruWeights if arch.cell == "gru" else LstmWeights
     weights = cls(**{n: np.array(v) for n, v in data["weights"].items()})
-    model = RnnRegressor(
+    return RnnRegressor(
         arch=arch,
         weights=weights,
         head_w=np.array(data["head_w"]),
-        head_b=float(data["head_b"]),
-        label_min=float(data["label_min"]),
-        label_max=float(data["label_max"]),
+        head_b=np.array([float(data["head_b"])]),
+        label_scaler=MinMaxScaler(mins=np.float64(data["label_min"]),
+                                  maxs=np.float64(data["label_max"])),
     )
-    model._head_b_arr = np.array([model.head_b])
-    return model

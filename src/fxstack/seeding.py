@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, *names: object) -> int:
     """Derive a stable 63-bit sub-seed from a root seed and a name path."""
@@ -19,8 +17,3 @@ def derive_seed(root: int, *names: object) -> int:
         h.update(b"/")
         h.update(str(name).encode())
     return int.from_bytes(h.digest()[:8], "big") >> 1
-
-
-def rng_for(root: int, *names: object) -> np.random.Generator:
-    """Seeded generator for a named component."""
-    return np.random.default_rng(derive_seed(root, *names))

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SplitError
+from .errors import ParameterError, SplitError, TrainingError
 from .evaluation import compute_metrics
 from .market_data import SplitSpec, format_rfc3339
+from .recurrent import MinMaxScaler
 from .seeding import derive_seed
 
 MODEL_ORDER = ("xgboost", "lightgbm", "random_forest", "lstm", "gru")
@@ -106,33 +107,29 @@ def split_meta(
 
 @dataclass
 class MetaModel:
-    """One-hidden-layer rectified network over min-max scaled inputs."""
+    """One-hidden-layer rectified network over min-max scaled inputs and
+    a min-max scaled label."""
 
     members: tuple[str, ...]
-    in_mins: np.ndarray
-    in_maxs: np.ndarray
-    y_min: float
-    y_max: float
+    in_scaler: MinMaxScaler
+    label_scaler: MinMaxScaler
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
-    b2: float
+    b2: np.ndarray  # shape (1,)
 
-    def _scale_in(self, X: np.ndarray) -> np.ndarray:
-        span = self.in_maxs - self.in_mins
-        safe = np.where(span == 0, 1.0, span)
-        out = (X - self.in_mins) / safe
-        out[:, span == 0] = 0.5
-        return out
+    def _forward_scaled(self, Xs: np.ndarray) -> np.ndarray:
+        hidden = np.maximum(Xs @ self.W1 + self.b1, 0.0)
+        return hidden @ self.W2 + self.b2
 
     def predict(self, frame: MetaFrame) -> np.ndarray:
-        X = np.column_stack([frame.predictions[m] for m in self.members])
-        Xs = self._scale_in(X)
-        hidden = np.maximum(Xs @ self.W1 + self.b1, 0.0)
-        ys = hidden @ self.W2 + self.b2
-        if self.y_max == self.y_min:
-            return np.full_like(ys, self.y_min)
-        return ys * (self.y_max - self.y_min) + self.y_min
+        X = _inputs(frame, self.members)
+        ys = self._forward_scaled(self.in_scaler.transform(X))
+        return self.label_scaler.inverse_transform(ys)
+
+
+def _inputs(frame: MetaFrame, members: tuple[str, ...]) -> np.ndarray:
+    return np.column_stack([frame.predictions[m] for m in members])
 
 
 @dataclass(frozen=True)
@@ -157,30 +154,25 @@ def train_meta_nn(
     meta-validation RMSE; deterministic under the seed.
     """
     members = combo.members
-    X = np.column_stack([meta_train.predictions[m] for m in members])
-    Xv = np.column_stack([meta_val.predictions[m] for m in members])
-    y = meta_train.labels
-    yv = meta_val.labels
-    in_mins, in_maxs = X.min(axis=0), X.max(axis=0)
-    y_min, y_max = float(y.min()), float(y.max())
+    X = _inputs(meta_train, members)
     rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
     hid = cfg.hidden
     model = MetaModel(
         members=members,
-        in_mins=in_mins, in_maxs=in_maxs, y_min=y_min, y_max=y_max,
+        in_scaler=MinMaxScaler.fit(X),
+        label_scaler=MinMaxScaler.fit(meta_train.labels),
         W1=rng.uniform(-1, 1, size=(len(members), hid))
         * np.sqrt(6.0 / (len(members) + hid)),
         b1=np.zeros(hid),
         W2=rng.uniform(-1, 1, size=hid) * np.sqrt(6.0 / (hid + 1)),
-        b2=0.0,
+        b2=np.zeros(1),
     )
-    Xs = model._scale_in(X)
-    Xvs = model._scale_in(Xv)
-    span_y = (y_max - y_min) or 1.0
-    ys = (y - y_min) / span_y
-    yvs = (yv - y_min) / span_y
+    Xs = model.in_scaler.transform(X)
+    Xvs = model.in_scaler.transform(_inputs(meta_val, members))
+    ys = model.label_scaler.transform(meta_train.labels)
+    yvs = model.label_scaler.transform(meta_val.labels)
     # plain Adam on the four parameter blocks
-    params = [model.W1, model.b1, model.W2, np.array([model.b2])]
+    params = [model.W1, model.b1, model.W2, model.b2]
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     t = 0
@@ -198,7 +190,7 @@ def train_meta_nn(
             pred = hidden @ params[2] + params[3][0]
             resid = pred - yb
             if not np.isfinite(resid).all():
-                raise ParameterError(f"meta training diverged at epoch {epoch}")
+                raise TrainingError(f"meta training diverged at epoch {epoch}")
             dpred = 2.0 * resid / len(yb)
             gW2 = hidden.T @ dpred
             gb2 = np.array([dpred.sum()])
@@ -224,9 +216,7 @@ def train_meta_nn(
             if bad > cfg.patience:
                 break
     if best is not None:
-        params = best
-    model.W1, model.b1, model.W2 = params[0], params[1], params[2]
-    model.b2 = float(params[3][0])
+        model.W1, model.b1, model.W2, model.b2 = best
     return model
 
 

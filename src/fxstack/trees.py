@@ -312,23 +312,6 @@ class _Splitter:
         return root
 
 
-def fit_tree(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    params: BoostParams,
-    rng: np.random.Generator | None = None,
-    m: int | None = None,
-) -> TreeNode:
-    """Grow one regression tree on (g, h) statistics."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
-        raise ParameterError("need at least one row")
-    splitter = _Splitter(X, params)
-    return splitter.grow(np.arange(X.shape[0]), np.asarray(g, dtype=float),
-                         np.asarray(h, dtype=float), rng=rng, m=m)
-
-
 def _predict_tree(node: TreeNode, X: np.ndarray, idx: np.ndarray,
                   out: np.ndarray) -> None:
     if node.is_leaf:
@@ -593,8 +576,3 @@ def model_from_dict(data: dict) -> BoostedModel | ForestModel:
 def save_model(model: BoostedModel | ForestModel, path) -> None:
     with open(path, "w") as fh:
         json.dump(model_to_dict(model), fh, sort_keys=True)
-
-
-def load_model(path) -> BoostedModel | ForestModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -46,7 +46,8 @@ def test_report_contents(run):
     assert "timings" not in on_disk
     # timings live in their own artifact, one entry per stage
     timings = json.loads((out / "timings.json").read_text())
-    assert {"ingest", "features", "recap", "train", "stack"} <= set(timings)
+    assert {"ingest", "features", "recap", "train", "stack",
+            "emit"} <= set(timings)
 
 
 def test_metrics_table_layout(run):

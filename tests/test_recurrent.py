@@ -21,36 +21,45 @@ def make_dataset(n=200, steps=5, features=3, seed=0, signal=True):
                            X=X, y=y, row_timestamps=ts)
 
 
-def test_gru_cell_matches_scalar_oracle():
-    rng = np.random.default_rng(1)
-    w = rnn.GruWeights.init(rng, input_size=4, hidden_size=6)
-    x = rng.normal(size=4)
-    h_prev = rng.normal(size=6)
-    got = rnn.gru_cell_forward(x, h_prev, w)
-    expected = gru_step_oracle(w, x, h_prev)
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+def random_weights(cls, seed, input_size=4, hidden_size=6):
+    """Glorot weights plus nonzero biases, so every term is exercised."""
+    rng = np.random.default_rng(seed)
+    w = cls.init(rng, input_size=input_size, hidden_size=hidden_size)
+    for name in cls.FIELDS:
+        if name.startswith("b_"):
+            getattr(w, name)[:] = rng.normal(size=hidden_size)
+    return w, rng.normal(size=(1, 5, input_size))
 
 
-def test_lstm_cell_matches_scalar_oracle():
-    rng = np.random.default_rng(2)
-    w = rnn.LstmWeights.init(rng, input_size=4, hidden_size=6)
-    x = rng.normal(size=4)
-    h_prev = rng.normal(size=6)
-    c_prev = rng.normal(size=6)
-    h, c = rnn.lstm_cell_forward(x, (h_prev, c_prev), w)
-    eh, ec = lstm_step_oracle(w, x, h_prev, c_prev)
-    np.testing.assert_allclose(h, eh, atol=1e-12)
-    np.testing.assert_allclose(c, ec, atol=1e-12)
+def test_gru_forward_matches_scalar_oracle():
+    w, X = random_weights(rnn.GruWeights, seed=1)
+    h_T, caches = rnn._gru_forward(w, X)
+    h = np.zeros(w.hidden_size)
+    for t, cache in enumerate(caches):
+        np.testing.assert_allclose(cache[1][0], h, atol=1e-12)  # h_prev
+        h = gru_step_oracle(w, X[0, t], h)
+    np.testing.assert_allclose(h_T[0], h, atol=1e-12)
+
+
+def test_lstm_forward_matches_scalar_oracle():
+    w, X = random_weights(rnn.LstmWeights, seed=2)
+    h_T, caches = rnn._lstm_forward(w, X)
+    h = c = np.zeros(w.hidden_size)
+    for t, cache in enumerate(caches):
+        np.testing.assert_allclose(cache[1][0], h, atol=1e-12)  # h_prev
+        np.testing.assert_allclose(cache[2][0], c, atol=1e-12)  # c_prev
+        h, c = lstm_step_oracle(w, X[0, t], h, c)
+    np.testing.assert_allclose(h_T[0], h, atol=1e-12)
+    np.testing.assert_allclose(caches[-1][7][0], c, atol=1e-12)
 
 
 def test_gru_gates_old_state():
-    """With z saturated at 1, the state passes through unchanged."""
-    rng = np.random.default_rng(3)
-    w = rnn.GruWeights.init(rng, input_size=2, hidden_size=3)
+    """With z saturated at 1, the zero initial state passes through every
+    step unchanged (z multiplies the old state, not the candidate)."""
+    w, X = random_weights(rnn.GruWeights, seed=3, input_size=2, hidden_size=3)
     w.b_z[:] = 50.0  # sigmoid(50) == 1 to machine precision
-    h_prev = rng.normal(size=3)
-    out = rnn.gru_cell_forward(rng.normal(size=2), h_prev, w)
-    np.testing.assert_allclose(out, h_prev, atol=1e-12)
+    h_T, _ = rnn._gru_forward(w, X)
+    np.testing.assert_allclose(h_T, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
@@ -106,10 +115,17 @@ def test_training_is_deterministic():
 def test_divergence_raises_training_error():
     train = make_dataset(n=100, seed=10)
     val = make_dataset(n=30, seed=11)
-    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e12, max_epochs=50,
-                          seed=0, optimizer="sgd")
-    with pytest.raises(TrainingError):
-        rnn.train_rnn(train, val, rnn.RnnArch(cell="lstm", hidden_size=8), cfg)
+    arch = rnn.RnnArch(cell="lstm", hidden_size=8)
+    # Adam steps every weight by about the learning rate: 1e12 saturates the
+    # gates but keeps the loss finite, 1e300 overflows it in the first epoch
+    huge = rnn.TrainConfig(batch_size=32, learning_rate=1e12, max_epochs=3,
+                           seed=0)
+    _, history = rnn.train_rnn(train, val, arch, huge)
+    assert len(history) == 3
+    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e300, max_epochs=50,
+                          seed=0)
+    with pytest.raises(TrainingError, match="at epoch 0$"):
+        rnn.train_rnn(train, val, arch, cfg)
 
 
 def test_serialization_roundtrip():

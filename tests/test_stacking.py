@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fxstack import stacking
-from fxstack.errors import ParameterError, SplitError
+from fxstack.errors import ParameterError, SplitError, TrainingError
 from fxstack.market_data import SplitSpec, split_spec_from_fractions
 
 UTC = timezone.utc
@@ -97,6 +97,17 @@ def test_meta_nn_deterministic():
     m2 = stacking.train_meta_nn(train, val, combo, seed=9)
     np.testing.assert_array_equal(m1.W1, m2.W1)
     np.testing.assert_array_equal(m1.W2, m2.W2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_meta_nn_divergence_raises_training_error():
+    frame = make_frame(300, seed=5)
+    spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
+    train, val, _ = stacking.split_meta(frame, spec)
+    cfg = stacking.MetaTrainConfig(learning_rate=1e300)
+    with pytest.raises(TrainingError, match="epoch 0"):
+        stacking.train_meta_nn(train, val, stacking.Combination(("gru",)),
+                               seed=0, cfg=cfg)
 
 
 @pytest.fixture(scope="module")
