@@ -224,7 +224,7 @@ def apply_scaler(scaler: MinMaxScaler, data: SequenceDataset) -> SequenceDataset
     return replace(data, X=scaler.transform(data.X))
 
 
-# --- shared training -----------------------------------------------------------
+# --- shared training ---------------------------------------------------------
 
 
 class Adam:
@@ -296,7 +296,7 @@ def train_minibatch(
             p[...] = saved
 
 
-# --- recurrent regressor -------------------------------------------------------
+# --- recurrent regressor -----------------------------------------------------
 
 
 @dataclass(frozen=True)

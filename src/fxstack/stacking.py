@@ -2,6 +2,9 @@
 models, train a small neural meta-learner per subset on their out-of-sample
 predictions, and select the winner.
 
+The meta-learner reuses the training pieces of :mod:`fxstack.recurrent`:
+its min-max scaler for inputs and label, and its Adam early-stopping loop.
+
 Selection uses the meta-validation RMSE by default; ``paper_mode`` selects on
 the meta-test RMSE instead (and is flagged as selection-biased in reports).
 """
@@ -15,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SplitError, TrainingError
+from .errors import ParameterError, SplitError
 from .evaluation import compute_metrics
 from .market_data import SplitSpec, format_rfc3339
-from .recurrent import MinMaxScaler
+from .recurrent import MinMaxScaler, train_minibatch
 from .seeding import derive_seed
 
 MODEL_ORDER = ("xgboost", "lightgbm", "random_forest", "lstm", "gru")
@@ -150,8 +153,10 @@ def train_meta_nn(
 ) -> MetaModel:
     """Fit the meta network on the combo's prediction columns.
 
-    Inputs are min-max scaled on meta-train; early stopping tracks the
-    meta-validation RMSE; deterministic under the seed.
+    Inputs and label are min-max scaled on meta-train; training is
+    :func:`recurrent.train_minibatch` (Adam, early stopping on the
+    meta-validation RMSE); one generator seeded from ``seed`` draws the
+    initial weights and then each epoch's row order.
     """
     members = combo.members
     X = _inputs(meta_train, members)
@@ -171,52 +176,23 @@ def train_meta_nn(
     Xvs = model.in_scaler.transform(_inputs(meta_val, members))
     ys = model.label_scaler.transform(meta_train.labels)
     yvs = model.label_scaler.transform(meta_val.labels)
-    # plain Adam on the four parameter blocks
-    params = [model.W1, model.b1, model.W2, model.b2]
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
-    t = 0
-    best_val = np.inf
-    best = None
-    bad = 0
-    n = len(ys)
-    for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            xb, yb = Xs[idx], ys[idx]
-            pre = xb @ params[0] + params[1]
-            hidden = np.maximum(pre, 0.0)
-            pred = hidden @ params[2] + params[3][0]
-            resid = pred - yb
-            if not np.isfinite(resid).all():
-                raise TrainingError(f"meta training diverged at epoch {epoch}")
-            dpred = 2.0 * resid / len(yb)
-            gW2 = hidden.T @ dpred
-            gb2 = np.array([dpred.sum()])
-            dhidden = np.outer(dpred, params[2]) * (pre > 0)
-            gW1 = xb.T @ dhidden
-            gb1 = dhidden.sum(axis=0)
-            t += 1
-            for k, grad in enumerate([gW1, gb1, gW2, gb2]):
-                m_state[k] = 0.9 * m_state[k] + 0.1 * grad
-                v_state[k] = 0.999 * v_state[k] + 0.001 * grad**2
-                m_hat = m_state[k] / (1 - 0.9**t)
-                v_hat = v_state[k] / (1 - 0.999**t)
-                params[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        hidden_v = np.maximum(Xvs @ params[0] + params[1], 0.0)
-        val_rmse = float(np.sqrt(np.mean(
-            (hidden_v @ params[2] + params[3][0] - yvs) ** 2)))
-        if val_rmse < best_val:
-            best_val = val_rmse
-            best = [p.copy() for p in params]
-            bad = 0
-        else:
-            bad += 1
-            if bad > cfg.patience:
-                break
-    if best is not None:
-        model.W1, model.b1, model.W2, model.b2 = best
+
+    def loss_and_grads(rows: np.ndarray):
+        xb, yb = Xs[rows], ys[rows]
+        pre = xb @ model.W1 + model.b1
+        hidden = np.maximum(pre, 0.0)
+        resid = hidden @ model.W2 + model.b2 - yb
+        dpred = 2.0 * resid / len(yb)
+        dhidden = np.outer(dpred, model.W2) * (pre > 0)
+        grads = [xb.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred,
+                 np.array([dpred.sum()])]
+        return float(np.mean(resid**2)), grads
+
+    def val_rmse() -> float:
+        return float(np.sqrt(np.mean((model._forward_scaled(Xvs) - yvs) ** 2)))
+
+    train_minibatch([model.W1, model.b1, model.W2, model.b2],
+                    loss_and_grads, val_rmse, len(ys), cfg, rng)
     return model
 
 
