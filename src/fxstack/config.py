@@ -269,9 +269,13 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
         if config.arima_refit_every < 1:
             err("arima.refit_every must be >= 1")
     for field in ("xgb_n_trees", "lgbm_n_trees", "forest_n_trees",
-                  "rnn_hidden", "rnn_epochs", "meta_hidden", "meta_epochs"):
+                  "xgb_max_depth", "lgbm_max_leaves", "forest_max_depth",
+                  "forest_m", "rnn_hidden", "rnn_epochs", "meta_hidden",
+                  "meta_epochs"):
         if getattr(config, field) < 1:
             err(f"{field} must be >= 1")
+    if config.lgbm_bins < 2:
+        err("lgbm_bins must be >= 2")
     if config.paper_mode:
         warn("paper_mode: recap held-out and stacking selection use the final "
              "test window — results are leakage-biased by construction")

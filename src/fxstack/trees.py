@@ -7,6 +7,14 @@ sampling give the lighter gradient-boosting variant; the forest reuses the
 same grower with g = -2y, h = 2, under which the split gain reduces exactly
 to the variance (SSE) reduction used for impurity importance.
 
+A node's split search covers all candidate features in a few 2-D numpy
+operations: the exact splitter carries each node's rows sorted per feature,
+partitioned from its parent's (Chen & Guestrin, XGBoost, Alg. 1), and the
+histogram splitter builds the whole (features x bins) grid with one
+bincount (Ke et al., LightGBM). Within each feature the left sums still
+accumulate in ascending row order, so gains, trees and importances are
+bit-identical to a one-feature-at-a-time search (``tests/oracles.py``).
+
 All fits are deterministic under a fixed seed; parallel reductions are not
 used, so results do not depend on thread count.
 """
@@ -102,6 +110,10 @@ class BoostParams:
             raise ParameterError("learning_rate must be in (0, 1]")
         if self.lam < 0 or self.gamma < 0:
             raise ParameterError("lambda and gamma must be >= 0")
+        if self.max_depth < 0:
+            raise ParameterError("max_depth must be >= 0")
+        if self.max_leaves is not None and self.max_leaves < 1:
+            raise ParameterError("max_leaves must be >= 1 (None = no limit)")
         if self.growth not in ("level", "leaf"):
             raise ParameterError(f"unknown growth {self.growth!r}")
         if self.splitter not in ("exact", "histogram"):
@@ -125,6 +137,8 @@ class ForestParams:
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ParameterError("n_trees must be >= 1")
+        if self.max_depth < 0:
+            raise ParameterError("max_depth must be >= 0")
         if self.m is not None and self.m < 1:
             raise ParameterError("m must be >= 1")
 
@@ -159,79 +173,114 @@ class ImportanceVector:
 
 
 class _Splitter:
-    """Per-fit split finder; caches global sort orders or bin codes."""
+    """Per-fit split finder that searches all candidate features at once.
+
+    The exact splitter sorts each feature's rows once per fit and hands every
+    node its rows in ascending-x order as an (F, m) matrix, partitioned from
+    its parent's. The histogram splitter keeps feature-major bin codes (F, n)
+    and per-feature cut points padded with NaN to (F, bins - 1).
+    """
 
     def __init__(self, X: np.ndarray, params: BoostParams):
         self.X = X
         self.params = params
         self.n, self.F = X.shape
         if params.splitter == "exact":
-            self.sorted_idx = np.argsort(X, axis=0, kind="stable")
+            self.XT = np.ascontiguousarray(X.T)
+            self.sorted_rows = np.argsort(self.XT, axis=1, kind="stable")
         else:
-            self.cuts: list[np.ndarray] = []
-            codes = np.empty((self.n, self.F), dtype=np.int32)
+            cuts: list[np.ndarray] = []
             for f in range(self.F):
                 col = X[:, f]
                 uniq = np.unique(col)
                 if len(uniq) - 1 <= params.bins - 1:
-                    cuts = (uniq[:-1] + uniq[1:]) / 2.0
+                    cuts.append((uniq[:-1] + uniq[1:]) / 2.0)
                 else:
                     qs = np.quantile(
                         col, np.linspace(0.0, 1.0, params.bins + 1)[1:-1]
                     )
-                    cuts = np.unique(qs)
-                self.cuts.append(cuts)
-                codes[:, f] = np.searchsorted(cuts, col, side="left")
-            self.codes = codes
+                    cuts.append(np.unique(qs))
+            width = max((len(c) for c in cuts), default=0)
+            self.cuts = np.full((self.F, width), np.nan)
+            self.codes = np.empty((self.F, self.n), dtype=np.intp)
+            for f, c in enumerate(cuts):
+                self.cuts[f, :len(c)] = c
+                self.codes[f] = np.searchsorted(c, X[:, f], side="left")
+
+    def sorted_rows_of(self, idx: np.ndarray) -> np.ndarray | None:
+        """The rows ``idx`` in ascending-x order per feature, (F, m); None
+        for the histogram splitter, which needs no sort order."""
+        if self.params.splitter != "exact":
+            return None
+        in_node = np.zeros(self.n, dtype=bool)
+        in_node[idx] = True
+        return self.sorted_rows[in_node[self.sorted_rows]].reshape(
+            self.F, int(in_node.sum()))
 
     def best_split(
-        self, idx: np.ndarray, features: np.ndarray
+        self,
+        g: np.ndarray,
+        h: np.ndarray,
+        idx: np.ndarray,
+        rows: np.ndarray | None,
+        features: np.ndarray,
     ) -> tuple[float, int, float] | None:
         """Best (gain, feature, threshold) over node rows, or None.
 
-        Ties break toward the lowest feature index, then lowest threshold.
+        ``idx`` holds the node's rows, ``rows`` the same rows sorted per
+        feature (exact splitter only). Each feature's left sums accumulate
+        in the same row order as a one-feature-at-a-time search, so gains
+        are bit-identical to it. Ties break toward the lowest feature index,
+        then lowest threshold; a feature whose best gain is not finite is
+        skipped.
         """
         lam, gamma = self.params.lam, self.params.gamma
-        g, h = self._g[idx], self._h[idx]
-        G, H = float(g.sum()), float(h.sum())
-        best: tuple[float, int, float] | None = None
-        if self.params.splitter == "exact":
-            in_node = np.zeros(self.n, dtype=bool)
-            in_node[idx] = True
+        exact = rows is not None
+        k = len(features)
+        m = rows.shape[1] if exact else len(idx)
+        if k == 0 or m < 2 or (not exact and self.cuts.shape[1] == 0):
+            return None
+        G, H = float(g[idx].sum()), float(h[idx].sum())
+        if exact:
+            sel = rows[features]  # (k, m) row ids, ascending x per feature
+            xs = self.XT[features[:, None], sel]
+            gl = np.cumsum(g[sel], axis=1)[:, :-1]
+            hl = np.cumsum(h[sel], axis=1)[:, :-1]
+            valid = xs[:, :-1] < xs[:, 1:]
+        else:
+            nbins = self.cuts.shape[1] + 1
+            # one bincount over all features: feature r owns bins
+            # [r * nbins, (r + 1) * nbins)
+            codes = (self.codes[features[:, None], idx]
+                     + (np.arange(k) * nbins)[:, None]).ravel()
+
+            def left_sums(weights):
+                hist = np.bincount(codes, weights=weights, minlength=k * nbins)
+                return np.cumsum(hist.reshape(k, nbins), axis=1)[:, :-1]
+
+            gl = left_sums(np.tile(g[idx], k))
+            hl = left_sums(np.tile(h[idx], k))
+            left_n = left_sums(None)
+            valid = (left_n > 0) & (left_n < m)
+        gr, hr = G - gl, H - hl
         parent = G * G / (H + lam)
-        for f in features:
-            if self.params.splitter == "exact":
-                order = self.sorted_idx[:, f]
-                sel = order[in_node[order]]
-                xs = self.X[sel, f]
-                gl = np.cumsum(self._g[sel])[:-1]
-                hl = np.cumsum(self._h[sel])[:-1]
-                valid = xs[:-1] < xs[1:]
-                thresholds = (xs[:-1] + xs[1:]) / 2.0
-            else:
-                codes = self.codes[idx, f]
-                nbins = len(self.cuts[f]) + 1
-                if nbins < 2:
-                    continue
-                gl = np.cumsum(np.bincount(codes, weights=g, minlength=nbins))[:-1]
-                hl = np.cumsum(np.bincount(codes, weights=h, minlength=nbins))[:-1]
-                counts = np.bincount(codes, minlength=nbins)
-                left_n = np.cumsum(counts)[:-1]
-                valid = (left_n > 0) & (left_n < len(idx))
-                thresholds = self.cuts[f]
-            if not valid.any():
-                continue
-            gr, hr = G - gl, H - hl
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = 0.5 * (
-                    gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
-                ) - gamma
-            gains = np.where(valid, gains, -np.inf)
-            i = int(np.argmax(gains))  # argmax takes the first = lowest threshold
-            gain = float(gains[i])
-            if np.isfinite(gain) and (best is None or gain > best[0]):
-                best = (gain, int(f), float(thresholds[i]))
-        return best
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (
+                gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
+            ) - gamma
+        gains = np.where(valid, gains, -np.inf)
+        at = np.argmax(gains, axis=1)  # first maximum = lowest threshold
+        row_best = gains[np.arange(k), at]
+        finite = np.isfinite(row_best)
+        if not finite.any():
+            return None
+        r = int(np.argmax(np.where(finite, row_best, -np.inf)))
+        i = int(at[r])
+        if exact:
+            threshold = (xs[r, i] + xs[r, i + 1]) / 2.0
+        else:
+            threshold = self.cuts[features[r], i]
+        return float(row_best[r]), int(features[r]), float(threshold)
 
     def grow(
         self,
@@ -241,74 +290,75 @@ class _Splitter:
         rng: np.random.Generator | None = None,
         m: int | None = None,
     ) -> TreeNode:
-        self._g, self._h = g, h
         params = self.params
-        max_leaves = params.max_leaves or np.inf
+        max_leaves = np.inf if params.max_leaves is None else params.max_leaves
 
-        def make_leaf(node_idx: np.ndarray) -> TreeNode:
+        def leaf_value(node_idx: np.ndarray) -> float:
             G = float(g[node_idx].sum())
             H = float(h[node_idx].sum())
-            return TreeNode(weight=leaf_weight(G, H, params.lam))
+            return leaf_weight(G, H, params.lam)
 
         def draw_features() -> np.ndarray:
             if m is None or m >= self.F:
                 return np.arange(self.F)
             return np.sort(rng.choice(self.F, size=m, replace=False))
 
+        def search(entry: list) -> tuple[float, int, float] | None:
+            return self.best_split(g, h, entry[1], entry[2], draw_features())
+
         root = TreeNode()
-        # frontier entries: (node, rows, depth, cached best split or None)
-        frontier: list[list] = [[root, idx, 0, None]]
+        # frontier entries: (node, rows, rows sorted per feature or None,
+        # depth, cached best split or None)
+        frontier: list[list] = [[root, idx, self.sorted_rows_of(idx), 0, None]]
         n_leaves = 1
-        order_counter = 0
         while frontier:
             if params.growth == "level":
                 entry = frontier.pop(0)
             else:
                 # leaf-wise: evaluate all pending candidates, split the best
                 for entry in frontier:
-                    if entry[3] is None:
-                        entry[3] = ("eval", self.best_split(
-                            entry[1], draw_features()
-                        ))
+                    if entry[4] is None:
+                        entry[4] = ("eval", search(entry))
                 candidates = [
                     e for e in frontier
-                    if e[3][1] is not None and e[3][1][0] > 0
-                    and e[2] < params.max_depth
+                    if e[4][1] is not None and e[4][1][0] > 0
+                    and e[3] < params.max_depth
                 ]
                 if not candidates or n_leaves >= max_leaves:
                     break
-                entry = max(candidates, key=lambda e: e[3][1][0])
+                entry = max(candidates, key=lambda e: e[4][1][0])
                 frontier = [e for e in frontier if e is not entry]
-            node, node_idx, depth, cached = entry
+            node, node_idx, rows, depth, cached = entry
             if (
                 depth >= params.max_depth
                 or n_leaves >= max_leaves
                 or len(node_idx) < 2
             ):
-                leaf = make_leaf(node_idx)
-                node.weight = leaf.weight
+                node.weight = leaf_value(node_idx)
                 continue
-            found = cached[1] if cached else self.best_split(
-                node_idx, draw_features()
-            )
+            found = cached[1] if cached else search(entry)
             if found is None or found[0] <= 0:
-                node.weight = make_leaf(node_idx).weight
+                node.weight = leaf_value(node_idx)
                 continue
             gain, f, threshold = found
-            mask = self.X[node_idx, f] <= threshold
+            goes_left = self.X[:, f] <= threshold
             node.feature = f
             node.threshold = threshold
             node.gain = gain
             node.left = TreeNode()
             node.right = TreeNode()
             n_leaves += 1
-            order_counter += 1
-            frontier.append([node.left, node_idx[mask], depth + 1, None])
-            frontier.append([node.right, node_idx[~mask], depth + 1, None])
+            for child, side in ((node.left, goes_left),
+                                (node.right, ~goes_left)):
+                child_rows = (None if rows is None
+                              else rows[side[rows]].reshape(self.F, -1))
+                frontier.append(
+                    [child, node_idx[side[node_idx]], child_rows, depth + 1,
+                     None])
         for entry in frontier:  # unexpanded leaf-wise leftovers become leaves
             node, node_idx = entry[0], entry[1]
             if node.is_leaf and node.left is None:
-                node.weight = make_leaf(node_idx).weight
+                node.weight = leaf_value(node_idx)
         return root
 
 

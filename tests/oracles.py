@@ -198,3 +198,62 @@ def lstm_step_oracle(w, x, h_prev, c_prev):
         c[k] = f * c_prev[k] + i * g
         h[k] = o * math.tanh(c[k])
     return h, c
+
+
+def best_split_oracle(X, g, h, idx, features, params):
+    """Best (gain, feature, threshold) over the rows ``idx``, or None.
+
+    One feature at a time, as ``trees._Splitter.best_split`` searched before
+    it was vectorised across features: the exact splitter walks the rows in
+    ascending x (stable sort, so ties keep row order), the histogram
+    splitter bins each column on its own cut points. Ties break toward the
+    lowest feature index, then the lowest threshold; a feature whose best
+    gain is not finite is skipped.
+    """
+    lam, gamma = params.lam, params.gamma
+    G, H = float(g[idx].sum()), float(h[idx].sum())
+    in_node = np.zeros(X.shape[0], dtype=bool)
+    in_node[idx] = True
+    parent = G * G / (H + lam)
+    best = None
+    for f in features:
+        col = X[:, f]
+        if params.splitter == "exact":
+            order = np.argsort(col, kind="stable")
+            sel = order[in_node[order]]
+            xs = col[sel]
+            gl = np.cumsum(g[sel])[:-1]
+            hl = np.cumsum(h[sel])[:-1]
+            valid = xs[:-1] < xs[1:]
+            thresholds = (xs[:-1] + xs[1:]) / 2.0
+        else:
+            uniq = np.unique(col)
+            if len(uniq) - 1 <= params.bins - 1:
+                cuts = (uniq[:-1] + uniq[1:]) / 2.0
+            else:
+                cuts = np.unique(np.quantile(
+                    col, np.linspace(0.0, 1.0, params.bins + 1)[1:-1]))
+            nbins = len(cuts) + 1
+            if nbins < 2:
+                continue
+            codes = np.searchsorted(cuts, col[idx], side="left")
+            gl = np.cumsum(np.bincount(codes, weights=g[idx],
+                                       minlength=nbins))[:-1]
+            hl = np.cumsum(np.bincount(codes, weights=h[idx],
+                                       minlength=nbins))[:-1]
+            left_n = np.cumsum(np.bincount(codes, minlength=nbins))[:-1]
+            valid = (left_n > 0) & (left_n < len(idx))
+            thresholds = cuts
+        if not valid.any():
+            continue
+        gr, hr = G - gl, H - hl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (
+                gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
+            ) - gamma
+        gains = np.where(valid, gains, -np.inf)
+        i = int(np.argmax(gains))
+        gain = float(gains[i])
+        if np.isfinite(gain) and (best is None or gain > best[0]):
+            best = (gain, int(f), float(thresholds[i]))
+    return best

@@ -72,6 +72,19 @@ def test_validate_flags_bad_bounds():
     assert any("horizon" in m for m in messages)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lgbm_max_leaves", 0), ("lgbm_bins", 1), ("forest_m", 0),
+    ("xgb_max_depth", -1), ("forest_max_depth", 0),
+])
+def test_validate_flags_bad_tree_shapes(field, value):
+    # these used to pass validation and fail late in the train stage, or
+    # grow unlimited / single-leaf trees without a word
+    cfg = config.PipelineConfig(**{field: value})
+    messages = [f.message for f in config.validate_config(cfg)
+                if f.severity == "error"]
+    assert any(field in m for m in messages)
+
+
 def test_validate_csv_requires_path():
     cfg = config.PipelineConfig(source="csv")
     assert any(f.severity == "error"

@@ -5,6 +5,7 @@ import pytest
 
 from fxstack import trees
 from fxstack.errors import ParameterError
+from oracles import best_split_oracle
 
 
 def random_data(n=500, f=20, seed=0):
@@ -180,16 +181,109 @@ def test_serialization_roundtrip():
                                    trees.predict(model, X), atol=1e-15)
 
 
-def test_split_tie_break_lowest_feature_index():
+@pytest.mark.parametrize("fit", [
+    lambda X, y: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=1, max_depth=1), seed=0),
+    lambda X, y: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=1, max_depth=1, splitter="histogram"),
+        seed=0),
+    lambda X, y: trees.fit_random_forest(
+        X, y, trees.ForestParams(n_trees=1, max_depth=1, m=None, seed=0)),
+], ids=["exact", "histogram", "forest"])
+def test_split_tie_break_lowest_feature_index(fit):
     # duplicated feature columns produce identical candidate gains; the split
     # must land on the lowest feature index with the lowest threshold
     rng = np.random.default_rng(0)
     col = rng.normal(size=200)
     X = np.column_stack([col, col, col])
     y = (col > 0).astype(float)
-    model = trees.newton_boost_fit(
-        X, y, trees.BoostParams(n_trees=1, max_depth=1), seed=0)
-    assert model.trees[0].feature == 0
+    assert fit(X, y).trees[0].feature == 0
+
+
+def split_search_data(n=240, seed=11):
+    """Columns that stress the split search: a duplicate, a constant
+    column (a single bin), tied values and a few-valued integer column."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 10))
+    X[:, 3] = X[:, 1]
+    X[:, 5] = 0.7
+    X[:, 7] = rng.integers(0, 4, size=n)
+    X[:, 8] = np.round(X[:, 8], 1)
+    y = X[:, 1] - 0.5 * X[:, 7] + rng.normal(size=n) * 0.3
+    return X, y
+
+
+@pytest.mark.parametrize("splitter", ["exact", "histogram"])
+def test_best_split_matches_per_feature_oracle(splitter):
+    X, y = split_search_data()
+    n, F = X.shape
+    rng = np.random.default_rng(5)
+    g, h = trees.gradients_squared_loss(y, np.full(n, y.mean()))
+    subset, factors = trees._goss_subset(g, 0.2, 0.3, rng)
+    goss_g = g * trees._scatter(factors, subset, n)
+    goss_h = h * trees._scatter(factors, subset, n)
+    # zero hessians at lam = 0 give 0/0 and x/0 gains: such a feature's
+    # best gain is NaN or inf, and it must be skipped
+    flat_g, flat_h = g.copy(), h.copy()
+    flat_g[::7] = 0.0
+    flat_h[::7] = 0.0
+    flat_h[3::11] = 0.0
+    cases = [
+        (trees.BoostParams(splitter=splitter, bins=16), g, h, None),
+        (trees.BoostParams(splitter=splitter, lam=0.0, bins=16),
+         flat_g, flat_h, None),
+        (trees.BoostParams(splitter=splitter, bins=256), g, h, None),
+        (trees.BoostParams(splitter=splitter, lam=0.0, gamma=0.5, bins=8),
+         g, h, None),
+        (trees.BoostParams(splitter=splitter, bins=16), goss_g, goss_h,
+         subset),
+    ]
+    found = 0
+    for params, gg, hh, rows in cases:
+        finder = trees._Splitter(X, params)
+        for trial in range(25):
+            pool = np.arange(n) if rows is None else rows
+            size = int(rng.integers(0, len(pool) + 1))
+            idx = np.sort(rng.choice(pool, size=size, replace=False))
+            features = np.sort(rng.choice(
+                F, size=int(rng.integers(1, F + 1)), replace=False))
+            if trial == 0:
+                features = np.array([5])  # constant column alone: no split
+            got = finder.best_split(
+                gg, hh, idx, finder.sorted_rows_of(idx), features)
+            want = best_split_oracle(X, gg, hh, idx, features, params)
+            assert got == want, (params, trial)
+            found += got is not None
+    assert found > 50
+
+
+def test_grown_trees_match_per_feature_oracle(monkeypatch):
+    """Whole fits, with each child's sorted rows partitioned from its
+    parent's, equal fits whose every split comes from the oracle."""
+    X, y = split_search_data(n=300, seed=12)
+    fits = [
+        lambda: trees.newton_boost_fit(
+            X, y, trees.BoostParams(n_trees=3, max_depth=5), seed=0),
+        lambda: trees.newton_boost_fit(
+            X, y, trees.BoostParams(
+                n_trees=3, max_depth=8, max_leaves=12, growth="leaf",
+                splitter="histogram", bins=16, goss=(0.2, 0.3)), seed=1),
+        lambda: trees.newton_boost_fit(
+            X, y, trees.BoostParams(
+                n_trees=2, max_depth=6, growth="leaf", lam=0.0, gamma=0.1,
+                goss=(0.3, 0.3)), seed=2),
+        lambda: trees.fit_random_forest(
+            X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4, seed=3)),
+    ]
+    vectorised = [trees.model_to_dict(fit()) for fit in fits]
+
+    def oracle_split(self, g, h, idx, rows, features):
+        return best_split_oracle(self.X, g, h, idx, features, self.params)
+
+    monkeypatch.setattr(trees._Splitter, "best_split", oracle_split)
+    for fit, got in zip(fits, vectorised):
+        want = trees.model_to_dict(fit())
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_bad_params_rejected():
@@ -199,3 +293,9 @@ def test_bad_params_rejected():
         trees.BoostParams(growth="diagonal")
     with pytest.raises(ParameterError):
         trees.ForestParams(n_trees=0)
+    with pytest.raises(ParameterError):
+        trees.BoostParams(max_leaves=0)  # 0 used to mean "no limit"
+    with pytest.raises(ParameterError):
+        trees.BoostParams(max_depth=-1)
+    with pytest.raises(ParameterError):
+        trees.ForestParams(max_depth=-1)
