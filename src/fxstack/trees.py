@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateFitError, ParameterError
 from .seeding import derive_seed
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def gradients_squared_loss(
@@ -64,30 +64,30 @@ def split_gain(
     ) - gamma
 
 
-@dataclass
-class TreeNode:
-    """Split node when ``feature`` is set, otherwise a leaf with ``weight``."""
+@dataclass(frozen=True)
+class Tree:
+    """A regression tree stored as parallel node arrays in pre-order.
 
-    feature: int | None = None
-    threshold: float = 0.0
-    gain: float = 0.0
-    weight: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    Node 0 is the root and every child's index is greater than its parent's.
+    A leaf has ``feature == -1`` (and ``left == right == -1``) and outputs
+    ``value``; a split sends the rows with ``x[feature] <= threshold`` to
+    ``left`` and the rest to ``right``, and records its ``gain``.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    gain: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def leaves(self) -> list["TreeNode"]:
-        if self.is_leaf:
-            return [self]
-        return self.left.leaves() + self.right.leaves()
+    def splits(self) -> np.ndarray:
+        """Indices of the split nodes, in pre-order."""
+        return np.flatnonzero(self.feature >= 0)
 
-    def splits(self) -> list["TreeNode"]:
-        if self.is_leaf:
-            return []
-        return [self] + self.left.splits() + self.right.splits()
+    def leaves(self) -> np.ndarray:
+        """Indices of the leaves, in pre-order (left to right)."""
+        return np.flatnonzero(self.feature < 0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class BoostedModel:
 
     base_score: float
     learning_rate: float
-    trees: list[TreeNode]
+    trees: list[Tree]
     feature_names: list[str]
     objective_history: list[float] = field(default_factory=list)
 
@@ -158,7 +158,7 @@ class BoostedModel:
 class ForestModel:
     """prediction = mean of per-tree outputs."""
 
-    trees: list[TreeNode]
+    trees: list[Tree]
     tree_seeds: list[int]
     m: int | None
     feature_names: list[str]
@@ -289,7 +289,7 @@ class _Splitter:
         h: np.ndarray,
         rng: np.random.Generator | None = None,
         m: int | None = None,
-    ) -> TreeNode:
+    ) -> Tree:
         params = self.params
         max_leaves = np.inf if params.max_leaves is None else params.max_leaves
 
@@ -306,10 +306,12 @@ class _Splitter:
         def search(entry: list) -> tuple[float, int, float] | None:
             return self.best_split(g, h, entry[1], entry[2], draw_features())
 
-        root = TreeNode()
-        # frontier entries: (node, rows, rows sorted per feature or None,
+        # nodes in creation order: [feature, threshold, gain, value, left,
+        # right]; renumbered into pre-order once the tree is grown
+        nodes: list[list] = [[-1, 0.0, 0.0, 0.0, -1, -1]]
+        # frontier entries: (node id, rows, rows sorted per feature or None,
         # depth, cached best split or None)
-        frontier: list[list] = [[root, idx, self.sorted_rows_of(idx), 0, None]]
+        frontier: list[list] = [[0, idx, self.sorted_rows_of(idx), 0, None]]
         n_leaves = 1
         while frontier:
             if params.growth == "level":
@@ -334,49 +336,58 @@ class _Splitter:
                 or n_leaves >= max_leaves
                 or len(node_idx) < 2
             ):
-                node.weight = leaf_value(node_idx)
+                nodes[node][3] = leaf_value(node_idx)
                 continue
             found = cached[1] if cached else search(entry)
             if found is None or found[0] <= 0:
-                node.weight = leaf_value(node_idx)
+                nodes[node][3] = leaf_value(node_idx)
                 continue
             gain, f, threshold = found
             goes_left = self.X[:, f] <= threshold
-            node.feature = f
-            node.threshold = threshold
-            node.gain = gain
-            node.left = TreeNode()
-            node.right = TreeNode()
+            nodes[node] = [f, threshold, gain, 0.0, len(nodes), len(nodes) + 1]
             n_leaves += 1
-            for child, side in ((node.left, goes_left),
-                                (node.right, ~goes_left)):
+            for side in (goes_left, ~goes_left):
                 child_rows = (None if rows is None
                               else rows[side[rows]].reshape(self.F, -1))
                 frontier.append(
-                    [child, node_idx[side[node_idx]], child_rows, depth + 1,
-                     None])
+                    [len(nodes), node_idx[side[node_idx]], child_rows,
+                     depth + 1, None])
+                nodes.append([-1, 0.0, 0.0, 0.0, -1, -1])
         for entry in frontier:  # unexpanded leaf-wise leftovers become leaves
-            node, node_idx = entry[0], entry[1]
-            if node.is_leaf and node.left is None:
-                node.weight = leaf_value(node_idx)
-        return root
+            nodes[entry[0]][3] = leaf_value(entry[1])
+        return _preorder_tree(nodes)
 
 
-def _predict_tree(node: TreeNode, X: np.ndarray, idx: np.ndarray,
-                  out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.weight
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _predict_tree(node.left, X, idx[mask], out)
-    _predict_tree(node.right, X, idx[~mask], out)
+def _preorder_tree(nodes: list[list]) -> Tree:
+    """The tree of ``nodes`` ([feature, threshold, gain, value, left, right]
+    rows, root first), renumbered so that nodes are stored in pre-order."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if nodes[i][0] >= 0:
+            stack += [nodes[i][5], nodes[i][4]]
+    new_id = np.empty(len(nodes), dtype=np.intp)
+    new_id[order] = np.arange(len(order))
+    feature, threshold, gain, value, left, right = (
+        np.array(col) for col in zip(*(nodes[i] for i in order)))
+    split = feature >= 0
+    return Tree(feature=feature, threshold=threshold, gain=gain,
+                left=np.where(split, new_id[left], -1),
+                right=np.where(split, new_id[right], -1), value=value)
 
 
-def predict_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
+def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Per-row tree output: all rows descend one level per step together."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty(X.shape[0])
-    _predict_tree(node, X, np.arange(X.shape[0]), out)
-    return out
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    active = np.flatnonzero(tree.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = X[active, tree.feature[at]] <= tree.threshold[at]
+        node[active] = np.where(goes_left, tree.left[at], tree.right[at])
+        active = active[tree.feature[node[active]] >= 0]
+    return tree.value[node]
 
 
 def _goss_subset(
@@ -440,7 +451,8 @@ def newton_boost_fit(
             tree = splitter.grow(np.arange(n), g, h)
         model.trees.append(tree)
         pred = pred + params.learning_rate * predict_tree(tree, X)
-        weight_penalty += sum(leaf.weight**2 for leaf in tree.leaves())
+        weight_penalty += sum(
+            w**2 for w in tree.value[tree.leaves()].tolist())
         obj = float(np.sum((y - pred) ** 2)) + 0.5 * params.lam * weight_penalty
         model.objective_history.append(obj)
     return model
@@ -531,26 +543,22 @@ def importance(
             f"kind {kind!r} incompatible with "
             f"{'boosted' if boosted else 'forest'} model"
         )
-    gains: dict[int, list[float]] = {}
-    counts: dict[int, int] = {}
-    for tree in model.trees:
-        for split in tree.splits():
-            gains.setdefault(split.feature, []).append(split.gain)
-            counts[split.feature] = counts.get(split.feature, 0) + 1
-    scores: dict[str, float] = {}
-    for f, name in enumerate(model.feature_names):
-        if kind == "split_count":
-            scores[name] = float(counts.get(f, 0))
-        elif kind == "gain":
-            values = gains.get(f, [])
-            if not values:
-                scores[name] = 0.0
-            elif gain_mode == "total":
-                scores[name] = float(sum(values))
-            else:
-                scores[name] = float(sum(values) / len(values))
-        else:  # impurity_decrease
-            scores[name] = float(sum(gains.get(f, [])))
+    # every split of every tree, in pre-order: bincount adds each feature's
+    # gains in that order
+    feature = np.concatenate([t.feature for t in model.trees] or [[-1]])
+    gain = np.concatenate([t.gain for t in model.trees] or [[0.0]])
+    split = feature >= 0
+    n_features = len(model.feature_names)
+    counts = np.bincount(feature[split], minlength=n_features)
+    totals = np.bincount(feature[split], weights=gain[split],
+                         minlength=n_features)
+    if kind == "split_count":
+        values = counts.astype(float)
+    elif kind == "gain" and gain_mode != "total":
+        values = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
+    else:  # total gain, or impurity_decrease (summed SSE reduction)
+        values = totals
+    scores = dict(zip(model.feature_names, values.tolist()))
     if kind == "impurity_decrease":
         total = sum(scores.values())
         if total > 0:
@@ -560,31 +568,12 @@ def importance(
 
 # --- serialization -----------------------------------------------------------
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict) -> TreeNode:
-    if "feature" not in data:
-        return TreeNode(weight=data["weight"])
-    return TreeNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        gain=data["gain"],
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
-    )
+_TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value")
 
 
 def model_to_dict(model: BoostedModel | ForestModel) -> dict:
+    trees = [{name: getattr(t, name).tolist() for name in _TREE_ARRAYS}
+             for t in model.trees]
     if isinstance(model, BoostedModel):
         return {
             "version": MODEL_FORMAT_VERSION,
@@ -592,7 +581,7 @@ def model_to_dict(model: BoostedModel | ForestModel) -> dict:
             "base_score": model.base_score,
             "learning_rate": model.learning_rate,
             "feature_names": model.feature_names,
-            "trees": [_node_to_dict(t) for t in model.trees],
+            "trees": trees,
         }
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -600,14 +589,39 @@ def model_to_dict(model: BoostedModel | ForestModel) -> dict:
         "feature_names": model.feature_names,
         "tree_seeds": model.tree_seeds,
         "m": model.m,
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": trees,
     }
+
+
+def _tree_from_dict(data: dict, n_features: int) -> Tree:
+    """A ``Tree`` from its arrays, checked so that every walk from the root
+    ends on a leaf: each child's index is after its parent's and inside the
+    tree."""
+    arrays = {
+        name: np.asarray(data[name], dtype=float
+                         if name in ("threshold", "gain", "value") else np.intp)
+        for name in _TREE_ARRAYS
+    }
+    n = arrays["feature"].size
+    if n == 0 or any(a.shape != (n,) for a in arrays.values()):
+        raise ParameterError("tree arrays must be nonempty and of equal length")
+    tree = Tree(**arrays)
+    parent = tree.splits()
+    children = np.concatenate([tree.left[parent], tree.right[parent]])
+    if (np.any(tree.feature < -1) or np.any(tree.feature >= n_features)
+            or np.any(children <= np.tile(parent, 2))
+            or np.any(children >= n)):
+        raise ParameterError(
+            "malformed tree: every feature must be in [-1, n_features) and "
+            "every child index after its parent's and below the node count")
+    return tree
 
 
 def model_from_dict(data: dict) -> BoostedModel | ForestModel:
     if data.get("version") != MODEL_FORMAT_VERSION:
         raise ParameterError(f"unsupported model version {data.get('version')}")
-    trees = [_node_from_dict(t) for t in data["trees"]]
+    n_features = len(data["feature_names"])
+    trees = [_tree_from_dict(t, n_features) for t in data["trees"]]
     if data["type"] == "boosted":
         return BoostedModel(
             base_score=data["base_score"],

@@ -83,8 +83,8 @@ def test_histogram_thresholds_are_cut_points():
         seed=0)
     for tree in model.trees:
         for node in tree.splits():
-            col = X[:, node.feature]
-            assert col.min() <= node.threshold <= col.max()
+            col = X[:, tree.feature[node]]
+            assert col.min() <= tree.threshold[node] <= col.max()
 
 
 def test_leaf_wise_growth_respects_max_leaves():
@@ -146,11 +146,11 @@ def test_forest_variance_reduction_leaf_is_mean():
     model = trees.fit_random_forest(
         X, y, trees.ForestParams(n_trees=1, max_depth=1, seed=0,
                                  bootstrap=False))
-    root = model.trees[0]
-    for leaf in root.leaves():
-        mask = (X[:, root.feature] <= root.threshold
-                if leaf is root.left else X[:, root.feature] > root.threshold)
-        assert leaf.weight == pytest.approx(y[mask].mean())
+    tree = model.trees[0]
+    assert list(tree.leaves()) == [tree.left[0], tree.right[0]]
+    goes_left = X[:, tree.feature[0]] <= tree.threshold[0]
+    assert tree.value[tree.left[0]] == pytest.approx(y[goes_left].mean())
+    assert tree.value[tree.right[0]] == pytest.approx(y[~goes_left].mean())
 
 
 def test_importance_kind_compatibility():
@@ -197,7 +197,7 @@ def test_split_tie_break_lowest_feature_index(fit):
     col = rng.normal(size=200)
     X = np.column_stack([col, col, col])
     y = (col > 0).astype(float)
-    assert fit(X, y).trees[0].feature == 0
+    assert fit(X, y).trees[0].feature[0] == 0
 
 
 def split_search_data(n=240, seed=11):
@@ -284,6 +284,88 @@ def test_grown_trees_match_per_feature_oracle(monkeypatch):
     for fit, got in zip(fits, vectorised):
         want = trees.model_to_dict(fit())
         assert json.dumps(got) == json.dumps(want)
+
+
+def flat_format_fits():
+    X, y = split_search_data(n=300, seed=13)
+    return [
+        trees.newton_boost_fit(
+            X, y, trees.BoostParams(n_trees=3, max_depth=4), seed=0),
+        trees.newton_boost_fit(
+            X, y, trees.BoostParams(
+                n_trees=3, max_depth=8, max_leaves=10, growth="leaf",
+                splitter="histogram", bins=16, goss=(0.2, 0.3)), seed=1),
+        trees.fit_random_forest(
+            X, y, trees.ForestParams(n_trees=3, max_depth=5, m=4, seed=2)),
+        trees.newton_boost_fit(  # a single-leaf tree
+            X, y, trees.BoostParams(n_trees=1, max_depth=0), seed=0),
+    ]
+
+
+def test_flat_trees_are_binary_and_preorder():
+    for model in flat_format_fits():
+        for tree in model.trees:
+            splits, leaves = tree.splits(), tree.leaves()
+            assert len(leaves) == len(splits) + 1
+            assert np.all(tree.feature[leaves] == -1)
+            assert np.all(tree.left[leaves] == -1)
+            assert np.all(tree.right[leaves] == -1)
+            # pre-order: the left child follows its parent directly, and
+            # every child's index is greater than its parent's
+            assert np.all(tree.left[splits] == splits + 1)
+            assert np.all(tree.right[splits] > tree.left[splits])
+            children = np.concatenate([tree.left[splits],
+                                       tree.right[splits]])
+            assert sorted(children) == list(range(1, len(tree.feature)))
+
+
+def test_flat_tree_predict_matches_node_walk():
+    X, _ = split_search_data(n=300, seed=13)
+    X = X + np.random.default_rng(0).normal(size=X.shape) * 0.05
+    X[::17, 1] = np.nan  # NaN compares false, so it goes right
+    for model in flat_format_fits():
+        for tree in model.trees:
+            want = []
+            for row in X:
+                node = 0
+                while tree.feature[node] >= 0:
+                    node = (tree.left[node]
+                            if row[tree.feature[node]] <= tree.threshold[node]
+                            else tree.right[node])
+                want.append(tree.value[node])
+            np.testing.assert_array_equal(trees.predict_tree(tree, X), want)
+
+
+def test_model_from_dict_rejects_malformed_payloads():
+    model = flat_format_fits()[0]
+    good = json.loads(json.dumps(trees.model_to_dict(model)))
+    assert good["version"] == trees.MODEL_FORMAT_VERSION == 2
+    trees.model_from_dict(good)
+
+    def broken(change):
+        payload = json.loads(json.dumps(good))
+        change(payload, payload["trees"][0])
+        with pytest.raises(ParameterError):
+            trees.model_from_dict(payload)
+
+    def version_1(payload, tree):
+        payload["version"] = 1
+        payload["trees"] = [{"weight": 0.5}]
+
+    broken(version_1)
+    broken(lambda p, t: t["gain"].pop())
+    broken(lambda p, t: t["value"].append(0.0))
+    broken(lambda p, t: t.update(left=[], right=[]))
+    broken(lambda p, t: t["left"].__setitem__(0, 0))  # root's own child
+
+    def child_before_parent(payload, tree):  # a walk could cycle forever
+        inner = [i for i, f in enumerate(tree["feature"]) if i and f >= 0]
+        tree["right"][inner[0]] = inner[0] - 1
+
+    broken(child_before_parent)
+    broken(lambda p, t: t["right"].__setitem__(0, len(t["feature"])))
+    broken(lambda p, t: t["feature"].__setitem__(0, len(p["feature_names"])))
+    broken(lambda p, t: t.update({k: [] for k in t}))
 
 
 def test_bad_params_rejected():
