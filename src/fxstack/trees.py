@@ -277,7 +277,10 @@ class _Splitter:
         r = int(np.argmax(np.where(finite, row_best, -np.inf)))
         i = int(at[r])
         if exact:
-            threshold = (xs[r, i] + xs[r, i + 1]) / 2.0
+            lo, hi = xs[r, i], xs[r, i + 1]
+            threshold = (lo + hi) / 2.0
+            if not threshold < hi:  # adjacent floats: the midpoint rounds up
+                threshold = lo
         else:
             threshold = self.cuts[features[r], i]
         return float(row_best[r]), int(features[r]), float(threshold)

@@ -225,7 +225,9 @@ def best_split_oracle(X, g, h, idx, features, params):
             gl = np.cumsum(g[sel])[:-1]
             hl = np.cumsum(h[sel])[:-1]
             valid = xs[:-1] < xs[1:]
-            thresholds = (xs[:-1] + xs[1:]) / 2.0
+            mid = (xs[:-1] + xs[1:]) / 2.0
+            # the midpoint of adjacent floats rounds up to the right value
+            thresholds = np.where(mid < xs[1:], mid, xs[:-1])
         else:
             uniq = np.unique(col)
             if len(uniq) - 1 <= params.bins - 1:

@@ -200,6 +200,25 @@ def test_split_tie_break_lowest_feature_index(fit):
     assert fit(X, y).trees[0].feature[0] == 0
 
 
+def test_adjacent_float_split_separates_rows():
+    # (a + b) / 2 rounds up to b for adjacent floats, which would send every
+    # row left; the threshold must fall back to a
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    X = np.array([[a], [a], [b], [b]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    boosted = trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=1, max_depth=1, lam=0.0,
+                                learning_rate=1.0), seed=0)
+    tree = boosted.trees[0]
+    assert tree.threshold[0] == a
+    np.testing.assert_array_equal(tree.value[tree.leaves()], [-0.5, 0.5])
+    np.testing.assert_array_equal(trees.predict(boosted, X), y)
+    forest = trees.fit_random_forest(
+        X, y, trees.ForestParams(n_trees=1, max_depth=2, bootstrap=False))
+    np.testing.assert_array_equal(trees.predict(forest, X), y)
+
+
 def split_search_data(n=240, seed=11):
     """Columns that stress the split search: a duplicate, a constant
     column (a single bin), tied values and a few-valued integer column."""
