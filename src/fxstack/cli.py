@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``ingest``, ``features``, ``recap``, ``train``, ``stack``,
-``run`` (full pipeline), ``validate``. Global flags ``--config``, ``--seed``,
-``--out``, ``--paper-mode`` override the corresponding config keys.
+Subcommands: ``validate``, ``ingest``, ``features`` and ``run``. ``run``
+executes the full pipeline, writes every artifact and prints the recap line
+per k, the base-model test metrics and the 31 stacking rows. Global flags
+``--config``, ``--seed``, ``--out``, ``--paper-mode`` override the
+corresponding config keys.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training error.
 """
@@ -120,60 +122,29 @@ def _cmd_features(config: PipelineConfig, args) -> int:
     return 0
 
 
-def _run_full(config: PipelineConfig) -> int:
-    report = run_pipeline(config)
-    print(f"selected k: {report.selected_k}")
-    print(f"selected features: {', '.join(report.selected_features)}")
-    winner = report.stacking["selected_members"]
-    print(f"stacking winner: {'+'.join(winner)} "
-          f"(basis: {report.stacking['selection_basis']})")
-    for name in sorted(report.base_metrics):
-        print(f"rmse[{name}]: {report.base_metrics[name]['rmse']:.6g}")
-    print(f"artifacts in: {config.out_dir}")
-    return 0
-
-
 def _cmd_run(config: PipelineConfig, args) -> int:
-    return _run_full(config)
-
-
-# recap / train / stack run the pipeline through the needed prefix; the
-# pipeline is cheap enough that prefix staging is just the full run with
-# reporting focused on the requested stage.
-def _cmd_recap(config: PipelineConfig, args) -> int:
     report = run_pipeline(config)
     for k, result in report.recap.items():
         marker = " (selected)" if int(k) == report.selected_k else ""
-        print(f"k={k}{marker}: final rmse "
+        print(f"recap k={k}{marker}: final rmse "
               f"{result['final_metrics']['rmse']:.6g}, "
               f"features: {', '.join(result['selected_base'])}")
-    return 0
-
-
-def _cmd_train(config: PipelineConfig, args) -> int:
-    report = run_pipeline(config)
     for name in sorted(report.base_metrics):
         m = report.base_metrics[name]
         print(f"{name}: rmse {m['rmse']:.6g}, mae {m['mae']:.6g}")
-    return 0
-
-
-def _cmd_stack(config: PipelineConfig, args) -> int:
-    report = run_pipeline(config)
     for row in report.stacking["rows"]:
         print(f"{row['id']:2d} {'+'.join(row['members']):<45} "
               f"val {row['val_rmse']:.6g}  test {row['test_rmse']:.6g}")
-    print(f"selected: {report.stacking['selected_id']} "
-          f"({'+'.join(report.stacking['selected_members'])})")
+    print(f"stacking winner: {report.stacking['selected_id']} "
+          f"({'+'.join(report.stacking['selected_members'])}; "
+          f"basis: {report.stacking['selection_basis']})")
+    print(f"artifacts in: {config.out_dir}")
     return 0
 
 
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "features": _cmd_features,
-    "recap": _cmd_recap,
-    "train": _cmd_train,
-    "stack": _cmd_stack,
     "run": _cmd_run,
     "validate": _cmd_validate,
 }

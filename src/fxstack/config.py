@@ -137,7 +137,6 @@ KEY_MAP = {
     "meta.patience": "meta_patience",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -91,15 +91,6 @@ class CandleSeries:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def candle(self, i: int) -> Candle:
-        return Candle(
-            timestamp=self.timestamps[i],
-            open=float(self.open[i]),
-            high=float(self.high[i]),
-            low=float(self.low[i]),
-            close=float(self.close[i]),
-        )
-
 
 @dataclass(frozen=True)
 class FeatureFrame:
@@ -135,13 +126,6 @@ class FeatureFrame:
         if self.label_name is None:
             raise ParameterError("frame has no label column")
         return self.columns[self.label_name]
-
-    def with_column(self, name: str, values: np.ndarray) -> "FeatureFrame":
-        if name in self.columns:
-            raise ParameterError(f"column {name!r} already present")
-        cols = dict(self.columns)
-        cols[name] = np.asarray(values, dtype=float)
-        return replace(self, columns=cols)
 
     def with_label(self, name: str, values: np.ndarray) -> "FeatureFrame":
         cols = dict(self.columns)
@@ -448,6 +432,12 @@ def clean(frame: FeatureFrame) -> tuple[FeatureFrame, dict[str, int]]:
     return frame.take(keep), report
 
 
+def in_range(index: np.ndarray, start: datetime, end: datetime) -> np.ndarray:
+    """Mask of the timestamps in ``index`` inside the half-open [start, end)."""
+    return np.fromiter((start <= t < end for t in index), dtype=bool,
+                       count=len(index))
+
+
 def split_by_dates(
     frame: FeatureFrame, spec: SplitSpec
 ) -> tuple[FeatureFrame, FeatureFrame, FeatureFrame]:
@@ -456,9 +446,7 @@ def split_by_dates(
         raise EmptyFrameError("cannot split an empty frame")
     out = []
     for name, (start, end) in spec.ranges().items():
-        mask = np.fromiter(
-            ((start <= t < end) for t in frame.index), dtype=bool, count=len(frame)
-        )
+        mask = in_range(frame.index, start, end)
         if not mask.any():
             raise SplitError(
                 f"{name} split [{format_rfc3339(start)}, {format_rfc3339(end)}) "

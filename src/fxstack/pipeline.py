@@ -31,8 +31,8 @@ from .market_data import (
     clean,
     compute_highest_high,
     generate_synthetic_ohlc,
+    in_range,
     load_ohlc_csv,
-    split_by_dates,
     split_spec_from_fractions,
     to_sequences,
     to_windowed,
@@ -153,16 +153,9 @@ def _train_base_models(
     """Fit the five base learners on train+validation rows of the selected
     features and predict over the test (stacking) window."""
     narrowed = frame.select(selected_base)
-    fit_mask = np.fromiter(
-        ((spec.train[0] <= t < spec.validation[1]) for t in narrowed.index),
-        dtype=bool, count=len(narrowed),
-    )
-    test_mask = np.fromiter(
-        ((spec.test[0] <= t < spec.test[1]) for t in narrowed.index),
-        dtype=bool, count=len(narrowed),
-    )
-    fit_frame = narrowed.take(fit_mask)
-    test_frame = narrowed.take(test_mask)
+    fit_frame = narrowed.take(
+        in_range(narrowed.index, spec.train[0], spec.validation[1]))
+    test_frame = narrowed.take(in_range(narrowed.index, *spec.test))
 
     windowed_fit = to_windowed(fit_frame, config.lookback)
     windowed_test = to_windowed(test_frame, config.lookback)

@@ -94,7 +94,6 @@ def collapse_to_base(selected: list[str]) -> list[str]:
 @dataclass(frozen=True)
 class RecapResult:
     k: int
-    raw_importances: dict[str, ImportanceVector]
     normalized: dict[str, ImportanceVector]
     model_rmses: dict[str, float]
     per_model_selected: dict[str, list[str]]
@@ -245,7 +244,6 @@ def run_recap(
         )
     return RecapResult(
         k=config.k,
-        raw_importances=raw,
         normalized=normalized,
         model_rmses=rmses,
         per_model_selected=per_model_selected,

@@ -14,13 +14,13 @@ from __future__ import annotations
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SplitError
 from .evaluation import compute_metrics
-from .market_data import SplitSpec, format_rfc3339
+from .market_data import SplitSpec, in_range
 from .recurrent import MinMaxScaler, train_minibatch
 from .seeding import derive_seed
 
@@ -94,10 +94,7 @@ def split_meta(
     """Timestamp partition of the stacking window into train/val/test."""
     out = []
     for name, (start, end) in spec.ranges().items():
-        mask = np.fromiter(
-            ((start <= t < end) for t in frame.index),
-            dtype=bool, count=len(frame.index),
-        )
+        mask = in_range(frame.index, start, end)
         if not mask.any():
             raise SplitError(f"meta {name} split contains no rows")
         out.append(MetaFrame(
@@ -210,7 +207,6 @@ class StackingReport:
     rows: list[CombinationResult]
     selected_id: int
     selection_basis: str  # "validation" | "test"
-    meta_spec_ranges: dict[str, tuple[str, str]] = field(default_factory=dict)
 
     @property
     def selected(self) -> CombinationResult:
@@ -283,8 +279,4 @@ def run_stacking_search(
         rows=rows,
         selected_id=selected.combo_id,
         selection_basis=basis,
-        meta_spec_ranges={
-            name: (format_rfc3339(start), format_rfc3339(end))
-            for name, (start, end) in meta_spec.ranges().items()
-        },
     )

@@ -15,6 +15,9 @@ bincount (Ke et al., LightGBM). Within each feature the left sums still
 accumulate in ascending row order, so gains, trees and importances are
 bit-identical to a one-feature-at-a-time search (``tests/oracles.py``).
 
+A grown tree is a ``Tree`` of parallel node arrays in pre-order, so
+prediction walks all rows down together and importance is one bincount.
+
 All fits are deterministic under a fixed seed; parallel reductions are not
 used, so results do not depend on thread count.
 """

@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from fxstack import cli, config
 from fxstack.errors import SpecError
+from test_pipeline import SMALL
 
 
 def test_defaults_are_valid():
@@ -120,6 +122,37 @@ def test_cli_unknown_key_exit_2(tmp_path):
 def test_cli_missing_config_exit_2(tmp_path):
     assert cli.main(["--config", str(tmp_path / "absent.cfg"),
                      "run"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name", ["recap", "train", "stack"])
+def test_cli_removed_subcommands_exit_2(name, capsys):
+    # these reran the whole pipeline to print one section; run prints all
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([name])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_run_prints_recap_base_and_stacking_sections(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config.config_to_mapping(
+        config.PipelineConfig(out_dir=str(out), **SMALL))))
+    assert cli.main(["--config", str(cfg), "run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads((out / "report.json").read_text())
+    assert [line for line in lines if line.startswith("recap k=")] == [
+        f"recap k=6 (selected): final rmse "
+        f"{report['recap']['6']['final_metrics']['rmse']:.6g}, "
+        f"features: {', '.join(report['recap']['6']['selected_base'])}"]
+    for name, m in report["base_metrics"].items():
+        assert f"{name}: rmse {m['rmse']:.6g}, mae {m['mae']:.6g}" in lines
+    rows = [line for line in lines if re.match(r"^[ \d]\d ", line)]
+    assert len(rows) == 31
+    for line, row in zip(rows, report["stacking"]["rows"]):
+        assert line.split()[:2] == [str(row["id"]), "+".join(row["members"])]
+        assert line.endswith(f"test {row['test_rmse']:.6g}")
+    assert f"artifacts in: {out}" in lines
 
 
 def test_cli_bad_csv_exit_3(tmp_path):
