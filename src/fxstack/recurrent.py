@@ -25,105 +25,67 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform draws; fan-out and fan-in are the last two axes."""
+    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 @dataclass
-class GruWeights:
-    W_z: np.ndarray
-    W_r: np.ndarray
-    W_h: np.ndarray
-    U_z: np.ndarray
-    U_r: np.ndarray
-    U_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
+class CellWeights:
+    """One recurrent cell's weights, stacked by gate: ``W`` (G, H, F),
+    ``U`` (G, H, H) and ``b`` (G, H). The GRU has G = 3 (gates z, r, h), the
+    LSTM G = 4 (gates i, f, o, c). Each ``W[g]`` and ``U[g]`` is a contiguous
+    block, so every gate keeps its own matrix products."""
 
-    FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.W_z.shape[0]
+        return self.W.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.W_z.shape[1]
+        return self.W.shape[2]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, input_size: int,
-             hidden_size: int) -> "GruWeights":
-        kw = {}
-        for name in ("W_z", "W_r", "W_h"):
-            kw[name] = _glorot(rng, hidden_size, input_size)
-        for name in ("U_z", "U_r", "U_h"):
-            kw[name] = _glorot(rng, hidden_size, hidden_size)
-        for name in ("b_z", "b_r", "b_h"):
-            kw[name] = np.zeros(hidden_size)
-        return cls(**kw)
+    def init(cls, rng: np.random.Generator, gates: int, input_size: int,
+             hidden_size: int) -> "CellWeights":
+        return cls(W=_glorot(rng, (gates, hidden_size, input_size)),
+                   U=_glorot(rng, (gates, hidden_size, hidden_size)),
+                   b=np.zeros((gates, hidden_size)))
+
+    def zeros_like(self) -> "CellWeights":
+        return CellWeights(np.zeros_like(self.W), np.zeros_like(self.U),
+                           np.zeros_like(self.b))
 
 
-@dataclass
-class LstmWeights:
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-
-    FIELDS = ("W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-              "b_i", "b_f", "b_o", "b_c")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_i.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.W_i.shape[1]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, input_size: int,
-             hidden_size: int) -> "LstmWeights":
-        kw = {}
-        for name in ("W_i", "W_f", "W_o", "W_c"):
-            kw[name] = _glorot(rng, hidden_size, input_size)
-        for name in ("U_i", "U_f", "U_o", "U_c"):
-            kw[name] = _glorot(rng, hidden_size, hidden_size)
-        for name in ("b_i", "b_f", "b_o", "b_c"):
-            kw[name] = np.zeros(hidden_size)
-        return cls(**kw)
-
-
-def _gru_forward(w: GruWeights, X: np.ndarray):
+def _gru_forward(w: CellWeights, X: np.ndarray):
     """Batched forward over X (batch, time, features); returns (h_T, caches)."""
     batch, steps, _ = X.shape
+    W_z, W_r, W_h = w.W
+    U_z, U_r, U_h = w.U
+    b_z, b_r, b_h = w.b
     h = np.zeros((batch, w.hidden_size))
     caches = []
     for t in range(steps):
         x = X[:, t, :]
-        z = _sigmoid(x @ w.W_z.T + h @ w.U_z.T + w.b_z)
-        r = _sigmoid(x @ w.W_r.T + h @ w.U_r.T + w.b_r)
-        uh = h @ w.U_h.T
-        h_tilde = np.tanh(x @ w.W_h.T + r * uh + w.b_h)
+        z = _sigmoid(x @ W_z.T + h @ U_z.T + b_z)
+        r = _sigmoid(x @ W_r.T + h @ U_r.T + b_r)
+        uh = h @ U_h.T
+        h_tilde = np.tanh(x @ W_h.T + r * uh + b_h)
         h_new = z * h + (1.0 - z) * h_tilde
         caches.append((x, h, z, r, uh, h_tilde))
         h = h_new
     return h, caches
 
 
-def _gru_backward(w: GruWeights, caches, dh: np.ndarray) -> GruWeights:
-    grads = GruWeights(**{n: np.zeros_like(getattr(w, n))
-                          for n in GruWeights.FIELDS})
+def _gru_backward(w: CellWeights, caches, dh: np.ndarray) -> CellWeights:
+    U_z, U_r, U_h = w.U
+    grads = w.zeros_like()
+    per_gate = tuple(zip(grads.W, grads.U, grads.b))
     for x, h_prev, z, r, uh, h_tilde in reversed(caches):
         dz = dh * (h_prev - h_tilde)
         dht = dh * (1.0 - z)
@@ -132,30 +94,31 @@ def _gru_backward(w: GruWeights, caches, dh: np.ndarray) -> GruWeights:
         dah = dht * (1.0 - h_tilde**2)
         dar = (dah * uh) * r * (1.0 - r)
         duh = dah * r
-        grads.W_z += daz.T @ x
-        grads.U_z += daz.T @ h_prev
-        grads.b_z += daz.sum(axis=0)
-        grads.W_r += dar.T @ x
-        grads.U_r += dar.T @ h_prev
-        grads.b_r += dar.sum(axis=0)
-        grads.W_h += dah.T @ x
-        grads.U_h += duh.T @ h_prev
-        grads.b_h += dah.sum(axis=0)
-        dh = dh_prev + daz @ w.U_z + dar @ w.U_r + duh @ w.U_h
+        # the candidate's recurrent term is gated by r, so its U gradient
+        # takes duh where the other two gates take their pre-activation's
+        for (gW, gU, gb), da, du in zip(per_gate, (daz, dar, dah),
+                                        (daz, dar, duh)):
+            gW += da.T @ x
+            gU += du.T @ h_prev
+            gb += da.sum(axis=0)
+        dh = dh_prev + daz @ U_z + dar @ U_r + duh @ U_h
     return grads
 
 
-def _lstm_forward(w: LstmWeights, X: np.ndarray):
+def _lstm_forward(w: CellWeights, X: np.ndarray):
     batch, steps, _ = X.shape
+    W_i, W_f, W_o, W_c = w.W
+    U_i, U_f, U_o, U_c = w.U
+    b_i, b_f, b_o, b_c = w.b
     h = np.zeros((batch, w.hidden_size))
     c = np.zeros((batch, w.hidden_size))
     caches = []
     for t in range(steps):
         x = X[:, t, :]
-        i = _sigmoid(x @ w.W_i.T + h @ w.U_i.T + w.b_i)
-        f = _sigmoid(x @ w.W_f.T + h @ w.U_f.T + w.b_f)
-        o = _sigmoid(x @ w.W_o.T + h @ w.U_o.T + w.b_o)
-        c_tilde = np.tanh(x @ w.W_c.T + h @ w.U_c.T + w.b_c)
+        i = _sigmoid(x @ W_i.T + h @ U_i.T + b_i)
+        f = _sigmoid(x @ W_f.T + h @ U_f.T + b_f)
+        o = _sigmoid(x @ W_o.T + h @ U_o.T + b_o)
+        c_tilde = np.tanh(x @ W_c.T + h @ U_c.T + b_c)
         c_new = f * c + i * c_tilde
         h_new = o * np.tanh(c_new)
         caches.append((x, h, c, i, f, o, c_tilde, c_new))
@@ -163,9 +126,10 @@ def _lstm_forward(w: LstmWeights, X: np.ndarray):
     return h, caches
 
 
-def _lstm_backward(w: LstmWeights, caches, dh: np.ndarray) -> LstmWeights:
-    grads = LstmWeights(**{n: np.zeros_like(getattr(w, n))
-                           for n in LstmWeights.FIELDS})
+def _lstm_backward(w: CellWeights, caches, dh: np.ndarray) -> CellWeights:
+    U_i, U_f, U_o, U_c = w.U
+    grads = w.zeros_like()
+    per_gate = tuple(zip(grads.W, grads.U, grads.b))
     dc = np.zeros_like(dh)
     for x, h_prev, c_prev, i, f, o, c_tilde, c_new in reversed(caches):
         tc = np.tanh(c_new)
@@ -179,13 +143,20 @@ def _lstm_backward(w: LstmWeights, caches, dh: np.ndarray) -> LstmWeights:
         daf = df * f * (1.0 - f)
         dao = do * o * (1.0 - o)
         dac = dct * (1.0 - c_tilde**2)
-        for name, da in (("i", dai), ("f", daf), ("o", dao), ("c", dac)):
-            getattr(grads, f"W_{name}")[...] += da.T @ x
-            getattr(grads, f"U_{name}")[...] += da.T @ h_prev
-            getattr(grads, f"b_{name}")[...] += da.sum(axis=0)
-        dh = dai @ w.U_i + daf @ w.U_f + dao @ w.U_o + dac @ w.U_c
+        for (gW, gU, gb), da in zip(per_gate, (dai, daf, dao, dac)):
+            gW += da.T @ x
+            gU += da.T @ h_prev
+            gb += da.sum(axis=0)
+        dh = dai @ U_i + daf @ U_f + dao @ U_o + dac @ U_c
         dc = dc_prev
     return grads
+
+
+# cell -> (gates, forward, backward)
+_CELLS = {
+    "gru": (3, _gru_forward, _gru_backward),
+    "lstm": (4, _lstm_forward, _lstm_backward),
+}
 
 
 @dataclass(frozen=True)
@@ -305,7 +276,7 @@ class RnnArch:
     hidden_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.cell not in ("gru", "lstm"):
+        if not isinstance(self.cell, str) or self.cell not in _CELLS:
             raise ParameterError(f"unknown cell {self.cell!r}")
         if self.hidden_size < 1:
             raise ParameterError("hidden_size must be >= 1")
@@ -332,21 +303,20 @@ class RnnRegressor:
     from the training split (features are scaled by the caller's scaler)."""
 
     arch: RnnArch
-    weights: GruWeights | LstmWeights
+    weights: CellWeights
     head_w: np.ndarray
     head_b: np.ndarray  # shape (1,)
     label_scaler: MinMaxScaler = MinMaxScaler(mins=np.float64(0.0),
                                               maxs=np.float64(1.0))
 
     def _forward(self, X: np.ndarray):
-        if self.arch.cell == "gru":
-            return _gru_forward(self.weights, X)
-        return _lstm_forward(self.weights, X)
+        _, forward, _ = _CELLS[self.arch.cell]
+        return forward(self.weights, X)
 
     def params(self) -> list[np.ndarray]:
         """The trainable arrays, in gradient order."""
-        arrays = [getattr(self.weights, n) for n in type(self.weights).FIELDS]
-        return arrays + [self.head_w, self.head_b]
+        w = self.weights
+        return [w.W, w.U, w.b, self.head_w, self.head_b]
 
 
 @dataclass(frozen=True)
@@ -366,22 +336,18 @@ def _loss_and_grads(model: RnnRegressor, X: np.ndarray, y: np.ndarray):
     g_head_w = h_T.T @ dpred
     g_head_b = np.array([dpred.sum()])
     dh = np.outer(dpred, model.head_w)
-    if model.arch.cell == "gru":
-        cell_grads = _gru_backward(model.weights, caches, dh)
-    else:
-        cell_grads = _lstm_backward(model.weights, caches, dh)
-    grads = [getattr(cell_grads, n) for n in type(model.weights).FIELDS]
-    return loss, grads + [g_head_w, g_head_b]
+    _, _, backward = _CELLS[model.arch.cell]
+    g = backward(model.weights, caches, dh)
+    return loss, [g.W, g.U, g.b, g_head_w, g_head_b]
 
 
 def _build_model(arch: RnnArch, input_size: int, seed: int) -> RnnRegressor:
     rng = np.random.default_rng(derive_seed(seed, "rnn-init", arch.cell))
-    cls = GruWeights if arch.cell == "gru" else LstmWeights
-    weights = cls.init(rng, input_size, arch.hidden_size)
+    gates, _, _ = _CELLS[arch.cell]
     return RnnRegressor(
         arch=arch,
-        weights=weights,
-        head_w=_glorot(rng, arch.hidden_size, 1)[:, 0],
+        weights=CellWeights.init(rng, gates, input_size, arch.hidden_size),
+        head_w=_glorot(rng, (arch.hidden_size, 1))[:, 0],
         head_b=np.zeros(1),
     )
 
@@ -484,16 +450,20 @@ def gradient_check(arch: RnnArch, seed: int, steps: int = 8,
 
 # --- serialization -----------------------------------------------------------
 
-RNN_FORMAT_VERSION = 1
+RNN_FORMAT_VERSION = 2
+_RNN_KEYS = ("cell", "hidden_size", "W", "U", "b", "head_w", "head_b",
+             "label_min", "label_max")
 
 
 def rnn_to_dict(model: RnnRegressor) -> dict:
+    w = model.weights
     return {
         "version": RNN_FORMAT_VERSION,
         "cell": model.arch.cell,
         "hidden_size": model.arch.hidden_size,
-        "weights": {n: getattr(model.weights, n).tolist()
-                    for n in type(model.weights).FIELDS},
+        "W": w.W.tolist(),
+        "U": w.U.tolist(),
+        "b": w.b.tolist(),
         "head_w": model.head_w.tolist(),
         "head_b": float(model.head_b[0]),
         "label_min": float(model.label_scaler.mins),
@@ -502,16 +472,45 @@ def rnn_to_dict(model: RnnRegressor) -> dict:
 
 
 def rnn_from_dict(data: dict) -> RnnRegressor:
+    """Rebuild a model from :func:`rnn_to_dict` output. Another version, a
+    missing key, a non-numeric value or an array shape that does not fit the
+    cell's gate count and ``hidden_size`` raises :class:`ParameterError`."""
+    if not isinstance(data, dict):
+        raise ParameterError("rnn payload must be a JSON object")
     if data.get("version") != RNN_FORMAT_VERSION:
-        raise ParameterError(f"unsupported rnn version {data.get('version')}")
-    arch = RnnArch(cell=data["cell"], hidden_size=data["hidden_size"])
-    cls = GruWeights if arch.cell == "gru" else LstmWeights
-    weights = cls(**{n: np.array(v) for n, v in data["weights"].items()})
+        raise ParameterError(f"unsupported rnn version {data.get('version')!r}")
+    missing = [k for k in _RNN_KEYS if k not in data]
+    if missing:
+        raise ParameterError(f"rnn payload lacks {', '.join(missing)}")
+    hidden = data["hidden_size"]
+    if not isinstance(hidden, int) or isinstance(hidden, bool):
+        raise ParameterError(f"rnn hidden_size must be an integer, got {hidden!r}")
+    arch = RnnArch(cell=data["cell"], hidden_size=hidden)
+    try:
+        W, U, b, head_w = (np.array(data[k], dtype=float)
+                           for k in ("W", "U", "b", "head_w"))
+        head_b, label_min, label_max = (
+            float(data[k]) for k in ("head_b", "label_min", "label_max"))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"rnn payload value is not numeric: {exc}") from exc
+    if W.ndim != 3 or W.shape[2] < 1:
+        raise ParameterError(f"rnn W has shape {W.shape}, needs "
+                             "(gates, hidden_size, features >= 1)")
+    gates, _, _ = _CELLS[arch.cell]
+    for name, array, shape in (
+            ("W", W, (gates, hidden, W.shape[2])),
+            ("U", U, (gates, hidden, hidden)),
+            ("b", b, (gates, hidden)),
+            ("head_w", head_w, (hidden,))):
+        if array.shape != shape:
+            raise ParameterError(
+                f"rnn {name} has shape {array.shape}, a {arch.cell} with "
+                f"hidden_size {hidden} needs {shape}")
     return RnnRegressor(
         arch=arch,
-        weights=weights,
-        head_w=np.array(data["head_w"]),
-        head_b=np.array([float(data["head_b"])]),
-        label_scaler=MinMaxScaler(mins=np.float64(data["label_min"]),
-                                  maxs=np.float64(data["label_max"])),
+        weights=CellWeights(W=W, U=U, b=b),
+        head_w=head_w,
+        head_b=np.array([head_b]),
+        label_scaler=MinMaxScaler(mins=np.float64(label_min),
+                                  maxs=np.float64(label_max)),
     )

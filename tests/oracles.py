@@ -157,29 +157,37 @@ def highest_high_oracle(high, horizon):
 
 def gru_step_oracle(w, x, h_prev):
     """Single GRU step via scalar loops (paper convention: z gates the old
-    state, r applies inside the candidate's recurrent term)."""
+    state, r applies inside the candidate's recurrent term). ``w`` holds
+    gate-stacked ``W``, ``U`` and ``b`` in gate order z, r, h."""
     H = len(h_prev)
     D = len(x)
+    W_z, W_r, W_h = w.W
+    U_z, U_r, U_h = w.U
+    b_z, b_r, b_h = w.b
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
     h = np.empty(H)
     for i in range(H):
-        z = sig(sum(w.W_z[i][d] * x[d] for d in range(D))
-                + sum(w.U_z[i][j] * h_prev[j] for j in range(H)) + w.b_z[i])
-        r = sig(sum(w.W_r[i][d] * x[d] for d in range(D))
-                + sum(w.U_r[i][j] * h_prev[j] for j in range(H)) + w.b_r[i])
+        z = sig(sum(W_z[i][d] * x[d] for d in range(D))
+                + sum(U_z[i][j] * h_prev[j] for j in range(H)) + b_z[i])
+        r = sig(sum(W_r[i][d] * x[d] for d in range(D))
+                + sum(U_r[i][j] * h_prev[j] for j in range(H)) + b_r[i])
         cand = math.tanh(
-            sum(w.W_h[i][d] * x[d] for d in range(D))
-            + r * sum(w.U_h[i][j] * h_prev[j] for j in range(H)) + w.b_h[i])
+            sum(W_h[i][d] * x[d] for d in range(D))
+            + r * sum(U_h[i][j] * h_prev[j] for j in range(H)) + b_h[i])
         h[i] = z * h_prev[i] + (1.0 - z) * cand
     return h
 
 
 def lstm_step_oracle(w, x, h_prev, c_prev):
+    """Single LSTM step via scalar loops; ``w`` holds gate-stacked ``W``,
+    ``U`` and ``b`` in gate order i, f, o, c."""
     H = len(h_prev)
     D = len(x)
+    (W_i, W_f, W_o, W_c), (U_i, U_f, U_o, U_c), (b_i, b_f, b_o, b_c) = (
+        w.W, w.U, w.b)
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -191,10 +199,10 @@ def lstm_step_oracle(w, x, h_prev, c_prev):
             return (sum(W[k][d] * x[d] for d in range(D))
                     + sum(U[k][j] * h_prev[j] for j in range(H)) + b[k])
 
-        i = sig(gate(w.W_i, w.U_i, w.b_i))
-        f = sig(gate(w.W_f, w.U_f, w.b_f))
-        o = sig(gate(w.W_o, w.U_o, w.b_o))
-        g = math.tanh(gate(w.W_c, w.U_c, w.b_c))
+        i = sig(gate(W_i, U_i, b_i))
+        f = sig(gate(W_f, U_f, b_f))
+        o = sig(gate(W_o, U_o, b_o))
+        g = math.tanh(gate(W_c, U_c, b_c))
         c[k] = f * c_prev[k] + i * g
         h[k] = o * math.tanh(c[k])
     return h, c

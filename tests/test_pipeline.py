@@ -6,6 +6,7 @@ import pytest
 from fxstack.config import PipelineConfig
 from fxstack.errors import SchemaError, SpecError
 from fxstack.pipeline import StageError, run_pipeline
+from fxstack.recurrent import rnn_from_dict
 
 SMALL = dict(
     synthetic_n=1200, recap_ks=(6,), xgb_n_trees=8, lgbm_n_trees=8,
@@ -31,6 +32,16 @@ def test_run_completes_and_emits_artifacts(run):
                 "models/gru.json"):
         assert (out / rel).exists(), rel
         assert rel in report.artifacts
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_rnn_artifacts_load(run, cell):
+    _, _, out = run
+    payload = json.loads((out / "models" / f"{cell}.json").read_text())
+    model = rnn_from_dict(payload)
+    assert model.arch.cell == cell
+    assert model.arch.hidden_size == SMALL["rnn_hidden"]
+    assert model.weights.W.shape[0] == {"gru": 3, "lstm": 4}[cell]
 
 
 def test_report_contents(run):

@@ -21,18 +21,17 @@ def make_dataset(n=200, steps=5, features=3, seed=0, signal=True):
                            X=X, y=y, row_timestamps=ts)
 
 
-def random_weights(cls, seed, input_size=4, hidden_size=6):
+def random_weights(gates, seed, input_size=4, hidden_size=6):
     """Glorot weights plus nonzero biases, so every term is exercised."""
     rng = np.random.default_rng(seed)
-    w = cls.init(rng, input_size=input_size, hidden_size=hidden_size)
-    for name in cls.FIELDS:
-        if name.startswith("b_"):
-            getattr(w, name)[:] = rng.normal(size=hidden_size)
+    w = rnn.CellWeights.init(rng, gates, input_size=input_size,
+                             hidden_size=hidden_size)
+    w.b[...] = rng.normal(size=(gates, hidden_size))
     return w, rng.normal(size=(1, 5, input_size))
 
 
 def test_gru_forward_matches_scalar_oracle():
-    w, X = random_weights(rnn.GruWeights, seed=1)
+    w, X = random_weights(3, seed=1)
     h_T, caches = rnn._gru_forward(w, X)
     h = np.zeros(w.hidden_size)
     for t, cache in enumerate(caches):
@@ -42,7 +41,7 @@ def test_gru_forward_matches_scalar_oracle():
 
 
 def test_lstm_forward_matches_scalar_oracle():
-    w, X = random_weights(rnn.LstmWeights, seed=2)
+    w, X = random_weights(4, seed=2)
     h_T, caches = rnn._lstm_forward(w, X)
     h = c = np.zeros(w.hidden_size)
     for t, cache in enumerate(caches):
@@ -56,8 +55,8 @@ def test_lstm_forward_matches_scalar_oracle():
 def test_gru_gates_old_state():
     """With z saturated at 1, the zero initial state passes through every
     step unchanged (z multiplies the old state, not the candidate)."""
-    w, X = random_weights(rnn.GruWeights, seed=3, input_size=2, hidden_size=3)
-    w.b_z[:] = 50.0  # sigmoid(50) == 1 to machine precision
+    w, X = random_weights(3, seed=3, input_size=2, hidden_size=3)
+    w.b[0] = 50.0  # z's bias; sigmoid(50) == 1 to machine precision
     h_T, _ = rnn._gru_forward(w, X)
     np.testing.assert_allclose(h_T, 0.0, atol=1e-12)
 
@@ -128,17 +127,77 @@ def test_divergence_raises_training_error():
         rnn.train_rnn(train, val, arch, cfg)
 
 
-def test_serialization_roundtrip():
+def _small_model(cell, hidden_size=5):
     train = make_dataset(n=150, seed=12)
     val = make_dataset(n=40, seed=13)
     cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=3,
                           seed=2)
     model, _ = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell="gru", hidden_size=5), cfg)
+        train, val, rnn.RnnArch(cell=cell, hidden_size=hidden_size), cfg)
+    return model, val
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_serialization_roundtrip(cell):
+    model, val = _small_model(cell)
     payload = json.loads(json.dumps(rnn.rnn_to_dict(model)))
+    assert payload["version"] == 2
     restored = rnn.rnn_from_dict(payload)
-    np.testing.assert_allclose(rnn.predict_rnn(restored, val),
-                               rnn.predict_rnn(model, val), atol=1e-12)
+    np.testing.assert_array_equal(rnn.predict_rnn(restored, val),
+                                  rnn.predict_rnn(model, val))
+
+
+@pytest.mark.parametrize("cell,gates", [("gru", 3), ("lstm", 4)])
+def test_gate_blocks_are_contiguous(cell, gates):
+    """Each gate's block is its own contiguous (H, F) / (H, H) / (H,) array,
+    after init and after a JSON round trip."""
+    model = rnn._build_model(rnn.RnnArch(cell=cell, hidden_size=5), 3, seed=0)
+    restored = rnn.rnn_from_dict(json.loads(json.dumps(rnn.rnn_to_dict(model))))
+    for w in (model.weights, restored.weights):
+        assert (w.W.shape, w.U.shape, w.b.shape) == (
+            (gates, 5, 3), (gates, 5, 5), (gates, 5))
+        for g in range(gates):
+            for block in (w.W[g], w.U[g], w.b[g]):
+                assert block.flags.c_contiguous
+
+
+def test_rnn_from_dict_rejects_malformed_payloads():
+    good = rnn.rnn_to_dict(rnn._build_model(
+        rnn.RnnArch(cell="gru", hidden_size=4), 3, seed=0))
+    lstm_w = rnn._build_model(
+        rnn.RnnArch(cell="lstm", hidden_size=4), 3, seed=0).weights
+    bad = {
+        "version 1": {**good, "version": 1},
+        "no version": {k: v for k, v in good.items() if k != "version"},
+        "missing U": {k: v for k, v in good.items() if k != "U"},
+        "missing label_max": {k: v for k, v in good.items()
+                              if k != "label_max"},
+        "unknown cell": {**good, "cell": "rnn"},
+        "cell not a string": {**good, "cell": ["gru"]},
+        "hidden_size 0": {**good, "hidden_size": 0},
+        "hidden_size text": {**good, "hidden_size": "4"},
+        "lstm gate count in a gru": {**good, "W": lstm_w.W.tolist(),
+                                     "U": lstm_w.U.tolist(),
+                                     "b": lstm_w.b.tolist()},
+        "gru payload called lstm": {**good, "cell": "lstm"},
+        "W hidden mismatch": {**good, "hidden_size": 5},
+        "W not 3-d": {**good, "W": good["W"][0]},
+        "W with no features": {**good, "W": [[[]] * 4] * 3},
+        "U not square": {**good, "U": [[row[:3] for row in g]
+                                       for g in good["U"]]},
+        "b short": {**good, "b": [g[:3] for g in good["b"]]},
+        "head_w short": {**good, "head_w": good["head_w"][:3]},
+        "ragged W": {**good, "W": [good["W"][0], good["W"][1][:2],
+                                   good["W"][2]]},
+        "text weight": {**good, "head_w": ["a"] * 4},
+        "head_b list": {**good, "head_b": [0.0]},
+        "not a dict": [good],
+    }
+    for name, payload in bad.items():
+        with pytest.raises(ParameterError):
+            rnn.rnn_from_dict(payload)
+            pytest.fail(name)
+    rnn.rnn_from_dict(good)  # the unmodified payload still loads
 
 
 def test_predict_shape_mismatch_rejected():
