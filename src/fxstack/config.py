@@ -269,10 +269,19 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
             err("arima.refit_every must be >= 1")
     for field in ("xgb_n_trees", "lgbm_n_trees", "forest_n_trees",
                   "xgb_max_depth", "lgbm_max_leaves", "forest_max_depth",
-                  "forest_m", "rnn_hidden", "rnn_epochs", "meta_hidden",
+                  "forest_m", "recap_rnn_hidden", "recap_rnn_epochs",
+                  "rnn_hidden", "rnn_epochs", "rnn_batch", "meta_hidden",
                   "meta_epochs"):
         if getattr(config, field) < 1:
             err(f"{field} must be >= 1")
+    for field in ("recap_rnn_lr", "rnn_lr", "meta_lr"):
+        if not getattr(config, field) > 0:
+            err(f"{field} must be > 0")
+    for field in ("xgb_learning_rate", "lgbm_learning_rate"):
+        if not 0 < getattr(config, field) <= 1:
+            err(f"{field} must be in (0, 1]")
+    if not config.xgb_reg_lambda >= 0:
+        err("xgb_reg_lambda must be >= 0")
     if config.lgbm_bins < 2:
         err("lgbm_bins must be >= 2")
     if config.paper_mode:

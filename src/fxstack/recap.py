@@ -199,13 +199,8 @@ def run_recap(
             seed=derive_seed(config.seed, "recap-lgbm")),
         "random_forest": lambda: fit_random_forest(
             windowed.X, windowed.y,
-            ForestParams(
-                n_trees=config.forest_params.n_trees,
-                max_depth=config.forest_params.max_depth,
-                m=config.forest_params.m,
-                seed=derive_seed(config.seed, "recap-rf"),
-                bootstrap=config.forest_params.bootstrap,
-            ),
+            dataclasses.replace(config.forest_params,
+                                seed=derive_seed(config.seed, "recap-rf")),
             feature_names=windowed.feature_names),
     }
     raw: dict[str, ImportanceVector] = {}

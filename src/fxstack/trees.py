@@ -529,15 +529,11 @@ def predict(model: BoostedModel | ForestModel, X: np.ndarray) -> np.ndarray:
     return out / len(model.trees)
 
 
-def importance(
-    model: BoostedModel | ForestModel,
-    kind: str,
-    gain_mode: str = "average",
-) -> ImportanceVector:
+def importance(model: BoostedModel | ForestModel, kind: str) -> ImportanceVector:
     """Per-feature importance.
 
-    Boosted models support ``gain`` (mean split gain per feature; total with
-    ``gain_mode='total'``) and ``split_count``. Forests support
+    Boosted models support ``gain`` (mean split gain per feature, 0 for a
+    feature never split on) and ``split_count``. Forests support
     ``impurity_decrease`` (summed SSE reduction, normalized to sum 1) and
     ``split_count``.
     """
@@ -560,9 +556,9 @@ def importance(
                          minlength=n_features)
     if kind == "split_count":
         values = counts.astype(float)
-    elif kind == "gain" and gain_mode != "total":
+    elif kind == "gain":
         values = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
-    else:  # total gain, or impurity_decrease (summed SSE reduction)
+    else:  # impurity_decrease: summed SSE reduction
         values = totals
     scores = dict(zip(model.feature_names, values.tolist()))
     if kind == "impurity_decrease":

@@ -87,6 +87,21 @@ def test_validate_flags_bad_tree_shapes(field, value):
     assert any(field in m for m in messages)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("recap_rnn_hidden", 0), ("rnn_batch", 0), ("recap_rnn_lr", -1.0),
+    ("rnn_lr", 0.0), ("xgb_learning_rate", 1.5), ("recap_rnn_epochs", 0),
+    ("meta_lr", -0.5), ("lgbm_learning_rate", 0.0), ("rnn_lr", float("nan")),
+    ("xgb_reg_lambda", -1.0),
+])
+def test_validate_flags_bad_training_values(field, value):
+    # these used to pass validation and then fail in the recap or train
+    # stage, train the recap GRU for no epoch, or run gradient ascent
+    cfg = config.PipelineConfig(**{field: value})
+    messages = [f.message for f in config.validate_config(cfg)
+                if f.severity == "error"]
+    assert any(field in m for m in messages)
+
+
 def test_validate_csv_requires_path():
     cfg = config.PipelineConfig(source="csv")
     assert any(f.severity == "error"
