@@ -12,11 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientDataError, SearchError
+from .errors import (
+    DegenerateFitError,
+    InsufficientDataError,
+    ParameterError,
+    SearchError,
+)
 
 _VARIANCE_FLOOR = 1e-300  # keeps the log-likelihood finite on exact fits
 _CSS_MAX_ITER = 50
 _CSS_TOL = 1e-8
+_MA_CHUNK = 1024  # rows per Python-float list in the MA recursion
 
 
 @dataclass(frozen=True)
@@ -52,26 +58,83 @@ def _solve_lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _ma_recursion(
+    base: list, w: list, ma: list, lags: list
+) -> tuple[list, list]:
+    """One-step forecasts ``f[k] = base[k] + ma[0]*e[k-1] + ...``, summed left
+    to right over the q MA terms, where ``e[k] = w[k] - f[k]``.
+
+    ``lags`` holds the q residuals before the first row, latest first; the
+    q latest residuals after the last row are returned with the forecasts.
+    The recursion is serial, so it runs on Python floats; q = 1 and q = 2
+    get their own loops because they are the common grid orders.
+    """
+    out: list = []
+    append = out.append
+    if len(ma) == 1:
+        (m1,), (e1,) = ma, lags
+        for b, wk in zip(base, w):
+            f = b + m1 * e1
+            append(f)
+            e1 = wk - f
+        return out, [e1]
+    if len(ma) == 2:
+        (m1, m2), (e1, e2) = ma, lags
+        for b, wk in zip(base, w):
+            f = (b + m1 * e1) + m2 * e2
+            append(f)
+            e1, e2 = wk - f, e1
+        return out, [e1, e2]
+    lags = list(lags)
+    for b, wk in zip(base, w):
+        f = b
+        for m, e in zip(ma, lags):
+            f += m * e
+        append(f)
+        lags.insert(0, wk - f)
+        lags.pop()
+    return out, lags
+
+
+def _add_ma_terms(
+    pred: np.ndarray, w: np.ndarray, ma: np.ndarray, lags: list
+) -> list:
+    """Turn the AR part ``pred`` into one-step forecasts of ``w`` in place
+    (``_ma_recursion``) and return the q latest residuals, latest first.
+
+    Rows go through Python-float lists of at most ``_MA_CHUNK`` values, so a
+    long history is never copied into lists whole.
+    """
+    ma = ma.tolist()
+    for c0 in range(0, len(pred), _MA_CHUNK):
+        c1 = c0 + _MA_CHUNK
+        pred[c0:c1], lags = _ma_recursion(
+            pred[c0:c1].tolist(), w[c0:c1].tolist(), ma, lags)
+    return lags
+
+
 def _css_residuals(
     w: np.ndarray, intercept: float, ar: np.ndarray, ma: np.ndarray
 ) -> np.ndarray:
-    """Recursive residuals with pre-sample residuals taken as zero."""
+    """Recursive residuals with pre-sample residuals taken as zero.
+
+    The AR part of every row is summed lag by lag and the intercept added
+    last, the order the per-bar recursion used, so results are bit-identical
+    to it (``tests/oracles.py::css_residuals_oracle``).
+    """
     p, q = len(ar), len(ma)
     n = len(w)
-    resid = np.zeros(n)
-    start = p
+    pred = np.zeros(n - p)
+    for i in range(1, p + 1):
+        pred += ar[i - 1] * w[p - i:n - i]
+    pred += intercept
+    if q:
+        _add_ma_terms(pred, w[p:], ma, [0.0] * q)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(start, n):
-            pred = intercept
-            if p:
-                pred += ar @ w[t - p:t][::-1]
-            for j in range(1, q + 1):
-                if t - j >= start:
-                    pred += ma[j - 1] * resid[t - j]
-            resid[t] = w[t] - pred
+        resid = w[p:] - pred
     if not np.isfinite(resid).all():
         raise DegenerateFitError("residual recursion diverged (non-invertible MA)")
-    return resid[start:]
+    return resid
 
 
 def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
@@ -175,53 +238,52 @@ def select_order(
     return OrderSearchResult(grid=grid, selected=selected[:3])
 
 
-def _one_step_forecast(
-    w: np.ndarray, resid: np.ndarray, model: ArmaModel
-) -> float:
-    """Next value on the differenced scale from trailing values and residuals."""
-    pred = model.intercept
-    for i in range(1, model.p + 1):
-        pred += model.ar_coeffs[i - 1] * w[-i]
-    for j in range(1, model.q + 1):
-        pred += model.ma_coeffs[j - 1] * resid[-j]
-    return float(pred)
-
-
 def rolling_forecast_feature(
     series: np.ndarray,
     order: tuple[int, int, int],
     fit_len: int,
     refit_every: int = 500,
-) -> np.ndarray:
-    """Causal one-step-ahead forecast column.
+) -> tuple[np.ndarray, int]:
+    """Causal one-step-ahead forecast column and its count of failed refits.
 
     value(t) is the forecast of series[t] computed from series[:t] only.
     Coefficients are first fit on the leading ``fit_len`` points and refit
     every ``refit_every`` steps on the expanding history. Entries before
-    ``fit_len`` are NaN.
+    ``fit_len`` are NaN. A refit that raises ``DegenerateFitError`` keeps the
+    previous coefficients and residuals and is counted; a failed first fit
+    raises.
     """
-    x = np.asarray(series, dtype=float)
     p, d, q = order
+    if d not in (0, 1):
+        raise ParameterError(f"rolling forecast supports d in (0, 1), got {d}")
+    x = np.asarray(series, dtype=float)
     n = len(x)
+    w = np.diff(x) if d else x
     out = np.full(n, np.nan)
     model: ArmaModel | None = None
-    w_hist = np.array([])
-    resid_hist = np.array([])
-    for t in range(fit_len, n):
-        if model is None or (t - fit_len) % refit_every == 0:
-            model = fit_arma(x[:t], p, d, q)
-            w_hist = np.diff(x[:t], n=d) if d > 0 else x[:t]
-            resid_full = np.zeros(len(w_hist))
-            resid_full[p:] = _css_residuals(
-                w_hist, model.intercept, model.ar_coeffs, model.ma_coeffs
-            )
-            resid_hist = resid_full
+    lags: list = []  # the q latest residuals, latest first
+    fallbacks = 0
+    for t0 in range(fit_len, n, refit_every):
+        t1 = min(t0 + refit_every, n)
+        # w[m] is series[m + d] on the differenced scale: forecast w[m0:m1]
+        m0, m1 = t0 - d, t1 - d
+        try:
+            fitted = fit_arma(x[:t0], p, d, q)
+            resid = _css_residuals(
+                w[:m0], fitted.intercept, fitted.ar_coeffs, fitted.ma_coeffs)
+        except DegenerateFitError:
+            if model is None:
+                raise
+            fallbacks += 1
         else:
-            # extend the differenced history and residuals with x[t-1]
-            new_w = x[t - 1] - x[t - 2] if d == 1 else x[t - 1]
-            pred_w = _one_step_forecast(w_hist, resid_hist, model)
-            w_hist = np.append(w_hist, new_w)
-            resid_hist = np.append(resid_hist, new_w - pred_w)
-        forecast_w = _one_step_forecast(w_hist, resid_hist, model)
-        out[t] = forecast_w + (x[t - 1] if d == 1 else 0.0)
-    return out
+            model = fitted
+            lags = [float(resid[m0 - p - j]) if m0 - j >= p else 0.0
+                    for j in range(1, q + 1)]
+        # AR part with the intercept first, the order of the per-bar forecast
+        pred = np.full(m1 - m0, model.intercept)
+        for i in range(1, p + 1):
+            pred += model.ar_coeffs[i - 1] * w[m0 - i:m1 - i]
+        if q:
+            lags = _add_ma_terms(pred, w[m0:m1], model.ma_coeffs, lags)
+        out[t0:t1] = pred + x[t0 - 1:t1 - 1] if d else pred
+    return out, fallbacks

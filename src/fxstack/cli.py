@@ -105,7 +105,7 @@ def _cmd_features(config: PipelineConfig, args) -> int:
 
     _check_config(config)
     series, _ = _ingest(config)
-    frame, orders = _features(config, series)
+    frame, orders, fallbacks = _features(config, series)
     frame = frame.with_label(
         "highest_high", compute_highest_high(series, config.horizon)
     )
@@ -117,6 +117,8 @@ def _cmd_features(config: PipelineConfig, args) -> int:
           f"{len(cleaned.feature_names)} features")
     for name, order in orders.items():
         print(f"arima order {name}: {tuple(order)}")
+    for name, count in fallbacks.items():
+        print(f"arima refit fallbacks {name}: {count}")
     dropped_rows = len(frame) - len(cleaned)
     print(f"rows dropped in cleaning: {dropped_rows}")
     return 0

@@ -75,6 +75,7 @@ class RunReport:
     cleaning_counts: dict
     ingest_dropped: dict
     arima_orders: dict
+    arima_refit_fallbacks: dict  # ARIMA column -> refits that kept old coefs
     recap: dict                 # str(k) -> RecapResult dict
     selected_k: int
     selected_features: list[str]
@@ -105,10 +106,13 @@ def _ingest(config: PipelineConfig) -> tuple[CandleSeries, dict]:
 
 def _features(
     config: PipelineConfig, series: CandleSeries
-) -> tuple[FeatureFrame, dict]:
+) -> tuple[FeatureFrame, dict, dict]:
+    """Feature frame, the selected ARIMA order of each ARIMA column and the
+    count of its rolling refits that kept the previous coefficients."""
     specs = default_indicator_specs() if config.use_indicators else []
     extra: dict[str, np.ndarray] = {}
     orders: dict[str, list[int]] = {}
+    fallbacks: dict[str, int] = {}
     if config.use_arima:
         for name, values in (("arima_close", series.close),
                              ("arima_high", series.high)):
@@ -119,12 +123,12 @@ def _features(
                 q_max=config.arima_q_max,
             )
             orders[name] = list(search.selected)
-            extra[name] = rolling_forecast_feature(
+            extra[name], fallbacks[name] = rolling_forecast_feature(
                 values, search.selected, fit_len=config.arima_fit_len,
                 refit_every=config.arima_refit_every,
             )
     frame = compute_features(series, specs, extra=extra)
-    return frame, orders
+    return frame, orders, fallbacks
 
 
 def _recap_split(config: PipelineConfig, spec: SplitSpec) -> SplitSpec:
@@ -255,7 +259,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
         return result
 
     series, dropped = staged("ingest", _ingest, config)
-    frame, arima_orders = staged("features", _features, config, series)
+    frame, arima_orders, arima_refit_fallbacks = staged(
+        "features", _features, config, series)
 
     def _label_and_clean():
         labeled = frame.with_label(
@@ -327,6 +332,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
         cleaning_counts=cleaning_counts,
         ingest_dropped=dropped,
         arima_orders=arima_orders,
+        arima_refit_fallbacks=arima_refit_fallbacks,
         recap={str(k): r.to_dict() for k, r in recap_results.items()},
         selected_k=selected_k,
         selected_features=selected_base,

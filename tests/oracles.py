@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from fxstack import arima
+from fxstack.errors import DegenerateFitError
+
 
 def sma_oracle(x, n):
     out = np.full(len(x), np.nan)
@@ -267,3 +270,67 @@ def best_split_oracle(X, g, h, idx, features, params):
         if np.isfinite(gain) and (best is None or gain > best[0]):
             best = (gain, int(f), float(thresholds[i]))
     return best
+
+
+def css_residuals_oracle(w, intercept, ar, ma):
+    """Recursive CSS residuals, one bar at a time, as ``arima._css_residuals``
+    computed them before the AR part was vectorised: pre-sample residuals are
+    zero, the AR part is ``intercept + ar @ lags`` and each MA term is added
+    in lag order."""
+    p, q = len(ar), len(ma)
+    n = len(w)
+    resid = np.zeros(n)
+    start = p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(start, n):
+            pred = intercept
+            if p:
+                pred += ar @ w[t - p:t][::-1]
+            for j in range(1, q + 1):
+                if t - j >= start:
+                    pred += ma[j - 1] * resid[t - j]
+            resid[t] = w[t] - pred
+    if not np.isfinite(resid).all():
+        raise DegenerateFitError("residual recursion diverged (non-invertible MA)")
+    return resid[start:]
+
+
+def _one_step_forecast_oracle(w, resid, model):
+    pred = model.intercept
+    for i in range(1, model.p + 1):
+        pred += model.ar_coeffs[i - 1] * w[-i]
+    for j in range(1, model.q + 1):
+        pred += model.ma_coeffs[j - 1] * resid[-j]
+    return float(pred)
+
+
+def rolling_forecast_oracle(series, order, fit_len, refit_every=500):
+    """Causal one-step forecast column, one bar at a time, as
+    ``arima.rolling_forecast_feature`` computed it before it worked per
+    refit block: every refit recomputes the residuals of the whole history
+    with ``css_residuals_oracle``, and the history grows by ``np.append``.
+    Fits go through ``arima.fit_arma``, and a failed refit raises."""
+    x = np.asarray(series, dtype=float)
+    p, d, q = order
+    n = len(x)
+    out = np.full(n, np.nan)
+    model = None
+    w_hist = np.array([])
+    resid_hist = np.array([])
+    for t in range(fit_len, n):
+        if model is None or (t - fit_len) % refit_every == 0:
+            model = arima.fit_arma(x[:t], p, d, q)
+            w_hist = np.diff(x[:t], n=d) if d > 0 else x[:t]
+            resid_full = np.zeros(len(w_hist))
+            resid_full[p:] = css_residuals_oracle(
+                w_hist, model.intercept, model.ar_coeffs, model.ma_coeffs
+            )
+            resid_hist = resid_full
+        else:
+            new_w = x[t - 1] - x[t - 2] if d == 1 else x[t - 1]
+            pred_w = _one_step_forecast_oracle(w_hist, resid_hist, model)
+            w_hist = np.append(w_hist, new_w)
+            resid_hist = np.append(resid_hist, new_w - pred_w)
+        forecast_w = _one_step_forecast_oracle(w_hist, resid_hist, model)
+        out[t] = forecast_w + (x[t - 1] if d == 1 else 0.0)
+    return out

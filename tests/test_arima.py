@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from fxstack import arima
-from fxstack.errors import DegenerateFitError, InsufficientDataError
+from fxstack.errors import (
+    DegenerateFitError,
+    InsufficientDataError,
+    ParameterError,
+)
+from fxstack.market_data import generate_synthetic_ohlc
+from fxstack.seeding import derive_seed
+from oracles import css_residuals_oracle, rolling_forecast_oracle
 
 
 def ar2_series(n, phi1=0.6, phi2=-0.3, seed=0, burn=200):
@@ -95,12 +102,12 @@ def test_select_order_tie_break_prefers_smaller_order():
 
 def test_rolling_forecast_is_causal():
     x = ar2_series(900, seed=21)
-    base = arima.rolling_forecast_feature(x, (2, 0, 0), fit_len=300,
-                                          refit_every=200)
+    base, _ = arima.rolling_forecast_feature(x, (2, 0, 0), fit_len=300,
+                                             refit_every=200)
     bumped = x.copy()
     bumped[600:] += 50.0
-    alt = arima.rolling_forecast_feature(bumped, (2, 0, 0), fit_len=300,
-                                         refit_every=200)
+    alt, _ = arima.rolling_forecast_feature(bumped, (2, 0, 0), fit_len=300,
+                                            refit_every=200)
     np.testing.assert_array_equal(base[:601], alt[:601])
     assert np.isnan(base[:300]).all()
     assert np.isfinite(base[300:]).all()
@@ -108,8 +115,8 @@ def test_rolling_forecast_is_causal():
 
 def test_rolling_forecast_beats_naive_on_ar2():
     x = ar2_series(1500, seed=33)
-    forecast = arima.rolling_forecast_feature(x, (2, 0, 0), fit_len=500,
-                                              refit_every=250)
+    forecast, _ = arima.rolling_forecast_feature(x, (2, 0, 0), fit_len=500,
+                                                 refit_every=250)
     actual = x[500:]
     pred = forecast[500:]
     naive = x[499:-1]
@@ -121,8 +128,189 @@ def test_rolling_forecast_beats_naive_on_ar2():
 def test_rolling_forecast_with_differencing_tracks_level():
     rng = np.random.default_rng(8)
     walk = 100.0 + np.cumsum(rng.normal(size=800))
-    forecast = arima.rolling_forecast_feature(walk, (0, 1, 0), fit_len=300,
-                                              refit_every=200)
+    forecast, _ = arima.rolling_forecast_feature(walk, (0, 1, 0), fit_len=300,
+                                                 refit_every=200)
     # one-step forecast of a near-driftless walk stays close to the last value
     err = forecast[300:] - walk[299:-1]
     assert np.max(np.abs(err)) < 1.0
+
+
+def stub_fit(series, p, d, q):
+    """Stand-in for ``arima.fit_arma`` whose coefficients depend on the
+    history length, so every refit changes the model. MA coefficients stay
+    below 1/4 in size, so the MA part is invertible for q <= 3."""
+    rng = np.random.default_rng(len(series))
+    return arima.ArmaModel(
+        p=p, d=d, q=q, ar_coeffs=rng.uniform(-0.3, 0.3, p),
+        ma_coeffs=rng.uniform(-0.25, 0.25, q), intercept=rng.normal(0, 0.1),
+        residual_variance=1.0, n_fit=len(series), log_likelihood=0.0)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", range(6))
+def test_recursions_match_per_bar_oracles(monkeypatch, p, d, q):
+    # a walk, so that d = 1 sees a stationary series and d = 0 a level; the
+    # residuals cross two chunk boundaries of the MA recursion
+    walk = 10.0 + np.cumsum(np.random.default_rng(40 + p).normal(size=2300))
+    w = np.diff(walk) if d else walk
+    rng = np.random.default_rng(10 * p + q)
+    ar, ma = rng.uniform(-0.3, 0.3, p), rng.uniform(-0.25, 0.25, q)
+    np.testing.assert_array_equal(
+        arima._css_residuals(w, 0.37, ar, ma),
+        css_residuals_oracle(w, 0.37, ar, ma))
+    monkeypatch.setattr(arima, "fit_arma", stub_fit)
+    # refit blocks of 1, of 97 with a partial last block, and one block
+    for refit_every, n in ((1, 140), (97, 350), (1000, 350)):
+        column, fallbacks = arima.rolling_forecast_feature(
+            walk[:n], (p, d, q), fit_len=100, refit_every=refit_every)
+        np.testing.assert_array_equal(column, rolling_forecast_oracle(
+            walk[:n], (p, d, q), fit_len=100, refit_every=refit_every))
+        assert fallbacks == 0
+
+
+def _fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except (DegenerateFitError, InsufficientDataError) as exc:
+        return type(exc), str(exc)
+
+
+def test_fits_match_oracle_based_fits(monkeypatch):
+    """``fit_arma`` and ``select_order`` give the same bytes, or the same
+    error, as with the per-bar residual recursion, and so does the rolling
+    column with real fits on orders whose every refit converges."""
+    x = ar2_series(400, seed=9)
+    level = 50.0 + np.cumsum(x) * 0.1
+    fits, rolls = {}, {}
+    for use_oracle in (False, True):
+        if use_oracle:
+            monkeypatch.setattr(arima, "_css_residuals", css_residuals_oracle)
+        for series in (x, level):
+            for d in (0, 1):
+                for p in range(6):
+                    for q in range(4):
+                        key = (series is x, p, d, q, use_oracle)
+                        fits[key] = _fit_or_error(arima.fit_arma, series,
+                                                  p, d, q)
+            fits["select", series is x, use_oracle] = arima.select_order(
+                series[:300], q_max=3)
+        for order in ((2, 0, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0), (2, 1, 1),
+                      (0, 1, 3)):
+            for refit_every in (97, 1000):
+                rolls[order, refit_every, use_oracle] = (
+                    rolling_forecast_oracle if use_oracle
+                    else arima.rolling_forecast_feature
+                )(level if order[1] else x, order, 120, refit_every)
+    converged = 0
+    for key, new in fits.items():
+        if key[-1]:
+            continue
+        old = fits[key[:-1] + (True,)]
+        if isinstance(new, arima.ArmaModel):
+            converged += new.q > 0
+            for field in ("ar_coeffs", "ma_coeffs", "intercept",
+                          "residual_variance", "log_likelihood"):
+                np.testing.assert_array_equal(getattr(new, field),
+                                              getattr(old, field))
+        else:  # an OrderSearchResult, or the type and message of an error
+            assert new == old
+    assert converged >= 20
+    for (order, refit_every, use_oracle), new in rolls.items():
+        if not use_oracle:
+            column, fallbacks = new
+            np.testing.assert_array_equal(
+                column, rolls[order, refit_every, True])
+            assert fallbacks == 0
+
+
+def synthetic_close(n, seed):
+    """Close prices of the pipeline's synthetic source at its default
+    volatility and start price."""
+    return generate_synthetic_ohlc(n, seed=derive_seed(seed, "data")).close
+
+
+def test_non_invertible_ma_is_degenerate():
+    w = np.random.default_rng(0).normal(size=2000)
+    with pytest.raises(DegenerateFitError, match="non-invertible"):
+        arima._css_residuals(w, 0.0, np.array([]), np.array([3.0]))
+    # the iterated CSS fit of ARMA(4, 2) on these 1100 prices ends with a
+    # non-invertible MA part
+    with pytest.raises(DegenerateFitError, match="non-invertible"):
+        arima.fit_arma(synthetic_close(1500, 56)[:1100], 4, 0, 2)
+
+
+def test_failed_refit_keeps_previous_coefficients(monkeypatch):
+    x = ar2_series(900, seed=21)
+    order = (2, 0, 1)
+    clean, fallbacks = arima.rolling_forecast_feature(x, order, fit_len=300,
+                                                      refit_every=200)
+    assert fallbacks == 0
+    real_fit = arima.fit_arma
+    calls = []
+
+    def fail_on(call):
+        def fit(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise DegenerateFitError("injected")
+            return real_fit(*args)
+        return fit
+
+    monkeypatch.setattr(arima, "fit_arma", fail_on(2))
+    column, fallbacks = arima.rolling_forecast_feature(x, order, fit_len=300,
+                                                       refit_every=200)
+    assert fallbacks == 1
+    assert np.isfinite(column[300:]).all()
+    np.testing.assert_array_equal(column[:500], clean[:500])
+    # the block after the failed refit at bar 500 continues the recursion
+    # of the fit at bar 300, as if no refit had been due there
+    monkeypatch.setattr(arima, "fit_arma", real_fit)
+    skipped, _ = arima.rolling_forecast_feature(x, order, fit_len=300,
+                                                refit_every=400)
+    np.testing.assert_array_equal(column[:700], skipped[:700])
+    assert not np.array_equal(column[500:700], clean[500:700])
+
+    calls.clear()
+    monkeypatch.setattr(arima, "fit_arma", fail_on(1))
+    with pytest.raises(DegenerateFitError, match="injected"):
+        arima.rolling_forecast_feature(x, order, fit_len=300, refit_every=200)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_failing_refits_continue_one_recursion(monkeypatch, q):
+    # blocks of one bar, shorter than the MA lags for q > 1
+    walk = np.cumsum(np.random.default_rng(q).normal(size=160))
+    monkeypatch.setattr(arima, "fit_arma", stub_fit)
+    whole, _ = arima.rolling_forecast_feature(walk, (2, 1, q), fit_len=100,
+                                              refit_every=1000)
+    calls = []
+
+    def first_fit_only(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise DegenerateFitError("injected")
+        return stub_fit(*args)
+
+    monkeypatch.setattr(arima, "fit_arma", first_fit_only)
+    column, fallbacks = arima.rolling_forecast_feature(
+        walk, (2, 1, q), fit_len=100, refit_every=1)
+    assert fallbacks == 59
+    np.testing.assert_array_equal(column, whole)
+
+
+def test_diverging_refit_falls_back():
+    # the refit at bar 1100 raises "residual recursion diverged"
+    close = synthetic_close(1500, 56)
+    column, fallbacks = arima.rolling_forecast_feature(
+        close, (4, 0, 2), fit_len=600, refit_every=500)
+    assert fallbacks == 1
+    assert np.isfinite(column[600:]).all()
+
+
+@pytest.mark.parametrize("d", [-1, 2])
+def test_rolling_forecast_rejects_unsupported_differencing(d):
+    # an I(2) series: a forecast of its second difference is not a level
+    x = np.cumsum(np.cumsum(np.random.default_rng(2).normal(size=900)))
+    with pytest.raises(ParameterError, match="d in"):
+        arima.rolling_forecast_feature(x, (1, d, 0), fit_len=300)

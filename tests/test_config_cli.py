@@ -185,6 +185,20 @@ def test_cli_ingest_synthetic(tmp_path, capsys):
     assert "bars: 500" in capsys.readouterr().out
 
 
+def test_cli_features_reports_refit_fallbacks(tmp_path, capsys):
+    # with these 1500 bars the ARMA(4, 0, 2) refit of arima_close at bar
+    # 1100 diverges, and the column keeps the coefficients of bar 600
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(f"data.n = 1500\nseed = 56\nout_dir = {tmp_path}\n")
+    assert cli.main(["--config", str(cfg), "features"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "arima order arima_close: (4, 0, 2)" in lines
+    assert [line for line in lines if line.startswith("arima refit ")] == [
+        "arima refit fallbacks arima_close: 1",
+        "arima refit fallbacks arima_high: 0"]
+    assert (tmp_path / "features.csv").exists()
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfg = tmp_path / "cfg.cfg"
     cfg.write_text("seed = 1\n")

@@ -54,6 +54,8 @@ def test_report_contents(run):
     assert len(report.stacking["rows"]) == 31
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["selected_k"] == 6
+    assert on_disk["arima_refit_fallbacks"] == {"arima_close": 0,
+                                                "arima_high": 0}
     assert "timings" not in on_disk
     # timings live in their own artifact, one entry per stage
     timings = json.loads((out / "timings.json").read_text())
