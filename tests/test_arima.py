@@ -224,20 +224,15 @@ def test_fits_match_oracle_based_fits(monkeypatch):
             assert fallbacks == 0
 
 
-def synthetic_close(n, seed):
-    """Close prices of the pipeline's synthetic source at its default
-    volatility and start price."""
-    return generate_synthetic_ohlc(n, seed=derive_seed(seed, "data")).close
-
-
 def test_non_invertible_ma_is_degenerate():
     w = np.random.default_rng(0).normal(size=2000)
     with pytest.raises(DegenerateFitError, match="non-invertible"):
         arima._css_residuals(w, 0.0, np.array([]), np.array([3.0]))
-    # the iterated CSS fit of ARMA(4, 2) on these 1100 prices ends with a
-    # non-invertible MA part
+    # the pipeline's synthetic prices at seed 56: the iterated CSS fit of
+    # ARMA(4, 2) on the first 1100 ends with a non-invertible MA part
+    close = generate_synthetic_ohlc(1500, seed=derive_seed(56, "data")).close
     with pytest.raises(DegenerateFitError, match="non-invertible"):
-        arima.fit_arma(synthetic_close(1500, 56)[:1100], 4, 0, 2)
+        arima.fit_arma(close[:1100], 4, 0, 2)
 
 
 def test_failed_refit_keeps_previous_coefficients(monkeypatch):
@@ -297,15 +292,6 @@ def test_failing_refits_continue_one_recursion(monkeypatch, q):
         walk, (2, 1, q), fit_len=100, refit_every=1)
     assert fallbacks == 59
     np.testing.assert_array_equal(column, whole)
-
-
-def test_diverging_refit_falls_back():
-    # the refit at bar 1100 raises "residual recursion diverged"
-    close = synthetic_close(1500, 56)
-    column, fallbacks = arima.rolling_forecast_feature(
-        close, (4, 0, 2), fit_len=600, refit_every=500)
-    assert fallbacks == 1
-    assert np.isfinite(column[600:]).all()
 
 
 @pytest.mark.parametrize("d", [-1, 2])
