@@ -150,8 +150,7 @@ def stub_fit(series, p, d, q):
 @pytest.mark.parametrize("q", [0, 1, 2, 3])
 @pytest.mark.parametrize("p", range(6))
 def test_recursions_match_per_bar_oracles(monkeypatch, p, d, q):
-    # a walk, so that d = 1 sees a stationary series and d = 0 a level; the
-    # residuals cross two chunk boundaries of the MA recursion
+    # a walk, so that d = 1 sees a stationary series and d = 0 a level
     walk = 10.0 + np.cumsum(np.random.default_rng(40 + p).normal(size=2300))
     w = np.diff(walk) if d else walk
     rng = np.random.default_rng(10 * p + q)
