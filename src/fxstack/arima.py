@@ -51,9 +51,10 @@ class OrderSearchResult:
 
 
 def _solve_lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    # rcond=None: rank cut-off S.max() * max(M, N) * eps, as in matrix_rank
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
         raise DegenerateFitError("singular design matrix")
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return coef
 
 

@@ -6,6 +6,9 @@ per k, the base-model test metrics and the 31 stacking rows. Global flags
 ``--config``, ``--seed``, ``--out``, ``--paper-mode`` override the
 corresponding config keys.
 
+Every subcommand but ``validate`` refuses an invalid config before it starts
+and prints the config's warnings on stderr.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 training error.
 """
 
@@ -16,7 +19,12 @@ import dataclasses
 import json
 import sys
 
-from .config import PipelineConfig, load_config, validate_config
+from .config import (
+    PipelineConfig,
+    check_config,
+    load_config,
+    validate_config,
+)
 from .errors import (
     DegenerateFitError,
     EmptyFrameError,
@@ -67,14 +75,6 @@ def _build_config(args) -> PipelineConfig:
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-def _check_config(config: PipelineConfig) -> None:
-    findings = validate_config(config)
-    for finding in findings:
-        print(f"{finding.severity}: {finding.message}", file=sys.stderr)
-    if any(f.severity == "error" for f in findings):
-        raise SpecError("config validation failed")
-
-
 def _cmd_validate(config: PipelineConfig, args) -> int:
     findings = validate_config(config)
     for finding in findings:
@@ -88,7 +88,6 @@ def _cmd_validate(config: PipelineConfig, args) -> int:
 def _cmd_ingest(config: PipelineConfig, args) -> int:
     from .pipeline import _ingest
 
-    _check_config(config)
     series, dropped = _ingest(config)
     print(f"bars: {len(series)}")
     print(f"range: {series.timestamps[0]} .. {series.timestamps[-1]}")
@@ -103,7 +102,6 @@ def _cmd_features(config: PipelineConfig, args) -> int:
     from .market_data import clean, compute_highest_high
     from .pipeline import _features, _ingest
 
-    _check_config(config)
     series, _ = _ingest(config)
     frame, orders, fallbacks = _features(config, series)
     frame = frame.with_label(
@@ -178,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        if args.command != "validate":
+            for message in check_config(config):
+                print(f"warning: {message}", file=sys.stderr)
         return _COMMANDS[args.command](config, args)
     except FxStackError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ Example config file::
     recap.k = 20,30
     out_dir = runs/demo
 
+Each ``PipelineConfig`` field declares its dotted key, its default (which
+fixes the type values are coerced to) and its bound, if any, in one place.
 Unknown keys are rejected so typos fail fast. ``findings`` from
 ``validate_config`` carry a severity so callers can distinguish hard errors
 from leakage warnings.
@@ -26,128 +28,112 @@ from dataclasses import dataclass
 from .errors import SpecError
 
 
+def _key(key: str, default, bound: str | None = None):
+    """A config field: its dotted key, its default (whose type the parser
+    coerces to) and the bound ``validate_config`` holds it to, if any."""
+    return dataclasses.field(default=default,
+                             metadata={"key": key, "bound": bound})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     # data source
-    source: str = "synthetic"            # "synthetic" | "csv"
-    csv_path: str | None = None
-    synthetic_n: int = 6000
-    synthetic_volatility: float = 0.001
-    start_price: float = 1.0
-    timeframe_minutes: int = 15
+    source: str = _key("data.source", "synthetic")  # "synthetic" | "csv"
+    csv_path: str | None = _key("data.csv_path", None)
+    synthetic_n: int = _key("data.n", 6000)
+    synthetic_volatility: float = _key("data.volatility", 0.001, "> 0")
+    start_price: float = _key("data.start_price", 1.0, "> 0")
+    timeframe_minutes: int = _key("data.timeframe_minutes", 15, ">= 1")
 
     # task shape
-    horizon: int = 5
-    lookback: int = 5
-    seed: int = 0
-    out_dir: str = "out"
-    paper_mode: bool = False
-    leakage_guard: bool = True
+    horizon: int = _key("horizon", 5, ">= 1")
+    lookback: int = _key("lookback", 5, ">= 1")
+    seed: int = _key("seed", 0)
+    out_dir: str = _key("out_dir", "out")
+    paper_mode: bool = _key("paper_mode", False)
+    leakage_guard: bool = _key("leakage_guard", True)
 
     # feature engineering
-    use_indicators: bool = True
-    use_arima: bool = True
-    arima_p_max: int = 5
-    arima_d: tuple[int, ...] = (0, 1)
-    arima_q_max: int = 2
-    arima_fit_len: int = 600
-    arima_refit_every: int = 500
+    use_indicators: bool = _key("features.indicators", True)
+    use_arima: bool = _key("features.arima", True)
+    arima_p_max: int = _key("arima.p_max", 5)
+    arima_d: tuple[int, ...] = _key("arima.d", (0, 1))
+    arima_q_max: int = _key("arima.q_max", 2)
+    arima_fit_len: int = _key("arima.fit_len", 600)
+    arima_refit_every: int = _key("arima.refit_every", 500)
 
     # splits (row fractions of the cleaned frame / the stacking window)
-    main_split: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    meta_split: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    main_split: tuple[float, float, float] = _key("split.main", (0.7, 0.15, 0.15))
+    meta_split: tuple[float, float, float] = _key("split.meta", (0.6, 0.2, 0.2))
 
     # recap
-    recap_ks: tuple[int, ...] = (20,)
-    recap_rnn_hidden: int = 16
-    recap_rnn_epochs: int = 8
-    recap_rnn_lr: float = 3e-3
+    recap_ks: tuple[int, ...] = _key("recap.k", (20,))
+    recap_rnn_hidden: int = _key("recap.rnn_hidden", 16, ">= 1")
+    recap_rnn_epochs: int = _key("recap.rnn_epochs", 8, ">= 1")
+    recap_rnn_lr: float = _key("recap.rnn_lr", 3e-3, "> 0")
 
     # base learners
-    xgb_n_trees: int = 50
-    xgb_max_depth: int = 5
-    xgb_learning_rate: float = 0.3
-    xgb_reg_lambda: float = 1.0
-    lgbm_n_trees: int = 50
-    lgbm_max_leaves: int = 31
-    lgbm_bins: int = 64
-    lgbm_learning_rate: float = 0.3
-    forest_n_trees: int = 30
-    forest_max_depth: int = 8
-    forest_m: int = 20
-    rnn_hidden: int = 24
-    rnn_epochs: int = 12
-    rnn_lr: float = 3e-3
-    rnn_batch: int = 256
-    rnn_patience: int = 4
+    xgb_n_trees: int = _key("models.xgboost.n_trees", 50, ">= 1")
+    xgb_max_depth: int = _key("models.xgboost.max_depth", 5, ">= 1")
+    xgb_learning_rate: float = _key("models.xgboost.learning_rate", 0.3,
+                                    "in (0, 1]")
+    xgb_reg_lambda: float = _key("models.xgboost.reg_lambda", 1.0, ">= 0")
+    lgbm_n_trees: int = _key("models.lightgbm.n_trees", 50, ">= 1")
+    lgbm_max_leaves: int = _key("models.lightgbm.max_leaves", 31, ">= 1")
+    lgbm_bins: int = _key("models.lightgbm.bins", 64, ">= 2")
+    lgbm_learning_rate: float = _key("models.lightgbm.learning_rate", 0.3,
+                                     "in (0, 1]")
+    forest_n_trees: int = _key("models.forest.n_trees", 30, ">= 1")
+    forest_max_depth: int = _key("models.forest.max_depth", 8, ">= 1")
+    forest_m: int = _key("models.forest.m", 20, ">= 1")
+    rnn_hidden: int = _key("models.rnn.hidden", 24, ">= 1")
+    rnn_epochs: int = _key("models.rnn.epochs", 12, ">= 1")
+    rnn_lr: float = _key("models.rnn.lr", 3e-3, "> 0")
+    rnn_batch: int = _key("models.rnn.batch", 256, ">= 1")
+    rnn_patience: int = _key("models.rnn.patience", 4)
 
     # stacking meta-learner
-    meta_hidden: int = 16
-    meta_epochs: int = 300
-    meta_lr: float = 0.01
-    meta_patience: int = 30
+    meta_hidden: int = _key("meta.hidden", 16, ">= 1")
+    meta_epochs: int = _key("meta.epochs", 300, ">= 1")
+    meta_lr: float = _key("meta.lr", 0.01, "> 0")
+    meta_patience: int = _key("meta.patience", 30)
 
 
-# dotted config key -> PipelineConfig field
-KEY_MAP = {
-    "data.source": "source",
-    "data.csv_path": "csv_path",
-    "data.n": "synthetic_n",
-    "data.volatility": "synthetic_volatility",
-    "data.start_price": "start_price",
-    "data.timeframe_minutes": "timeframe_minutes",
-    "horizon": "horizon",
-    "lookback": "lookback",
-    "seed": "seed",
-    "out_dir": "out_dir",
-    "paper_mode": "paper_mode",
-    "leakage_guard": "leakage_guard",
-    "features.indicators": "use_indicators",
-    "features.arima": "use_arima",
-    "arima.p_max": "arima_p_max",
-    "arima.d": "arima_d",
-    "arima.q_max": "arima_q_max",
-    "arima.fit_len": "arima_fit_len",
-    "arima.refit_every": "arima_refit_every",
-    "split.main": "main_split",
-    "split.meta": "meta_split",
-    "recap.k": "recap_ks",
-    "recap.rnn_hidden": "recap_rnn_hidden",
-    "recap.rnn_epochs": "recap_rnn_epochs",
-    "recap.rnn_lr": "recap_rnn_lr",
-    "models.xgboost.n_trees": "xgb_n_trees",
-    "models.xgboost.max_depth": "xgb_max_depth",
-    "models.xgboost.learning_rate": "xgb_learning_rate",
-    "models.xgboost.reg_lambda": "xgb_reg_lambda",
-    "models.lightgbm.n_trees": "lgbm_n_trees",
-    "models.lightgbm.max_leaves": "lgbm_max_leaves",
-    "models.lightgbm.bins": "lgbm_bins",
-    "models.lightgbm.learning_rate": "lgbm_learning_rate",
-    "models.forest.n_trees": "forest_n_trees",
-    "models.forest.max_depth": "forest_max_depth",
-    "models.forest.m": "forest_m",
-    "models.rnn.hidden": "rnn_hidden",
-    "models.rnn.epochs": "rnn_epochs",
-    "models.rnn.lr": "rnn_lr",
-    "models.rnn.batch": "rnn_batch",
-    "models.rnn.patience": "rnn_patience",
-    "meta.hidden": "meta_hidden",
-    "meta.epochs": "meta_epochs",
-    "meta.lr": "meta_lr",
-    "meta.patience": "meta_patience",
+# dotted config key -> field
+_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(PipelineConfig)}
+
+# field bound -> its test; NaN fails every test
+_BOUNDS = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "> 0": lambda v: v > 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
-def _coerce(key: str, field_name: str, raw) -> object:
-    """Convert a raw string/JSON value to the field's declared type."""
-    default = getattr(PipelineConfig(), field_name)
+def _scalar(key: str, kind: type, raw) -> object:
+    # bool is an int subclass and int() truncates, so JSON ``true`` and
+    # ``1500.9`` would otherwise load as 1 and 1500
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                 and not raw.is_integer()):
+        raise SpecError(f"{key}: expected {kind.__name__}, got {raw!r}")
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{key}: bad value {raw!r}") from exc
+
+
+def _coerce(key: str, default, raw) -> object:
+    """Convert a raw string/JSON value to the type of the field's default;
+    a None default marks the optional ``data.csv_path``."""
     if isinstance(raw, str):
         raw = raw.strip()
-    if field_name == "csv_path":
-        return None if raw in (None, "", "none") else str(raw)
+    if default is None:
+        return None if raw in (None, "", "none") else _scalar(key, str, raw)
     if isinstance(default, bool):
         if isinstance(raw, bool):
             return raw
@@ -162,24 +148,17 @@ def _coerce(key: str, field_name: str, raw) -> object:
             parts = list(raw)
         else:
             parts = [raw]
-        elem = type(default[0])
-        try:
-            return tuple(elem(p) for p in parts)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"{key}: bad list value {raw!r}") from exc
-    try:
-        return type(default)(raw)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{key}: bad value {raw!r}") from exc
+        return tuple(_scalar(key, type(default[0]), p) for p in parts)
+    return _scalar(key, type(default), raw)
 
 
 def config_from_mapping(mapping: dict) -> PipelineConfig:
     updates = {}
     for key, raw in mapping.items():
-        if key not in KEY_MAP:
+        field = _FIELDS.get(key)
+        if field is None:
             raise SpecError(f"unknown config key {key!r}")
-        field_name = KEY_MAP[key]
-        updates[field_name] = _coerce(key, field_name, raw)
+        updates[field.name] = _coerce(key, field.default, raw)
     return PipelineConfig(**updates)
 
 
@@ -214,13 +193,10 @@ def load_config(path: str) -> PipelineConfig:
 
 def config_to_mapping(config: PipelineConfig) -> dict:
     """Dotted-key echo of the config (lists rendered as JSON arrays)."""
-    inverse = {v: k for k, v in KEY_MAP.items()}
     out = {}
-    for field in dataclasses.fields(PipelineConfig):
+    for key, field in _FIELDS.items():
         value = getattr(config, field.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[inverse[field.name]] = value
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -247,10 +223,10 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
         err("data.csv_path is required when data.source = csv")
     if config.source == "synthetic" and config.synthetic_n < 100:
         err("data.n must be >= 100 for a synthetic run")
-    if config.horizon < 1:
-        err("horizon must be >= 1")
-    if config.lookback < 1:
-        err("lookback must be >= 1")
+    for field in _FIELDS.values():
+        bound = field.metadata["bound"]
+        if bound and not _BOUNDS[bound](getattr(config, field.name)):
+            err(f"{field.name} must be {bound}")
     for name, split in (("split.main", config.main_split),
                         ("split.meta", config.meta_split)):
         if len(split) != 3 or any(f <= 0 for f in split):
@@ -260,6 +236,8 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
     if config.use_arima:
         if config.arima_p_max < 0 or config.arima_q_max < 0:
             err("arima.p_max and arima.q_max must be >= 0")
+        if not config.arima_d:
+            err("arima.d needs at least one entry")
         if any(d not in (0, 1) for d in config.arima_d):
             err("arima.d entries must be 0 or 1")
         if config.arima_fit_len < 10 * (config.arima_p_max
@@ -267,26 +245,18 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
             err("arima.fit_len too small for the requested grid")
         if config.arima_refit_every < 1:
             err("arima.refit_every must be >= 1")
-    for field in ("xgb_n_trees", "lgbm_n_trees", "forest_n_trees",
-                  "xgb_max_depth", "lgbm_max_leaves", "forest_max_depth",
-                  "forest_m", "recap_rnn_hidden", "recap_rnn_epochs",
-                  "rnn_hidden", "rnn_epochs", "rnn_batch", "meta_hidden",
-                  "meta_epochs"):
-        if getattr(config, field) < 1:
-            err(f"{field} must be >= 1")
-    for field in ("recap_rnn_lr", "rnn_lr", "meta_lr"):
-        if not getattr(config, field) > 0:
-            err(f"{field} must be > 0")
-    for field in ("xgb_learning_rate", "lgbm_learning_rate"):
-        if not 0 < getattr(config, field) <= 1:
-            err(f"{field} must be in (0, 1]")
-    if not config.xgb_reg_lambda >= 0:
-        err("xgb_reg_lambda must be >= 0")
-    if config.lgbm_bins < 2:
-        err("lgbm_bins must be >= 2")
     if config.paper_mode:
         warn("paper_mode: recap held-out and stacking selection use the final "
              "test window — results are leakage-biased by construction")
     if not config.leakage_guard and not config.paper_mode:
         warn("leakage_guard disabled; window-overlap checks are skipped")
     return findings
+
+
+def check_config(config: PipelineConfig) -> list[str]:
+    """Raise ``SpecError`` listing every error finding; return the warnings."""
+    findings = validate_config(config)
+    errors = [f.message for f in findings if f.severity == "error"]
+    if errors:
+        raise SpecError("invalid config: " + "; ".join(errors))
+    return [f.message for f in findings if f.severity == "warning"]

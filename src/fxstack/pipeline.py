@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .arima import rolling_forecast_feature, select_order
-from .config import PipelineConfig, config_to_mapping, validate_config
-from .errors import FxStackError, SpecError
+from .config import PipelineConfig, check_config, config_to_mapping
+from .errors import FxStackError
 from .evaluation import Metrics, compute_metrics, format_results_table
 from .indicators import compute_features, default_indicator_specs
 from .market_data import (
@@ -240,11 +240,7 @@ def _train_base_models(
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunReport:
-    findings = validate_config(config)
-    errors = [f.message for f in findings if f.severity == "error"]
-    if errors:
-        raise SpecError("invalid config: " + "; ".join(errors))
-    warnings = [f.message for f in findings if f.severity == "warning"]
+    warnings = check_config(config)
     out_dir = config.out_dir if out_dir is None else out_dir
 
     timings: dict[str, float] = {}

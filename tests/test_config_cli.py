@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -66,6 +67,47 @@ def test_mapping_roundtrip():
     assert echoed == cfg
 
 
+def test_bool_and_fractional_json_values_rejected():
+    # these used to load as 1500, (20,), 1 and (1.0, 0.2, 0.2); an infinite
+    # seed raised OverflowError
+    for key, value in (("data.n", 1500.9), ("recap.k", [20.7]),
+                       ("horizon", True), ("split.main", [True, 0.2, 0.2]),
+                       ("seed", float("inf"))):
+        with pytest.raises(SpecError, match=key):
+            config.config_from_mapping({key: value})
+    cfg = config.config_from_mapping({"data.n": 1500.0, "recap.k": [20.0]})
+    assert cfg.synthetic_n == 1500 and cfg.recap_ks == (20,)
+
+
+def test_key_table_roundtrips_every_field():
+    fields = dataclasses.fields(config.PipelineConfig)
+    keys = [f.metadata["key"] for f in fields]
+    assert len(set(keys)) == len(keys)
+    changed = {}
+    for field in fields:
+        default = field.default
+        if default is None:
+            value = "bars.csv"
+        elif isinstance(default, bool):
+            value = not default
+        elif isinstance(default, tuple):
+            value = tuple(v + 1 for v in default)
+        elif isinstance(default, str):
+            value = default + "x"
+        else:
+            value = default + 1
+        changed[field.name] = value
+    cfg = config.PipelineConfig(**changed)
+    assert all(getattr(cfg, name) != getattr(config.PipelineConfig(), name)
+               for name in changed)
+    lines = []
+    for key, value in config.config_to_mapping(cfg).items():
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    assert config.parse_config_text("\n".join(lines)) == cfg
+
+
 def test_validate_flags_bad_bounds():
     cfg = config.PipelineConfig(lookback=0, horizon=0)
     messages = [f.message for f in config.validate_config(cfg)
@@ -120,6 +162,29 @@ def test_cli_validate_ok(tmp_path, capsys):
     path.write_text("data.source = synthetic\ndata.n = 2000\n")
     assert cli.main(["--config", str(path), "validate"]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line,name", [
+    ("data.timeframe_minutes = 0", "timeframe_minutes"),
+    ("data.volatility = 0", "synthetic_volatility"),
+    ("data.start_price = -1", "start_price"),
+    ("arima.d =", "arima.d"),
+])
+def test_cli_validate_rejects_values_later_stages_fail_on(tmp_path, capsys,
+                                                          line, name):
+    # validate used to print "config ok" for these; ingest or features then
+    # failed, or wrote features from negative prices
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    assert cli.main(["--config", str(path), "validate"]) == cli.EXIT_CONFIG
+    assert f"error: {name}" in capsys.readouterr().out
+
+
+def test_cli_run_prints_config_warnings(monkeypatch, capsys):
+    # run used to record the paper-mode warning in report.json only
+    monkeypatch.setitem(cli._COMMANDS, "run", lambda config, args: 0)
+    assert cli.main(["--paper-mode", "run"]) == 0
+    assert "warning: paper_mode" in capsys.readouterr().err
 
 
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
