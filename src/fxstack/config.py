@@ -226,7 +226,7 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
     for field in _FIELDS.values():
         bound = field.metadata["bound"]
         if bound and not _BOUNDS[bound](getattr(config, field.name)):
-            err(f"{field.name} must be {bound}")
+            err(f"{field.metadata['key']} must be {bound}")
     for name, split in (("split.main", config.main_split),
                         ("split.meta", config.meta_split)):
         if len(split) != 3 or any(f <= 0 for f in split):

@@ -11,6 +11,7 @@ against central finite differences (see :func:`gradient_check`).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -199,7 +200,12 @@ def apply_scaler(scaler: MinMaxScaler, data: SequenceDataset) -> SequenceDataset
 
 
 class Adam:
-    """Adam (Kingma & Ba, 2015) updating a fixed list of arrays in place."""
+    """Adam (Kingma & Ba, 2015) updating a fixed list of arrays in place.
+
+    The moments of all arrays live in one flat vector each, so a step is one
+    pass of elementwise ufuncs over the concatenated gradients; every element
+    sees the same operations in the same order as a per-array update.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -208,19 +214,37 @@ class Adam:
     def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._slices = []  # each array's part of the flat vectors
+        size = 0
+        for p in params:
+            self._slices.append(slice(size, size + p.size))
+            size += p.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.empty(size)
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
         b1, b2 = self.BETA1, self.BETA2
         self.t += 1
-        for k, (p, grad) in enumerate(zip(self.params, grads)):
-            self.m[k] = b1 * self.m[k] + (1 - b1) * grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * grad**2
-            m_hat = self.m[k] / (1 - b1**self.t)
-            v_hat = self.v[k] / (1 - b2**self.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+        g = np.concatenate([grad.ravel() for grad in grads])
+        m, v, step = self.m, self.v, self._step
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g**2
+        m *= b1
+        m += np.multiply(1 - b1, g, out=step)
+        v *= b2
+        g *= g
+        g *= 1 - b2
+        v += g
+        # step = lr * m_hat / (sqrt(v_hat) + eps)
+        denom = np.divide(v, 1 - b2**self.t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.EPS
+        np.divide(m, 1 - b1**self.t, out=step)
+        step *= self.learning_rate
+        step /= denom
+        for p, part in zip(self.params, self._slices):
+            p -= step[part].reshape(p.shape)
 
 
 def train_minibatch(
@@ -230,30 +254,39 @@ def train_minibatch(
     n_rows: int,
     cfg,
     rng: np.random.Generator,
-) -> None:
+) -> list[tuple[float, float]]:
     """Minibatch Adam on ``params`` (in place) with early stopping.
 
-    ``loss_and_grads(rows)`` gives the loss on those training rows and one
-    gradient per array; ``val_rmse()`` scores the parameters after each epoch.
-    ``cfg`` has ``batch_size``, ``learning_rate``, ``max_epochs`` and
+    ``loss_and_grads(rows)`` gives the mean loss on those training rows and
+    one gradient per array; ``val_rmse()`` scores the parameters after each
+    epoch. ``cfg`` has ``batch_size``, ``learning_rate``, ``max_epochs`` and
     ``patience``; ``rng`` draws each epoch's row order. Stops after more than
     ``patience`` epochs without improvement and leaves the best-validation
     values; a non-finite loss raises :class:`TrainingError`.
+
+    Returns one ``(train_loss, val)`` pair per epoch run: ``train_loss`` is
+    the row-weighted mean of that epoch's minibatch losses, each taken at the
+    weights before its step, and ``val`` is what ``val_rmse()`` returned.
     """
     opt = Adam(params, cfg.learning_rate)
     best_val = np.inf
     best = None
     bad_epochs = 0
+    epochs: list[tuple[float, float]] = []
     for epoch in range(cfg.max_epochs):
         perm = rng.permutation(n_rows)
+        total = 0.0
         for start in range(0, n_rows, cfg.batch_size):
-            loss, grads = loss_and_grads(perm[start:start + cfg.batch_size])
-            if not np.isfinite(loss):
+            rows = perm[start:start + cfg.batch_size]
+            loss, grads = loss_and_grads(rows)
+            if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
+            total += loss * len(rows)
             opt.step(grads)
         val = val_rmse()
         if not np.isfinite(val):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+        epochs.append((total / n_rows, val))
         if val < best_val:
             best_val = val
             best = [p.copy() for p in params]
@@ -265,6 +298,7 @@ def train_minibatch(
     if best is not None:
         for p, saved in zip(params, best):
             p[...] = saved
+    return epochs
 
 
 # --- recurrent regressor -----------------------------------------------------
@@ -321,6 +355,11 @@ class RnnRegressor:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One training epoch in label units. ``train_rmse`` is the root of the
+    row-weighted mean of the epoch's minibatch losses, each taken at the
+    weights before its Adam step, so it lags the weights ``val_rmse`` scores
+    (the validation split, after the epoch's last step)."""
+
     epoch: int
     train_rmse: float
     val_rmse: float
@@ -369,6 +408,8 @@ def train_rnn(
     is min-max scaled internally from the training split and predictions are
     returned in label units. Trains with :func:`train_minibatch` and returns
     the best-validation weights plus one :class:`EpochRecord` per epoch run.
+    The training RMSE comes from the minibatch losses, so no epoch runs a
+    forward pass over the whole training split.
     """
     if train.X.ndim != 3 or val.X.ndim != 3:
         raise ParameterError("expected sequence datasets (rows x lookback x F)")
@@ -380,24 +421,20 @@ def train_rnn(
     y_train = label_scaler.transform(train.y)
     y_val = label_scaler.transform(val.y)
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
-    history: list[EpochRecord] = []
 
     def val_rmse() -> float:
-        train_rmse = float(np.sqrt(np.mean(
-            (_predict_scaled(model, train.X) - y_train) ** 2))) * span
-        val_rmse = float(np.sqrt(np.mean(
+        return float(np.sqrt(np.mean(
             (_predict_scaled(model, val.X) - y_val) ** 2))) * span
-        history.append(EpochRecord(epoch=len(history), train_rmse=train_rmse,
-                                   val_rmse=val_rmse))
-        return val_rmse
 
-    train_minibatch(
+    epochs = train_minibatch(
         model.params(),
         lambda rows: _loss_and_grads(model, train.X[rows], y_train[rows]),
         val_rmse, train.X.shape[0], cfg,
         np.random.default_rng(derive_seed(cfg.seed, "rnn-batches")),
     )
-    return model, history
+    return model, [EpochRecord(epoch=k, train_rmse=math.sqrt(loss) * span,
+                               val_rmse=val)
+                   for k, (loss, val) in enumerate(epochs)]
 
 
 def predict_rnn(model: RnnRegressor, data: SequenceDataset) -> np.ndarray:
@@ -408,6 +445,8 @@ def predict_rnn(model: RnnRegressor, data: SequenceDataset) -> np.ndarray:
 
 
 def export_history_csv(history: list[EpochRecord], path) -> None:
+    """One ``epoch,train_rmse,val_rmse`` row per :class:`EpochRecord`; the
+    training column is the minibatch-loss RMSE the record describes."""
     with open(path, "w") as fh:
         fh.write("epoch,train_rmse,val_rmse\n")
         for rec in history:

@@ -4,12 +4,14 @@ Everything here is written as plain Python loops over the mathematical
 definitions, deliberately avoiding the vectorized formulations under test.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from fxstack import arima
 from fxstack.errors import DegenerateFitError
+from fxstack.market_data import format_rfc3339
 
 
 def sma_oracle(x, n):
@@ -156,6 +158,34 @@ def highest_high_oracle(high, horizon):
     for t in range(len(high) - horizon):
         out[t] = max(high[t + 1:t + 1 + horizon])
     return out
+
+
+def feature_csv_oracle(frame, path):
+    """``FeatureFrame.to_csv`` one cell at a time: ``NaN`` for a non-finite
+    value, ``repr(float(v))`` for any other."""
+    names = list(frame.columns)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["datetime"] + names)
+        for i in range(len(frame)):
+            row = [format_rfc3339(frame.index[i])]
+            for name in names:
+                v = frame.columns[name][i]
+                row.append("NaN" if not math.isfinite(v) else repr(float(v)))
+            writer.writerow(row)
+
+
+def adam_step_oracle(params, grads, m, v, t, learning_rate,
+                     b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step (Kingma & Ba, 2015) applied array by array: updates
+    ``params`` in place and replaces the per-array moments in ``m`` and ``v``;
+    ``t`` counts this step (1 for the first)."""
+    for k, (p, grad) in enumerate(zip(params, grads)):
+        m[k] = b1 * m[k] + (1 - b1) * grad
+        v[k] = b2 * v[k] + (1 - b2) * grad**2
+        m_hat = m[k] / (1 - b1**t)
+        v_hat = v[k] / (1 - b2**t)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def gru_step_oracle(w, x, h_prev):

@@ -116,6 +116,25 @@ def test_validate_flags_bad_bounds():
     assert any("horizon" in m for m in messages)
 
 
+# field -> the dotted key its bound error names
+DOTTED_KEYS = {
+    "lgbm_max_leaves": "models.lightgbm.max_leaves",
+    "lgbm_bins": "models.lightgbm.bins",
+    "forest_m": "models.forest.m",
+    "xgb_max_depth": "models.xgboost.max_depth",
+    "forest_max_depth": "models.forest.max_depth",
+    "recap_rnn_hidden": "recap.rnn_hidden",
+    "rnn_batch": "models.rnn.batch",
+    "recap_rnn_lr": "recap.rnn_lr",
+    "rnn_lr": "models.rnn.lr",
+    "xgb_learning_rate": "models.xgboost.learning_rate",
+    "recap_rnn_epochs": "recap.rnn_epochs",
+    "meta_lr": "meta.lr",
+    "lgbm_learning_rate": "models.lightgbm.learning_rate",
+    "xgb_reg_lambda": "models.xgboost.reg_lambda",
+}
+
+
 @pytest.mark.parametrize("field,value", [
     ("lgbm_max_leaves", 0), ("lgbm_bins", 1), ("forest_m", 0),
     ("xgb_max_depth", -1), ("forest_max_depth", 0),
@@ -126,7 +145,8 @@ def test_validate_flags_bad_tree_shapes(field, value):
     cfg = config.PipelineConfig(**{field: value})
     messages = [f.message for f in config.validate_config(cfg)
                 if f.severity == "error"]
-    assert any(field in m for m in messages)
+    assert any(m.startswith(f"{DOTTED_KEYS[field]} must be ")
+               for m in messages)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -141,7 +161,8 @@ def test_validate_flags_bad_training_values(field, value):
     cfg = config.PipelineConfig(**{field: value})
     messages = [f.message for f in config.validate_config(cfg)
                 if f.severity == "error"]
-    assert any(field in m for m in messages)
+    assert any(m.startswith(f"{DOTTED_KEYS[field]} must be ")
+               for m in messages)
 
 
 def test_validate_csv_requires_path():
@@ -164,20 +185,20 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line,name", [
-    ("data.timeframe_minutes = 0", "timeframe_minutes"),
-    ("data.volatility = 0", "synthetic_volatility"),
-    ("data.start_price = -1", "start_price"),
+@pytest.mark.parametrize("line,message", [
+    ("data.timeframe_minutes = 0", "data.timeframe_minutes must be >= 1"),
+    ("data.volatility = 0", "data.volatility must be > 0"),
+    ("data.start_price = -1", "data.start_price must be > 0"),
     ("arima.d =", "arima.d"),
 ])
 def test_cli_validate_rejects_values_later_stages_fail_on(tmp_path, capsys,
-                                                          line, name):
+                                                          line, message):
     # validate used to print "config ok" for these; ingest or features then
     # failed, or wrote features from negative prices
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
     assert cli.main(["--config", str(path), "validate"]) == cli.EXIT_CONFIG
-    assert f"error: {name}" in capsys.readouterr().out
+    assert f"error: {message}" in capsys.readouterr().out
 
 
 def test_cli_run_prints_config_warnings(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from fxstack.errors import (
     SchemaError,
     SplitError,
 )
-from oracles import highest_high_oracle
+from oracles import feature_csv_oracle, highest_high_oracle
 
 UTC = timezone.utc
 
@@ -202,3 +202,30 @@ def test_split_fractions_insufficient_rows():
     idx = np.array([datetime(2021, 1, 1, tzinfo=UTC)], dtype=object)
     with pytest.raises(InsufficientDataError):
         md.split_spec_from_fractions(idx, (0.6, 0.2, 0.2))
+
+
+@pytest.mark.parametrize("block_rows", [4, md._CSV_BLOCK_ROWS])
+def test_feature_csv_matches_per_cell_oracle(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(md, "_CSV_BLOCK_ROWS", block_rows)  # 4: partial blocks
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1.0, 0.1 + 0.2,
+               -1.5e17, 5e-324]
+    rng = np.random.default_rng(19)
+    n = len(special) + 6
+    idx = np.array([datetime(2021, 1, 1, tzinfo=UTC) + timedelta(minutes=15 * i)
+                    for i in range(n)], dtype=object)
+    frame = md.FeatureFrame(index=idx, columns={
+        "plain": np.concatenate([special, rng.normal(size=6)]),
+        'needs, "quoting"': np.concatenate([rng.normal(size=6), special[::-1]]),
+        "ints": np.arange(n),
+        "label": np.concatenate([rng.normal(size=n - 3), [np.nan] * 3]),
+    }, label_name="label")
+    frame.to_csv(tmp_path / "fast.csv")
+    feature_csv_oracle(frame, tmp_path / "oracle.csv")
+    text = (tmp_path / "fast.csv").read_bytes()
+    assert text == (tmp_path / "oracle.csv").read_bytes()
+    lines = text.decode().splitlines()
+    assert lines[0] == 'datetime,plain,"needs, ""quoting""",ints,label'
+    assert lines[1].split(",")[1] == "NaN"  # NaN, +inf and -inf all read NaN
+    assert lines[3].split(",")[1] == "NaN"
+    assert lines[4].split(",")[1] == "-0.0"
+    assert lines[5].split(",")[1] == "1e-300"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from fxstack import recurrent as rnn
 from fxstack.errors import ParameterError, TrainingError
 from fxstack.market_data import SequenceDataset
-from oracles import gru_step_oracle, lstm_step_oracle
+from fxstack.seeding import derive_seed
+from oracles import adam_step_oracle, gru_step_oracle, lstm_step_oracle
 
 
 def make_dataset(n=200, steps=5, features=3, seed=0, signal=True):
@@ -224,3 +226,118 @@ def test_history_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_rmse,val_rmse"
     assert len(lines) == len(history) + 1
+
+
+def test_flat_adam_matches_per_array_oracle():
+    rng = np.random.default_rng(20)
+    shapes = [(3, 4, 5), (1,), (4,), (6, 3)]
+    params = [rng.normal(size=shape) for shape in shapes]
+    expected = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    opt = rnn.Adam(params, learning_rate=3e-3)
+    for t in range(1, 51):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                 for shape in shapes[:3]]
+        # a non-contiguous gradient: every other column of a wider array
+        grads.append(rng.normal(size=(6, 6))[:, ::2])
+        assert not grads[-1].flags.c_contiguous
+        adam_step_oracle(expected, grads, m, v, t, 3e-3)
+        opt.step(grads)
+        for got, want in zip(params, expected):
+            np.testing.assert_array_equal(got, want)
+
+
+def _train_rnn_full_pass(train, val, arch, cfg):
+    """``train_rnn`` as it was when each epoch also ran a forward pass over
+    the whole training split to score ``train_rmse``."""
+    model = rnn._build_model(arch, train.X.shape[2], cfg.seed)
+    model.label_scaler = label_scaler = rnn.MinMaxScaler.fit(train.y)
+    y_train = label_scaler.transform(train.y)
+    y_val = label_scaler.transform(val.y)
+    span = float(label_scaler.maxs - label_scaler.mins) or 1.0
+    history = []
+
+    def val_rmse():
+        train_rmse = float(np.sqrt(np.mean(
+            (rnn._predict_scaled(model, train.X) - y_train) ** 2))) * span
+        val_rmse = float(np.sqrt(np.mean(
+            (rnn._predict_scaled(model, val.X) - y_val) ** 2))) * span
+        history.append(rnn.EpochRecord(len(history), train_rmse, val_rmse))
+        return val_rmse
+
+    rnn.train_minibatch(
+        model.params(),
+        lambda rows: rnn._loss_and_grads(model, train.X[rows], y_train[rows]),
+        val_rmse, train.X.shape[0], cfg,
+        np.random.default_rng(derive_seed(cfg.seed, "rnn-batches")))
+    return model, history
+
+
+# both cells stop early on these data and restore their best weights
+HISTORY_CFG = rnn.TrainConfig(batch_size=64, learning_rate=5e-2,
+                              max_epochs=12, patience=1, seed=4)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_history_and_weights_match_full_pass_training(cell):
+    train = make_dataset(n=150, seed=21)
+    val = make_dataset(n=40, seed=22)
+    arch = rnn.RnnArch(cell=cell, hidden_size=6)
+    model, history = rnn.train_rnn(train, val, arch, HISTORY_CFG)
+    ref, ref_history = _train_rnn_full_pass(train, val, arch, HISTORY_CFG)
+    assert len(history) == len(ref_history)
+    assert [r.epoch for r in history] == list(range(len(history)))
+    assert [r.val_rmse for r in history] == [r.val_rmse for r in ref_history]
+    for got, want in zip(model.params(), ref.params()):
+        np.testing.assert_array_equal(got, want)
+    assert len(history) < HISTORY_CFG.max_epochs
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_history_train_rmse_is_minibatch_loss_rms(cell, monkeypatch):
+    train = make_dataset(n=150, seed=21)
+    val = make_dataset(n=40, seed=22)
+    epochs = [[]]  # per epoch: (loss, rows) of each minibatch
+    loss_and_grads = rnn._loss_and_grads
+    predict_scaled = rnn._predict_scaled
+
+    def recording_loss_and_grads(model, X, y):
+        loss, grads = loss_and_grads(model, X, y)
+        epochs[-1].append((loss, len(y)))
+        return loss, grads
+
+    def recording_predict(model, X):
+        epochs.append([])  # the validation pass closes an epoch
+        return predict_scaled(model, X)
+
+    monkeypatch.setattr(rnn, "_loss_and_grads", recording_loss_and_grads)
+    monkeypatch.setattr(rnn, "_predict_scaled", recording_predict)
+    _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG)
+    epochs.pop()  # opened by the last validation pass
+    assert len(epochs) == len(history)
+    span = float(train.y.max() - train.y.min())
+    for record, batches in zip(history, epochs):
+        assert [rows for _, rows in batches] == [64, 64, 22]
+        total = 0.0
+        for loss, rows in batches:
+            total += loss * rows
+        assert record.train_rmse == math.sqrt(total / 150) * span
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_training_runs_no_forward_pass_over_train_split(cell, monkeypatch):
+    train = make_dataset(n=150, seed=21)
+    val = make_dataset(n=40, seed=22)
+    gates, forward, backward = rnn._CELLS[cell]
+    seen = []
+
+    def recording_forward(w, X):
+        seen.append(X)
+        return forward(w, X)
+
+    monkeypatch.setitem(rnn._CELLS, cell, (gates, recording_forward, backward))
+    _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG)
+    # per epoch: three minibatches, then one pass over the validation split
+    assert [len(X) for X in seen] == [64, 64, 22, 40] * len(history)
+    assert not any(np.shares_memory(X, train.X) for X in seen)
