@@ -90,13 +90,13 @@ class PipelineConfig:
     rnn_epochs: int = _key("models.rnn.epochs", 12, ">= 1")
     rnn_lr: float = _key("models.rnn.lr", 3e-3, "> 0")
     rnn_batch: int = _key("models.rnn.batch", 256, ">= 1")
-    rnn_patience: int = _key("models.rnn.patience", 4)
+    rnn_patience: int = _key("models.rnn.patience", 4, ">= 0")
 
     # stacking meta-learner
     meta_hidden: int = _key("meta.hidden", 16, ">= 1")
     meta_epochs: int = _key("meta.epochs", 300, ">= 1")
     meta_lr: float = _key("meta.lr", 0.01, "> 0")
-    meta_patience: int = _key("meta.patience", 30)
+    meta_patience: int = _key("meta.patience", 30, ">= 0")
 
 
 # dotted config key -> field

@@ -222,12 +222,25 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._step = np.empty(size)
+        self._frozen = None
         self.t = 0
+
+    def freeze(self, frozen: np.ndarray) -> None:
+        """Hold the elements flagged in ``frozen`` (one flag per element of
+        the flat vector, arrays in ``params`` order) where they are: their
+        moments restart at zero and their gradients are replaced by zero, so
+        every later step moves them by exactly zero. Each call replaces the
+        previous set."""
+        self.m[frozen] = 0.0
+        self.v[frozen] = 0.0
+        self._frozen = frozen
 
     def step(self, grads: list[np.ndarray]) -> None:
         b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         g = np.concatenate([grad.ravel() for grad in grads])
+        if self._frozen is not None:
+            g[self._frozen] = 0.0
         m, v, step = self.m, self.v, self._step
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g**2
         m *= b1
@@ -249,56 +262,86 @@ class Adam:
 
 def train_minibatch(
     params: list[np.ndarray],
-    loss_and_grads: Callable[[np.ndarray], tuple[float, list[np.ndarray]]],
-    val_rmse: Callable[[], float],
+    loss_and_grads: Callable[[np.ndarray],
+                             tuple[np.ndarray, list[np.ndarray]]],
+    val_rmse: Callable[[], np.ndarray],
     n_rows: int,
     cfg,
-    rng: np.random.Generator,
-) -> list[tuple[float, float]]:
-    """Minibatch Adam on ``params`` (in place) with early stopping.
+    rngs: list[np.random.Generator],
+    owners: list[slice] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minibatch Adam with early stopping for K = ``len(rngs)`` independent
+    models trained side by side on the same ``n_rows`` training rows.
 
-    ``loss_and_grads(rows)`` gives the mean loss on those training rows and
-    one gradient per array; ``val_rmse()`` scores the parameters after each
-    epoch. ``cfg`` has ``batch_size``, ``learning_rate``, ``max_epochs`` and
-    ``patience``; ``rng`` draws each epoch's row order. Stops after more than
-    ``patience`` epochs without improvement and leaves the best-validation
-    values; a non-finite loss raises :class:`TrainingError`.
+    Every array in ``params`` (updated in place) has a leading model axis;
+    ``owners[i]`` is the slice of the K models that axis of ``params[i]``
+    runs over (all K when ``owners`` is None). ``loss_and_grads(rows)`` takes
+    a (K, batch) array whose row k is model k's minibatch and returns the K
+    mean losses and one gradient per array, shaped like it; ``val_rmse()``
+    returns the K validation scores of the current parameters. ``cfg`` has
+    ``batch_size``, ``learning_rate``, ``max_epochs`` and ``patience``.
 
-    Returns one ``(train_loss, val)`` pair per epoch run: ``train_loss`` is
-    the row-weighted mean of that epoch's minibatch losses, each taken at the
-    weights before its step, and ``val`` is what ``val_rmse()`` returned.
+    Each model draws its epoch's row order from its own ``rngs[k]`` and keeps
+    its own best-validation copy and patience count. It stops after more than
+    ``patience`` epochs without improvement: from then on Adam holds it still
+    (:meth:`Adam.freeze`) and its losses and scores are not read. The loop
+    ends once every model has stopped, or after ``max_epochs``, and leaves
+    every model at its best-validation values. A non-finite loss or score of
+    a model that has not stopped raises :class:`TrainingError`.
+
+    Returns two (epochs run, K) arrays, NaN after a model stopped: the train
+    losses, each the row-weighted mean of that epoch's minibatch losses taken
+    at the weights before their steps, and the scores.
     """
+    K = len(rngs)
+    if owners is None:
+        owners = [slice(None)] * len(params)
     opt = Adam(params, cfg.learning_rate)
-    best_val = np.inf
-    best = None
-    bad_epochs = 0
-    epochs: list[tuple[float, float]] = []
+    best = [p.copy() for p in params]
+    best_val = np.full(K, np.inf)
+    bad_epochs = np.zeros(K, dtype=int)
+    running = np.ones(K, dtype=bool)
+    perm = np.empty((K, n_rows), dtype=np.intp)
+    losses = np.full((cfg.max_epochs, K), np.nan)
+    scores = np.full((cfg.max_epochs, K), np.nan)
+    epochs_run = 0
     for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n_rows)
-        total = 0.0
+        for k in np.flatnonzero(running):
+            perm[k] = rngs[k].permutation(n_rows)
+        total = np.zeros(K)
         for start in range(0, n_rows, cfg.batch_size):
-            rows = perm[start:start + cfg.batch_size]
+            rows = perm[:, start:start + cfg.batch_size]
             loss, grads = loss_and_grads(rows)
-            if not math.isfinite(loss):
+            loss = np.where(running, loss, 0.0)
+            if not np.isfinite(loss).all():
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            total += loss * len(rows)
+            total += loss * rows.shape[1]
             opt.step(grads)
-        val = val_rmse()
-        if not np.isfinite(val):
+        val = np.where(running, val_rmse(), np.inf)
+        if not np.isfinite(val[running]).all():
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        epochs.append((total / n_rows, val))
-        if val < best_val:
-            best_val = val
-            best = [p.copy() for p in params]
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > cfg.patience:
+        losses[epoch, running] = total[running] / n_rows
+        scores[epoch, running] = val[running]
+        epochs_run = epoch + 1
+        improved = val < best_val
+        best_val[improved] = val[improved]
+        for p, saved, own in zip(params, best, owners):
+            mask = improved[own]
+            np.copyto(saved, p, where=mask.reshape(
+                mask.shape + (1,) * (p.ndim - 1)))
+        bad_epochs[improved] = 0
+        bad_epochs[running & ~improved] += 1
+        stopping = running & (bad_epochs > cfg.patience)
+        if stopping.any():
+            running &= ~stopping
+            if not running.any():
                 break
-    if best is not None:
-        for p, saved in zip(params, best):
-            p[...] = saved
-    return epochs
+            opt.freeze(np.concatenate([
+                np.repeat(~running[own], p.size // len(p))
+                for p, own in zip(params, owners)]))
+    for p, saved in zip(params, best):
+        p[...] = saved
+    return losses[:epochs_run], scores[:epochs_run]
 
 
 # --- recurrent regressor -----------------------------------------------------
@@ -422,19 +465,26 @@ def train_rnn(
     y_val = label_scaler.transform(val.y)
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
 
-    def val_rmse() -> float:
-        return float(np.sqrt(np.mean(
-            (_predict_scaled(model, val.X) - y_val) ** 2))) * span
+    # one model: train_minibatch sees each array through a view with a
+    # model axis of length 1, and one row of minibatch indices
+    def loss_and_grads(rows: np.ndarray):
+        loss, grads = _loss_and_grads(model, train.X[rows[0]],
+                                      y_train[rows[0]])
+        return np.array([loss]), grads
 
-    epochs = train_minibatch(
-        model.params(),
-        lambda rows: _loss_and_grads(model, train.X[rows], y_train[rows]),
-        val_rmse, train.X.shape[0], cfg,
-        np.random.default_rng(derive_seed(cfg.seed, "rnn-batches")),
+    def val_rmse() -> np.ndarray:
+        return np.array([float(np.sqrt(np.mean(
+            (_predict_scaled(model, val.X) - y_val) ** 2))) * span])
+
+    losses, scores = train_minibatch(
+        [p[None] for p in model.params()], loss_and_grads, val_rmse,
+        train.X.shape[0], cfg,
+        [np.random.default_rng(derive_seed(cfg.seed, "rnn-batches"))],
     )
     return model, [EpochRecord(epoch=k, train_rmse=math.sqrt(loss) * span,
                                val_rmse=val)
-                   for k, (loss, val) in enumerate(epochs)]
+                   for k, (loss, val) in enumerate(zip(losses[:, 0].tolist(),
+                                                       scores[:, 0].tolist()))]
 
 
 def predict_rnn(model: RnnRegressor, data: SequenceDataset) -> np.ndarray:

@@ -2,8 +2,10 @@
 models, train a small neural meta-learner per subset on their out-of-sample
 predictions, and select the winner.
 
-The meta-learner reuses the training pieces of :mod:`fxstack.recurrent`:
-its min-max scaler for inputs and label, and its Adam early-stopping loop.
+The meta-learners reuse the training pieces of :mod:`fxstack.recurrent`:
+its min-max scaler for inputs and label, and its Adam early-stopping loop,
+which :func:`train_meta_nn` runs once for all 31 nets stacked along a
+leading net axis.
 
 Selection uses the meta-validation RMSE by default; ``paper_mode`` selects on
 the meta-test RMSE instead (and is flagged as selection-biased in reports).
@@ -144,53 +146,100 @@ class MetaTrainConfig:
 def train_meta_nn(
     meta_train: MetaFrame,
     meta_val: MetaFrame,
-    combo: Combination,
-    seed: int,
+    combos: list[Combination],
+    seeds: list[int],
     cfg: MetaTrainConfig = MetaTrainConfig(),
-) -> MetaModel:
-    """Fit the meta network on the combo's prediction columns.
+) -> list[MetaModel]:
+    """Fit one meta network per combination, all in one stacked
+    :func:`recurrent.train_minibatch` call (Adam, early stopping on each
+    net's meta-validation RMSE).
 
-    Inputs and label are min-max scaled on meta-train; training is
-    :func:`recurrent.train_minibatch` (Adam, early stopping on the
-    meta-validation RMSE); one generator seeded from ``seed`` draws the
-    initial weights and then each epoch's row order.
+    Net k sees the prediction columns of ``combos[k]``; inputs and label are
+    min-max scaled on meta-train. A generator seeded from ``seeds[k]`` draws
+    the net's initial weights and then each epoch's row order. The nets step
+    together on (nets, rows, hidden) arrays. Only the first layer, whose
+    width is the member count, is multiplied once per run of consecutive
+    combinations of equal size. Each slice of a stacked product has the shape
+    and memory layout of a single net's 2-D product, so every net ends with
+    the weights a fit of its own would give.
     """
-    members = combo.members
-    X = _inputs(meta_train, members)
-    rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
-    hid = cfg.hidden
-    model = MetaModel(
-        members=members,
-        in_scaler=MinMaxScaler.fit(X),
-        label_scaler=MinMaxScaler.fit(meta_train.labels),
-        W1=rng.uniform(-1, 1, size=(len(members), hid))
-        * np.sqrt(6.0 / (len(members) + hid)),
-        b1=np.zeros(hid),
-        W2=rng.uniform(-1, 1, size=hid) * np.sqrt(6.0 / (hid + 1)),
-        b2=np.zeros(1),
-    )
-    Xs = model.in_scaler.transform(X)
-    Xvs = model.in_scaler.transform(_inputs(meta_val, members))
-    ys = model.label_scaler.transform(meta_train.labels)
-    yvs = model.label_scaler.transform(meta_val.labels)
+    if len(seeds) != len(combos):
+        raise ParameterError(
+            f"{len(combos)} combinations but {len(seeds)} seeds")
+    n_nets, hid = len(combos), cfg.hidden
+    # per-column scaling, so each net's inputs are columns of one scaled frame
+    X = _inputs(meta_train, MODEL_ORDER)
+    in_scaler = MinMaxScaler.fit(X)
+    S = in_scaler.transform(X)
+    Sv = in_scaler.transform(_inputs(meta_val, MODEL_ORDER))
+    label_scaler = MinMaxScaler.fit(meta_train.labels)
+    ys = label_scaler.transform(meta_train.labels)
+    yvs = label_scaler.transform(meta_val.labels)
+
+    columns = [[MODEL_ORDER.index(m) for m in c.members] for c in combos]
+    rngs = [np.random.default_rng(derive_seed(seed, "meta-nn", *c.members))
+            for c, seed in zip(combos, seeds)]
+    W1_init, W2 = [], np.empty((n_nets, hid))
+    for k, (rng, cols) in enumerate(zip(rngs, columns)):
+        W1_init.append(rng.uniform(-1, 1, size=(len(cols), hid))
+                       * np.sqrt(6.0 / (len(cols) + hid)))
+        W2[k] = rng.uniform(-1, 1, size=hid) * np.sqrt(6.0 / (hid + 1))
+    b1, b2 = np.zeros((n_nets, hid)), np.zeros((n_nets, 1))
+    # runs of equal-size combinations: (their nets, (nets, width) columns)
+    groups = []
+    for _, run in itertools.groupby(range(n_nets),
+                                    key=lambda k: len(columns[k])):
+        run = list(run)
+        groups.append((slice(run[0], run[-1] + 1),
+                       np.array([columns[k] for k in run])))
+    W1 = [np.stack(W1_init[nets]) for nets, _ in groups]
+    Xv = [np.ascontiguousarray(Sv[:, cols].transpose(1, 0, 2))
+          for _, cols in groups]
+
+    def forward(inputs: list[np.ndarray], y: np.ndarray):
+        """The hidden layer, in a new (nets, rows, hidden) buffer, and the
+        residuals against ``y``."""
+        hidden = np.empty((n_nets, y.shape[-1], hid))
+        for (nets, _), x, w in zip(groups, inputs, W1):
+            np.matmul(x, w, out=hidden[nets])
+        hidden += b1[:, None, :]
+        np.maximum(hidden, 0.0, out=hidden)
+        resid = (hidden @ W2[:, :, None])[:, :, 0]
+        resid += b2
+        resid -= y
+        return hidden, resid
 
     def loss_and_grads(rows: np.ndarray):
-        xb, yb = Xs[rows], ys[rows]
-        pre = xb @ model.W1 + model.b1
-        hidden = np.maximum(pre, 0.0)
-        resid = hidden @ model.W2 + model.b2 - yb
-        dpred = 2.0 * resid / len(yb)
-        dhidden = np.outer(dpred, model.W2) * (pre > 0)
-        grads = [xb.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred,
-                 np.array([dpred.sum()])]
-        return float(np.mean(resid**2)), grads
+        xb = [S[rows[nets][:, :, None], cols[:, None, :]]
+              for nets, cols in groups]
+        hidden, resid = forward(xb, ys[rows])
+        dpred = 2.0 * resid / rows.shape[1]
+        g_W2 = hidden.transpose(0, 2, 1) @ dpred[:, :, None]
+        # the hidden gradient overwrites the hidden layer
+        active = hidden > 0
+        dhidden = np.multiply(dpred[:, :, None], W2[:, None, :], out=hidden)
+        dhidden *= active
+        grads = [x.transpose(0, 2, 1) @ dhidden[nets]
+                 for (nets, _), x in zip(groups, xb)]
+        grads += [dhidden.sum(axis=1), g_W2, dpred.sum(axis=1)]
+        return np.mean(resid**2, axis=1), grads
 
-    def val_rmse() -> float:
-        return float(np.sqrt(np.mean((model._forward_scaled(Xvs) - yvs) ** 2)))
+    def val_rmse() -> np.ndarray:
+        _, resid = forward(Xv, yvs)
+        return np.sqrt(np.mean(resid**2, axis=1))
 
-    train_minibatch([model.W1, model.b1, model.W2, model.b2],
-                    loss_and_grads, val_rmse, len(ys), cfg, rng)
-    return model
+    train_minibatch(W1 + [b1, W2, b2], loss_and_grads, val_rmse, len(ys),
+                    cfg, rngs, owners=[nets for nets, _ in groups]
+                    + [slice(None)] * 3)
+    W1_nets = [w for group in W1 for w in group]
+    return [
+        MetaModel(members=c.members,
+                  in_scaler=MinMaxScaler(mins=in_scaler.mins[cols],
+                                         maxs=in_scaler.maxs[cols]),
+                  label_scaler=label_scaler,
+                  W1=W1_nets[k], b1=b1[k], W2=W2[k], b2=b2[k])
+        for k, (c, cols) in enumerate(zip(combos, columns))
+    ]
 
 
 @dataclass(frozen=True)
@@ -256,12 +305,15 @@ def run_stacking_search(
     selects on meta-test RMSE (selection bias; reported as such).
     """
     meta_train, meta_val, meta_test = split_meta(frame, meta_spec)
+    combos = enumerate_combinations()
+    models = train_meta_nn(
+        meta_train, meta_val, combos,
+        [derive_seed(seed, "stacking", combo_id)
+         for combo_id in range(len(combos))],
+        cfg=cfg,
+    )
     rows: list[CombinationResult] = []
-    for combo_id, combo in enumerate(enumerate_combinations()):
-        model = train_meta_nn(
-            meta_train, meta_val, combo,
-            seed=derive_seed(seed, "stacking", combo_id), cfg=cfg,
-        )
+    for combo_id, (combo, model) in enumerate(zip(combos, models)):
         val_metrics = compute_metrics(model.predict(meta_val), meta_val.labels)
         test_metrics = compute_metrics(model.predict(meta_test),
                                        meta_test.labels)

@@ -10,8 +10,11 @@ import math
 import numpy as np
 
 from fxstack import arima
-from fxstack.errors import DegenerateFitError
+from fxstack.errors import DegenerateFitError, TrainingError
 from fxstack.market_data import format_rfc3339
+from fxstack.recurrent import MinMaxScaler
+from fxstack.seeding import derive_seed
+from fxstack.stacking import MetaModel
 
 
 def sma_oracle(x, n):
@@ -186,6 +189,65 @@ def adam_step_oracle(params, grads, m, v, t, learning_rate,
         m_hat = m[k] / (1 - b1**t)
         v_hat = v[k] / (1 - b2**t)
         p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def meta_nn_oracle(meta_train, meta_val, combo, seed, cfg):
+    """One combination's meta network fitted on its own: minibatch Adam
+    (array by array, :func:`adam_step_oracle`) with early stopping on the
+    meta-validation RMSE, as a single-net loop. Returns the model at its
+    best-validation weights and the number of epochs run."""
+    members = combo.members
+    X = np.column_stack([meta_train.predictions[m] for m in members])
+    Xv = np.column_stack([meta_val.predictions[m] for m in members])
+    rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
+    hid = cfg.hidden
+    model = MetaModel(
+        members=members,
+        in_scaler=MinMaxScaler.fit(X),
+        label_scaler=MinMaxScaler.fit(meta_train.labels),
+        W1=rng.uniform(-1, 1, size=(len(members), hid))
+        * np.sqrt(6.0 / (len(members) + hid)),
+        b1=np.zeros(hid),
+        W2=rng.uniform(-1, 1, size=hid) * np.sqrt(6.0 / (hid + 1)),
+        b2=np.zeros(1),
+    )
+    Xs = model.in_scaler.transform(X)
+    Xvs = model.in_scaler.transform(Xv)
+    ys = model.label_scaler.transform(meta_train.labels)
+    yvs = model.label_scaler.transform(meta_val.labels)
+    params = [model.W1, model.b1, model.W2, model.b2]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    best_val, best, bad_epochs = np.inf, None, 0
+    for epoch in range(cfg.max_epochs):
+        perm = rng.permutation(len(ys))
+        for start in range(0, len(ys), cfg.batch_size):
+            rows = perm[start:start + cfg.batch_size]
+            xb, yb = Xs[rows], ys[rows]
+            pre = xb @ model.W1 + model.b1
+            hidden = np.maximum(pre, 0.0)
+            resid = hidden @ model.W2 + model.b2 - yb
+            if not math.isfinite(float(np.mean(resid**2))):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            dpred = 2.0 * resid / len(yb)
+            dhidden = np.outer(dpred, model.W2) * (pre > 0)
+            grads = [xb.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred,
+                     np.array([dpred.sum()])]
+            t += 1
+            adam_step_oracle(params, grads, m, v, t, cfg.learning_rate)
+        val = float(np.sqrt(np.mean((model._forward_scaled(Xvs) - yvs) ** 2)))
+        if not math.isfinite(val):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+        if val < best_val:
+            best_val, best, bad_epochs = val, [p.copy() for p in params], 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                break
+    for p, saved in zip(params, best):
+        p[...] = saved
+    return model, epoch + 1
 
 
 def gru_step_oracle(w, x, h_prev):

@@ -132,6 +132,8 @@ DOTTED_KEYS = {
     "meta_lr": "meta.lr",
     "lgbm_learning_rate": "models.lightgbm.learning_rate",
     "xgb_reg_lambda": "models.xgboost.reg_lambda",
+    "rnn_patience": "models.rnn.patience",
+    "meta_patience": "meta.patience",
 }
 
 
@@ -153,11 +155,12 @@ def test_validate_flags_bad_tree_shapes(field, value):
     ("recap_rnn_hidden", 0), ("rnn_batch", 0), ("recap_rnn_lr", -1.0),
     ("rnn_lr", 0.0), ("xgb_learning_rate", 1.5), ("recap_rnn_epochs", 0),
     ("meta_lr", -0.5), ("lgbm_learning_rate", 0.0), ("rnn_lr", float("nan")),
-    ("xgb_reg_lambda", -1.0),
+    ("xgb_reg_lambda", -1.0), ("rnn_patience", -1), ("meta_patience", -1),
 ])
 def test_validate_flags_bad_training_values(field, value):
     # these used to pass validation and then fail in the recap or train
-    # stage, train the recap GRU for no epoch, or run gradient ascent
+    # stage, train the recap GRU for no epoch, run gradient ascent, or (a
+    # negative patience) stop like patience 0
     cfg = config.PipelineConfig(**{field: value})
     messages = [f.message for f in config.validate_config(cfg)
                 if f.severity == "error"]

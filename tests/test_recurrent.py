@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,47 @@ def test_flat_adam_matches_per_array_oracle():
             np.testing.assert_array_equal(got, want)
 
 
+def test_stopped_model_is_held_at_its_best_weights():
+    """Two quadratic models in one loop. Model 0 scores worse after epoch 1,
+    stops after epoch 3 and from then on returns infinite losses, gradients
+    and scores; the loop neither raises nor warns, holds model 0 still and
+    returns its epoch-1 weights, while model 1 trains through all epochs."""
+    cfg = rnn.TrainConfig(batch_size=4, learning_rate=0.1, max_epochs=10,
+                          patience=1)
+    p = np.zeros((2, 3))
+    target = np.array([1.0, 2.0, 3.0])
+    after_epoch = []  # p after each epoch's last step
+
+    def loss_and_grads(rows):
+        assert rows.shape == (2, 4)
+        diff = p - target
+        loss, grad = np.mean(diff**2, axis=1), 2.0 * diff / 3
+        if len(after_epoch) > 3:
+            loss[0], grad[0] = np.inf, np.inf
+        return loss, [grad]
+
+    def val_rmse():
+        after_epoch.append(p.copy())
+        epoch = len(after_epoch) - 1
+        val0 = [3.0, 2.0, 5.0, 5.0][epoch] if epoch <= 3 else np.inf
+        return np.array([val0, 10.0 - epoch])
+
+    rngs = [np.random.default_rng(seed) for seed in (0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, scores = rnn.train_minibatch([p], loss_and_grads, val_rmse,
+                                             8, cfg, rngs)
+    assert losses.shape == scores.shape == (10, 2)
+    assert scores[:4, 0].tolist() == [3.0, 2.0, 5.0, 5.0]
+    assert np.isnan(scores[4:, 0]).all() and np.isnan(losses[4:, 0]).all()
+    assert scores[:, 1].tolist() == [10.0 - epoch for epoch in range(10)]
+    for held in after_epoch[4:]:
+        np.testing.assert_array_equal(held[0], after_epoch[3][0])
+    np.testing.assert_array_equal(p[0], after_epoch[1][0])
+    np.testing.assert_array_equal(p[1], after_epoch[-1][1])
+    assert not np.array_equal(p[0], after_epoch[3][0])
+
+
 def _train_rnn_full_pass(train, val, arch, cfg):
     """``train_rnn`` as it was when each epoch also ran a forward pass over
     the whole training split to score ``train_rmse``."""
@@ -264,13 +306,17 @@ def _train_rnn_full_pass(train, val, arch, cfg):
         val_rmse = float(np.sqrt(np.mean(
             (rnn._predict_scaled(model, val.X) - y_val) ** 2))) * span
         history.append(rnn.EpochRecord(len(history), train_rmse, val_rmse))
-        return val_rmse
+        return np.array([val_rmse])
+
+    def loss_and_grads(rows):
+        loss, grads = rnn._loss_and_grads(model, train.X[rows[0]],
+                                          y_train[rows[0]])
+        return np.array([loss]), grads
 
     rnn.train_minibatch(
-        model.params(),
-        lambda rows: rnn._loss_and_grads(model, train.X[rows], y_train[rows]),
-        val_rmse, train.X.shape[0], cfg,
-        np.random.default_rng(derive_seed(cfg.seed, "rnn-batches")))
+        [p[None] for p in model.params()], loss_and_grads, val_rmse,
+        train.X.shape[0], cfg,
+        [np.random.default_rng(derive_seed(cfg.seed, "rnn-batches"))])
     return model, history
 
 

@@ -7,6 +7,8 @@ import pytest
 from fxstack import stacking
 from fxstack.errors import ParameterError, SplitError, TrainingError
 from fxstack.market_data import SplitSpec, split_spec_from_fractions
+from fxstack.seeding import derive_seed
+from oracles import meta_nn_oracle
 
 UTC = timezone.utc
 
@@ -82,8 +84,8 @@ def test_meta_nn_learns_near_identity():
     frame = stacking.build_meta_frame(frame.predictions, labels, frame.index)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, test = stacking.split_meta(frame, spec)
-    model = stacking.train_meta_nn(
-        train, val, stacking.Combination(("xgboost",)), seed=1)
+    (model,) = stacking.train_meta_nn(
+        train, val, [stacking.Combination(("xgboost",))], [1])
     resid = model.predict(test) - test.labels
     assert np.sqrt(np.mean(resid ** 2)) < 0.1 * np.std(test.labels)
 
@@ -93,8 +95,8 @@ def test_meta_nn_deterministic():
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, _ = stacking.split_meta(frame, spec)
     combo = stacking.Combination(("xgboost", "gru"))
-    m1 = stacking.train_meta_nn(train, val, combo, seed=9)
-    m2 = stacking.train_meta_nn(train, val, combo, seed=9)
+    (m1,) = stacking.train_meta_nn(train, val, [combo], [9])
+    (m2,) = stacking.train_meta_nn(train, val, [combo], [9])
     np.testing.assert_array_equal(m1.W1, m2.W1)
     np.testing.assert_array_equal(m1.W2, m2.W2)
 
@@ -106,8 +108,69 @@ def test_meta_nn_divergence_raises_training_error():
     train, val, _ = stacking.split_meta(frame, spec)
     cfg = stacking.MetaTrainConfig(learning_rate=1e300)
     with pytest.raises(TrainingError, match="epoch 0"):
-        stacking.train_meta_nn(train, val, stacking.Combination(("gru",)),
-                               seed=0, cfg=cfg)
+        stacking.train_meta_nn(train, val, [stacking.Combination(("gru",))],
+                               [0], cfg=cfg)
+
+
+# on make_frame(300, seed=11) meta-train has 180 rows: patience 3 stops the
+# nets at many different epochs, 64-row batches leave a 52-row remainder and
+# one 256-row batch takes every row
+ORACLE_CFGS = {
+    "patience-3": stacking.MetaTrainConfig(hidden=8, max_epochs=60,
+                                           patience=3, batch_size=60),
+    "partial-batch": stacking.MetaTrainConfig(hidden=8, max_epochs=40,
+                                              patience=10, batch_size=64),
+    "one-batch": stacking.MetaTrainConfig(hidden=8, max_epochs=40,
+                                          patience=5, batch_size=256),
+}
+
+
+def _oracle_split():
+    frame = make_frame(300, seed=11)
+    spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
+    return frame, spec, stacking.split_meta(frame, spec)
+
+
+@pytest.mark.parametrize("case", ORACLE_CFGS)
+def test_stacked_fit_matches_per_net_oracle(case):
+    cfg = ORACLE_CFGS[case]
+    _, _, (train, val, _) = _oracle_split()
+    combos = stacking.enumerate_combinations()
+    seeds = [derive_seed(5, "stacking", k) for k in range(len(combos))]
+    models = stacking.train_meta_nn(train, val, combos, seeds, cfg)
+    assert len(models) == 31
+    epochs_run = []
+    for model, combo, seed in zip(models, combos, seeds):
+        ref, epochs = meta_nn_oracle(train, val, combo, seed, cfg)
+        epochs_run.append(epochs)
+        assert model.members == combo.members
+        for name in ("W1", "b1", "W2", "b2"):
+            np.testing.assert_array_equal(getattr(model, name),
+                                          getattr(ref, name))
+    if case == "patience-3":
+        assert len(set(epochs_run)) > 10 and min(epochs_run) < cfg.max_epochs
+
+
+def test_search_report_matches_oracle_models(monkeypatch):
+    frame, spec, _ = _oracle_split()
+    cfg = ORACLE_CFGS["partial-batch"]
+    report = stacking.run_stacking_search(frame, spec, seed=3, cfg=cfg)
+
+    def oracle_fit(meta_train, meta_val, combos, seeds, cfg):
+        return [meta_nn_oracle(meta_train, meta_val, c, s, cfg)[0]
+                for c, s in zip(combos, seeds)]
+
+    monkeypatch.setattr(stacking, "train_meta_nn", oracle_fit)
+    expected = stacking.run_stacking_search(frame, spec, seed=3, cfg=cfg)
+    assert report.to_json() == expected.to_json()
+
+
+def test_meta_nn_needs_one_seed_per_combination():
+    _, _, (train, val, _) = _oracle_split()
+    with pytest.raises(ParameterError, match="2 combinations but 1 seeds"):
+        stacking.train_meta_nn(train, val, [stacking.Combination(("gru",)),
+                                            stacking.Combination(("lstm",))],
+                               [0])
 
 
 @pytest.fixture(scope="module")
