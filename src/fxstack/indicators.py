@@ -1,5 +1,9 @@
 """Technical indicators over a CandleSeries and FeatureFrame assembly.
 
+:func:`shipped_indicators` lists the indicator columns of the feature set,
+in column order; :func:`compute_features` puts them after the raw OHLC
+columns and before any external columns such as the rolling ARIMA forecasts.
+
 Every indicator is causal: the value at index t depends only on bars <= t.
 Warmup cells (windows not yet full) are NaN and removed later by cleaning.
 
@@ -11,7 +15,7 @@ window yields a neutral value instead of an undefined cell mid-series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,101 +288,47 @@ def roc(closes: np.ndarray, n: int = 10, name: str = "roc") -> IndicatorColumn:
     return _column(name, out)
 
 
-@dataclass(frozen=True)
-class IndicatorSpec:
-    """A requested indicator: kind plus named parameters.
-
-    ``name`` is used as the column name for single-output kinds and as a
-    prefix check for multi-output kinds (macd, bbands, atr family).
-    """
-
-    name: str
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-def _build(spec: IndicatorSpec, series: CandleSeries) -> list[IndicatorColumn]:
-    p = spec.params
+def shipped_indicators(series: CandleSeries) -> list[IndicatorColumn]:
+    """The shipped indicator columns, in feature order (periods follow the
+    feature names used in reports plus industry defaults where unnamed)."""
     closes = series.close
-    if spec.kind == "sma":
-        return [sma(closes, p.get("n", 10), spec.name)]
-    if spec.kind == "ema":
-        return [ema(closes, p.get("n", 10), spec.name)]
-    if spec.kind == "wma":
-        return [wma(closes, p.get("n", 5), spec.name)]
-    if spec.kind == "dema":
-        return [dema(closes, p.get("n", 30), spec.name)]
-    if spec.kind == "tema":
-        return [tema(closes, p.get("n", 30), spec.name)]
-    if spec.kind == "trima":
-        return [trima(closes, p.get("n", 30), spec.name)]
-    if spec.kind == "macd":
-        return list(macd(closes, p.get("fast", 12), p.get("slow", 26),
-                         p.get("signal", 9)))
-    if spec.kind == "willr":
-        return [willr(series, p.get("n", 14), spec.name)]
-    if spec.kind == "bop":
-        return [bop(series, p.get("n", 14), spec.name)]
-    if spec.kind == "atr":
-        return list(true_range_atr(series, p.get("n", 14)))
-    if spec.kind == "price_transforms":
-        return list(price_transforms(series))
-    if spec.kind == "bbands":
-        return list(bbands(closes, p.get("n", 20), p.get("k", 2.0)))
-    if spec.kind == "rsi":
-        return [rsi(closes, p.get("n", 14), spec.name)]
-    if spec.kind == "mom":
-        return [mom(closes, p.get("n", 10), spec.name)]
-    if spec.kind == "roc":
-        return [roc(closes, p.get("n", 10), spec.name)]
-    raise SpecError(f"unknown indicator kind {spec.kind!r}")
-
-
-def default_indicator_specs() -> list[IndicatorSpec]:
-    """The core feature set shipped by default (periods follow the feature
-    names used in reports plus industry defaults where unnamed)."""
     return [
-        IndicatorSpec("sma10", "sma", {"n": 10}),
-        IndicatorSpec("sma30", "sma", {"n": 30}),
-        IndicatorSpec("ema10", "ema", {"n": 10}),
-        IndicatorSpec("wma5", "wma", {"n": 5}),
-        IndicatorSpec("dema", "dema", {"n": 30}),
-        IndicatorSpec("tema", "tema", {"n": 30}),
-        IndicatorSpec("trima30", "trima", {"n": 30}),
-        IndicatorSpec("macd", "macd", {"fast": 12, "slow": 26, "signal": 9}),
-        IndicatorSpec("willr", "willr", {"n": 14}),
-        IndicatorSpec("bop", "bop", {"n": 14}),
-        IndicatorSpec("atr", "atr", {"n": 14}),
-        IndicatorSpec("prices", "price_transforms", {}),
-        IndicatorSpec("bbands", "bbands", {"n": 20, "k": 2.0}),
-        IndicatorSpec("rsi", "rsi", {"n": 14}),
-        IndicatorSpec("mom", "mom", {"n": 10}),
-        IndicatorSpec("roc10", "roc", {"n": 10}),
+        sma(closes, 10, "sma10"),
+        sma(closes, 30, "sma30"),
+        ema(closes, 10, "ema10"),
+        wma(closes, 5, "wma5"),
+        dema(closes, 30),
+        tema(closes, 30),
+        trima(closes, 30, "trima30"),
+        *macd(closes, 12, 26, 9),
+        willr(series, 14),
+        bop(series, 14),
+        *true_range_atr(series, 14),
+        *price_transforms(series),
+        *bbands(closes, 20, 2.0),
+        rsi(closes, 14),
+        mom(closes, 10),
+        roc(closes, 10, "roc10"),
     ]
 
 
 def compute_features(
     series: CandleSeries,
-    specs: list[IndicatorSpec],
+    indicators: bool = True,
     extra: dict[str, np.ndarray] | None = None,
 ) -> FeatureFrame:
-    """Assemble raw OHLC, every requested indicator, and any external columns
-    (e.g. rolling ARIMA forecasts) into one FeatureFrame."""
+    """Assemble raw OHLC, the shipped indicators (unless ``indicators`` is
+    false) and any external columns (e.g. rolling ARIMA forecasts) into one
+    FeatureFrame."""
     columns: dict[str, np.ndarray] = {
         "open": series.open.copy(),
         "high": series.high.copy(),
         "low": series.low.copy(),
         "close": series.close.copy(),
     }
-    seen_spec_names = set()
-    for spec in specs:
-        if spec.name in seen_spec_names:
-            raise SpecError(f"duplicate indicator spec name {spec.name!r}")
-        seen_spec_names.add(spec.name)
-        for col in _build(spec, series):
-            if col.name in columns:
-                raise SpecError(f"duplicate output column {col.name!r}")
-            columns[col.name] = col.values
+    if indicators:
+        columns.update((col.name, col.values)
+                       for col in shipped_indicators(series))
     for name, values in (extra or {}).items():
         if name in columns:
             raise SpecError(f"duplicate extra column {name!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -175,23 +175,20 @@ class FeatureFrame:
 
 
 @dataclass(frozen=True)
-class SupervisedDataset:
-    """Flattened lookback windows for tree models: X is rows x (lookback*F)."""
-
-    feature_names: list[str]
-    X: np.ndarray
-    y: np.ndarray
-    row_timestamps: np.ndarray
-
-
-@dataclass(frozen=True)
 class SequenceDataset:
-    """Sequence windows for recurrent models: X is rows x lookback x F."""
+    """Lookback windows with one label per row: X is rows x lookback x F
+    for recurrent models (:func:`to_sequences`), or rows x (lookback*F)
+    with lagged feature names for tree models (:func:`to_windowed`)."""
 
     feature_names: list[str]
     X: np.ndarray
     y: np.ndarray
     row_timestamps: np.ndarray
+
+    def take(self, rows) -> "SequenceDataset":
+        """The rows selected by ``rows`` (a slice, mask or index array)."""
+        return replace(self, X=self.X[rows], y=self.y[rows],
+                       row_timestamps=self.row_timestamps[rows])
 
 
 @dataclass(frozen=True)
@@ -504,7 +501,7 @@ def to_sequences(frame: FeatureFrame, lookback: int) -> SequenceDataset:
     )
 
 
-def to_windowed(frame: FeatureFrame, lookback: int) -> SupervisedDataset:
+def to_windowed(frame: FeatureFrame, lookback: int) -> SequenceDataset:
     """Flattened sliding windows for tree models.
 
     Column order is oldest lag first, grouped by lag:
@@ -518,6 +515,4 @@ def to_windowed(frame: FeatureFrame, lookback: int) -> SupervisedDataset:
         for step in range(lookback)
         for base in seq.feature_names
     ]
-    return SupervisedDataset(
-        feature_names=names, X=X, y=seq.y, row_timestamps=seq.row_timestamps
-    )
+    return replace(seq, feature_names=names, X=X)

@@ -23,7 +23,7 @@ from .arima import rolling_forecast_feature, select_order
 from .config import PipelineConfig, check_config, config_to_mapping
 from .errors import FxStackError
 from .evaluation import Metrics, compute_metrics, format_results_table
-from .indicators import compute_features, default_indicator_specs
+from .indicators import compute_features
 from .market_data import (
     CandleSeries,
     FeatureFrame,
@@ -109,7 +109,6 @@ def _features(
 ) -> tuple[FeatureFrame, dict, dict]:
     """Feature frame, the selected ARIMA order of each ARIMA column and the
     count of its rolling refits that kept the previous coefficients."""
-    specs = default_indicator_specs() if config.use_indicators else []
     extra: dict[str, np.ndarray] = {}
     orders: dict[str, list[int]] = {}
     fallbacks: dict[str, int] = {}
@@ -127,7 +126,7 @@ def _features(
                 values, search.selected, fit_len=config.arima_fit_len,
                 refit_every=config.arima_refit_every,
             )
-    frame = compute_features(series, specs, extra=extra)
+    frame = compute_features(series, config.use_indicators, extra=extra)
     return frame, orders, fallbacks
 
 
@@ -214,16 +213,8 @@ def _train_base_models(
     scaler = fit_scaler(seq_fit)
     fit_scaled = apply_scaler(scaler, seq_fit)
     test_scaled = apply_scaler(scaler, seq_test)
-    early = dataclasses.replace(
-        fit_scaled,
-        X=fit_scaled.X[n_rows - n_stop:], y=fit_scaled.y[n_rows - n_stop:],
-        row_timestamps=fit_scaled.row_timestamps[n_rows - n_stop:],
-    )
-    core = dataclasses.replace(
-        fit_scaled,
-        X=fit_scaled.X[:n_rows - n_stop], y=fit_scaled.y[:n_rows - n_stop],
-        row_timestamps=fit_scaled.row_timestamps[:n_rows - n_stop],
-    )
+    core = fit_scaled.take(slice(None, n_rows - n_stop))
+    early = fit_scaled.take(slice(n_rows - n_stop, None))
     for cell in ("lstm", "gru"):
         cfg = TrainConfig(
             batch_size=config.rnn_batch, learning_rate=config.rnn_lr,

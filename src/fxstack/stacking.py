@@ -2,6 +2,11 @@
 models, train a small neural meta-learner per subset on their out-of-sample
 predictions, and select the winner.
 
+The stacking window is a :class:`~fxstack.market_data.FeatureFrame` whose
+feature columns are the five base-model predictions in ``MODEL_ORDER`` and
+whose label column is the actual target, so it is split and read like any
+other frame.
+
 The meta-learners reuse the training pieces of :mod:`fxstack.recurrent`:
 its min-max scaler for inputs and label, and its Adam early-stopping loop,
 which :func:`train_meta_nn` runs once for all 31 nets stacked along a
@@ -20,23 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SplitError
+from .errors import ParameterError
 from .evaluation import compute_metrics
-from .market_data import SplitSpec, in_range
+from .market_data import FeatureFrame, SplitSpec, split_by_dates
 from .recurrent import MinMaxScaler, train_minibatch
 from .seeding import derive_seed
 
 MODEL_ORDER = ("xgboost", "lightgbm", "random_forest", "lstm", "gru")
-
-
-@dataclass(frozen=True)
-class MetaFrame:
-    """Stacking-window frame: one prediction column per base model plus the
-    actual label."""
-
-    index: np.ndarray
-    predictions: dict[str, np.ndarray]
-    labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,8 +52,9 @@ def build_meta_frame(
     base_predictions: dict[str, np.ndarray],
     labels: np.ndarray,
     timestamps: np.ndarray,
-) -> MetaFrame:
-    """Assemble the five prediction columns and the label, in fixed order."""
+) -> FeatureFrame:
+    """Assemble the five prediction columns, in ``MODEL_ORDER``, and the
+    label column."""
     if set(base_predictions) != set(MODEL_ORDER):
         raise ParameterError(
             f"expected predictions for exactly {MODEL_ORDER}, "
@@ -68,17 +64,18 @@ def build_meta_frame(
     n = len(labels)
     if len(timestamps) != n:
         raise ParameterError("timestamps and labels length mismatch")
-    ordered = {}
+    columns = {}
     for name in MODEL_ORDER:
         pred = np.asarray(base_predictions[name], dtype=float)
         if len(pred) != n:
             raise ParameterError(f"prediction length mismatch for {name!r}")
         if not np.isfinite(pred).all():
             raise ParameterError(f"non-finite prediction from model {name!r}")
-        ordered[name] = pred
+        columns[name] = pred
     if not np.isfinite(labels).all():
         raise ParameterError("labels must be finite")
-    return MetaFrame(index=timestamps, predictions=ordered, labels=labels)
+    columns["label"] = labels
+    return FeatureFrame(index=timestamps, columns=columns, label_name="label")
 
 
 def enumerate_combinations() -> list[Combination]:
@@ -91,20 +88,11 @@ def enumerate_combinations() -> list[Combination]:
 
 
 def split_meta(
-    frame: MetaFrame, spec: SplitSpec
-) -> tuple[MetaFrame, MetaFrame, MetaFrame]:
-    """Timestamp partition of the stacking window into train/val/test."""
-    out = []
-    for name, (start, end) in spec.ranges().items():
-        mask = in_range(frame.index, start, end)
-        if not mask.any():
-            raise SplitError(f"meta {name} split contains no rows")
-        out.append(MetaFrame(
-            index=frame.index[mask],
-            predictions={k: v[mask] for k, v in frame.predictions.items()},
-            labels=frame.labels[mask],
-        ))
-    return out[0], out[1], out[2]
+    frame: FeatureFrame, spec: SplitSpec
+) -> tuple[FeatureFrame, FeatureFrame, FeatureFrame]:
+    """Timestamp partition of the stacking window into train/val/test (its
+    own name so that the benchmark tracer can time the meta split)."""
+    return split_by_dates(frame, spec)
 
 
 @dataclass
@@ -124,14 +112,10 @@ class MetaModel:
         hidden = np.maximum(Xs @ self.W1 + self.b1, 0.0)
         return hidden @ self.W2 + self.b2
 
-    def predict(self, frame: MetaFrame) -> np.ndarray:
-        X = _inputs(frame, self.members)
+    def predict(self, frame: FeatureFrame) -> np.ndarray:
+        X = frame.matrix(list(self.members))
         ys = self._forward_scaled(self.in_scaler.transform(X))
         return self.label_scaler.inverse_transform(ys)
-
-
-def _inputs(frame: MetaFrame, members: tuple[str, ...]) -> np.ndarray:
-    return np.column_stack([frame.predictions[m] for m in members])
 
 
 @dataclass(frozen=True)
@@ -144,8 +128,8 @@ class MetaTrainConfig:
 
 
 def train_meta_nn(
-    meta_train: MetaFrame,
-    meta_val: MetaFrame,
+    meta_train: FeatureFrame,
+    meta_val: FeatureFrame,
     combos: list[Combination],
     seeds: list[int],
     cfg: MetaTrainConfig = MetaTrainConfig(),
@@ -168,13 +152,13 @@ def train_meta_nn(
             f"{len(combos)} combinations but {len(seeds)} seeds")
     n_nets, hid = len(combos), cfg.hidden
     # per-column scaling, so each net's inputs are columns of one scaled frame
-    X = _inputs(meta_train, MODEL_ORDER)
+    X = meta_train.matrix(list(MODEL_ORDER))
     in_scaler = MinMaxScaler.fit(X)
     S = in_scaler.transform(X)
-    Sv = in_scaler.transform(_inputs(meta_val, MODEL_ORDER))
-    label_scaler = MinMaxScaler.fit(meta_train.labels)
-    ys = label_scaler.transform(meta_train.labels)
-    yvs = label_scaler.transform(meta_val.labels)
+    Sv = in_scaler.transform(meta_val.matrix(list(MODEL_ORDER)))
+    label_scaler = MinMaxScaler.fit(meta_train.label)
+    ys = label_scaler.transform(meta_train.label)
+    yvs = label_scaler.transform(meta_val.label)
 
     columns = [[MODEL_ORDER.index(m) for m in c.members] for c in combos]
     rngs = [np.random.default_rng(derive_seed(seed, "meta-nn", *c.members))
@@ -293,7 +277,7 @@ class StackingReport:
 
 
 def run_stacking_search(
-    frame: MetaFrame,
+    frame: FeatureFrame,
     meta_spec: SplitSpec,
     seed: int,
     cfg: MetaTrainConfig = MetaTrainConfig(),
@@ -314,9 +298,9 @@ def run_stacking_search(
     )
     rows: list[CombinationResult] = []
     for combo_id, (combo, model) in enumerate(zip(combos, models)):
-        val_metrics = compute_metrics(model.predict(meta_val), meta_val.labels)
+        val_metrics = compute_metrics(model.predict(meta_val), meta_val.label)
         test_metrics = compute_metrics(model.predict(meta_test),
-                                       meta_test.labels)
+                                       meta_test.label)
         rows.append(CombinationResult(
             combo_id=combo_id,
             members=combo.members,

@@ -197,14 +197,14 @@ def meta_nn_oracle(meta_train, meta_val, combo, seed, cfg):
     meta-validation RMSE, as a single-net loop. Returns the model at its
     best-validation weights and the number of epochs run."""
     members = combo.members
-    X = np.column_stack([meta_train.predictions[m] for m in members])
-    Xv = np.column_stack([meta_val.predictions[m] for m in members])
+    X = np.column_stack([meta_train.column(m) for m in members])
+    Xv = np.column_stack([meta_val.column(m) for m in members])
     rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
     hid = cfg.hidden
     model = MetaModel(
         members=members,
         in_scaler=MinMaxScaler.fit(X),
-        label_scaler=MinMaxScaler.fit(meta_train.labels),
+        label_scaler=MinMaxScaler.fit(meta_train.label),
         W1=rng.uniform(-1, 1, size=(len(members), hid))
         * np.sqrt(6.0 / (len(members) + hid)),
         b1=np.zeros(hid),
@@ -213,8 +213,8 @@ def meta_nn_oracle(meta_train, meta_val, combo, seed, cfg):
     )
     Xs = model.in_scaler.transform(X)
     Xvs = model.in_scaler.transform(Xv)
-    ys = model.label_scaler.transform(meta_train.labels)
-    yvs = model.label_scaler.transform(meta_val.labels)
+    ys = model.label_scaler.transform(meta_train.label)
+    yvs = model.label_scaler.transform(meta_val.label)
     params = [model.W1, model.b1, model.W2, model.b2]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]

@@ -125,8 +125,8 @@ def test_target_and_windowing_leakage_suite():
         high=series.high[:m], low=series.low[:m], close=series.close[:m],
         timeframe=series.timeframe)
     causal = True
-    frame_full = ind.compute_features(series, ind.default_indicator_specs())
-    frame_head = ind.compute_features(head, ind.default_indicator_specs())
+    frame_full = ind.compute_features(series)
+    frame_head = ind.compute_features(head)
     for name in frame_full.feature_names:
         full = frame_full.column(name)[:m]
         trunc = frame_head.column(name)

@@ -168,7 +168,7 @@ def test_bad_periods_raise(series):
 
 
 def test_compute_features_assembles_all_columns(series):
-    frame = ind.compute_features(series, ind.default_indicator_specs(),
+    frame = ind.compute_features(series,
                                  extra={"arima_close": series.close.copy()})
     names = frame.feature_names
     assert names[:4] == ["open", "high", "low", "close"]
@@ -178,8 +178,5 @@ def test_compute_features_assembles_all_columns(series):
 
 
 def test_compute_features_rejects_duplicates(series):
-    specs = [ind.IndicatorSpec("sma10", "sma", {"n": 10})] * 2
     with pytest.raises(SpecError):
-        ind.compute_features(series, specs)
-    with pytest.raises(SpecError):
-        ind.compute_features(series, [], extra={"close": series.close})
+        ind.compute_features(series, False, extra={"close": series.close})

@@ -47,21 +47,21 @@ def test_combination_validation_and_label():
 
 def test_build_meta_frame_validation():
     frame = make_frame(50)
-    preds = dict(frame.predictions)
+    preds = {m: frame.column(m) for m in stacking.MODEL_ORDER}
     del preds["gru"]
     with pytest.raises(ParameterError):
-        stacking.build_meta_frame(preds, frame.labels, frame.index)
-    bad = dict(frame.predictions)
+        stacking.build_meta_frame(preds, frame.label, frame.index)
+    bad = {m: frame.column(m) for m in stacking.MODEL_ORDER}
     bad["gru"] = np.full(50, np.nan)
     with pytest.raises(ParameterError, match="gru"):
-        stacking.build_meta_frame(bad, frame.labels, frame.index)
+        stacking.build_meta_frame(bad, frame.label, frame.index)
 
 
 def test_split_meta_partitions():
     frame = make_frame(200)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, test = stacking.split_meta(frame, spec)
-    assert len(train.labels) + len(val.labels) + len(test.labels) == 200
+    assert len(train.label) + len(val.label) + len(test.label) == 200
     assert train.index[-1] < val.index[0] <= val.index[-1] < test.index[0]
 
 
@@ -80,14 +80,15 @@ def test_split_meta_empty_range_rejected():
 def test_meta_nn_learns_near_identity():
     frame = make_frame(800, seed=3, noise=1e-4)
     # label == xgboost predictions exactly: the network should calibrate
-    labels = frame.predictions["xgboost"].copy()
-    frame = stacking.build_meta_frame(frame.predictions, labels, frame.index)
+    labels = frame.column("xgboost").copy()
+    frame = stacking.build_meta_frame(
+        {m: frame.column(m) for m in stacking.MODEL_ORDER}, labels, frame.index)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, test = stacking.split_meta(frame, spec)
     (model,) = stacking.train_meta_nn(
         train, val, [stacking.Combination(("xgboost",))], [1])
-    resid = model.predict(test) - test.labels
-    assert np.sqrt(np.mean(resid ** 2)) < 0.1 * np.std(test.labels)
+    resid = model.predict(test) - test.label
+    assert np.sqrt(np.mean(resid ** 2)) < 0.1 * np.std(test.label)
 
 
 def test_meta_nn_deterministic():
