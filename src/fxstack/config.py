@@ -51,7 +51,6 @@ class PipelineConfig:
     seed: int = _key("seed", 0)
     out_dir: str = _key("out_dir", "out")
     paper_mode: bool = _key("paper_mode", False)
-    leakage_guard: bool = _key("leakage_guard", True)
 
     # feature engineering
     use_indicators: bool = _key("features.indicators", True)
@@ -248,8 +247,6 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
     if config.paper_mode:
         warn("paper_mode: recap held-out and stacking selection use the final "
              "test window — results are leakage-biased by construction")
-    if not config.leakage_guard and not config.paper_mode:
-        warn("leakage_guard disabled; window-overlap checks are skipped")
     return findings
 
 

@@ -1,8 +1,7 @@
 """Technical indicators over a CandleSeries and FeatureFrame assembly.
 
-:func:`shipped_indicators` lists the indicator columns of the feature set,
-in column order; :func:`compute_features` puts them after the raw OHLC
-columns and before any external columns such as the rolling ARIMA forecasts.
+:func:`compute_features` puts the columns of :func:`shipped_indicators`, in
+their order, between the raw OHLC and any external (e.g. ARIMA) columns.
 
 Every indicator is causal: the value at index t depends only on bars <= t.
 Warmup cells (windows not yet full) are NaN and removed later by cleaning.

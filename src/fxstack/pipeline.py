@@ -4,7 +4,8 @@ recap -> base-model training -> stacking search -> artifact emission.
 Every stage failure aborts with the stage name and original cause; artifacts
 are only written after all compute succeeds, and a failed write cleans up
 whatever it managed to create. ``report.json`` excludes wall-clock timings
-(they go to ``timings.json``) so identical config+seed runs are byte-identical.
+(they go to ``timings.json``) and the output directory, so identical
+config+seed runs are byte-identical wherever they write.
 """
 
 from __future__ import annotations
@@ -275,11 +276,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
                     max_epochs=config.recap_rnn_epochs, patience=3,
                 ),
                 seed=derive_seed(config.seed, "recap", k),
-                leakage_guard=config.leakage_guard and not config.paper_mode,
             )
-            results[k] = run_recap(
-                clean_frame, recap_split, recap_cfg, final_test_range=spec.test
-            )
+            # paper_mode holds out the test window on purpose
+            results[k] = run_recap(clean_frame, recap_split, recap_cfg,
+                                   None if config.paper_mode else spec.test)
         return results
 
     recap_results = staged("recap", _run_recaps)
@@ -315,7 +315,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
 
     report = RunReport(
         version=__version__,
-        config=config_to_mapping(config),
+        config={k: v for k, v in config_to_mapping(config).items()
+                if k != "out_dir"},
         cleaning_counts=cleaning_counts,
         ingest_dropped=dropped,
         arima_orders=arima_orders,

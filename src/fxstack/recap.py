@@ -136,7 +136,6 @@ class RecapConfig:
         batch_size=256, learning_rate=3e-3, max_epochs=8, patience=3))
     seed: int = 0
     with_baseline: bool = False
-    leakage_guard: bool = True
 
     # importance kind per tree model, in Eq-order (boost, forest, histogram)
     MODEL_KINDS = (
@@ -173,10 +172,10 @@ def run_recap(
     """Full recap procedure on a cleaned, labeled frame.
 
     ``recap_split.validation`` is the held-out range used for the per-model
-    RMSEs and the final evaluation; with the leakage guard on, it must not
-    overlap ``final_test_range``.
+    RMSEs and the final evaluation; when ``final_test_range`` is given, no
+    recap range but ``test`` may overlap it (:class:`LeakageError`).
     """
-    if config.leakage_guard and final_test_range is not None:
+    if final_test_range is not None:
         test_start, test_end = final_test_range
         for name, (start, end) in recap_split.ranges().items():
             if name == "test":

@@ -2,10 +2,8 @@
 models, train a small neural meta-learner per subset on their out-of-sample
 predictions, and select the winner.
 
-The stacking window is a :class:`~fxstack.market_data.FeatureFrame` whose
-feature columns are the five base-model predictions in ``MODEL_ORDER`` and
-whose label column is the actual target, so it is split and read like any
-other frame.
+The stacking window is a ``FeatureFrame``: the five base-model prediction
+columns in ``MODEL_ORDER`` plus the label column.
 
 The meta-learners reuse the training pieces of :mod:`fxstack.recurrent`:
 its min-max scaler for inputs and label, and its Adam early-stopping loop,

@@ -5,6 +5,7 @@ Each test prints a single ``ACCEPTANCE <name>: PASS/FAIL`` line (visible with
 the runtime budget where one applies.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -328,18 +329,17 @@ def test_metrics_properties():
 
 @pytest.mark.slow
 def test_pipeline_determinism(tmp_path):
-    """Two full runs with identical config and seed produce byte-identical
-    report.json."""
-    out = tmp_path / "run"
+    """Two full runs with identical config and seed, into different output
+    directories, produce byte-identical report.json."""
     cfg = PipelineConfig(
-        out_dir=str(out), synthetic_n=1200, recap_ks=(6,), xgb_n_trees=8,
+        synthetic_n=1200, recap_ks=(6,), xgb_n_trees=8,
         lgbm_n_trees=8, forest_n_trees=6, rnn_epochs=2, rnn_hidden=8,
         recap_rnn_epochs=2, recap_rnn_hidden=8, meta_epochs=30,
         arima_fit_len=400, seed=21,
     )
     digests = []
-    for _ in range(2):
-        run_pipeline(cfg)
+    for out in (tmp_path / "run", tmp_path / "elsewhere"):
+        run_pipeline(dataclasses.replace(cfg, out_dir=str(out)))
         digests.append(hashlib.sha256(
             (out / "report.json").read_bytes()).hexdigest())
     report("pipeline-determinism", digests[0] == digests[1],

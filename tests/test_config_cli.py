@@ -39,12 +39,12 @@ def test_parse_json_config(tmp_path):
         "data.source": "synthetic",
         "data.n": 1800,
         "recap.k": [20],
-        "leakage_guard": False,
+        "features.arima": False,
     }))
     cfg = config.load_config(str(path))
     assert cfg.synthetic_n == 1800
     assert cfg.recap_ks == (20,)
-    assert cfg.leakage_guard is False
+    assert cfg.use_arima is False
 
 
 def test_unknown_key_rejected():

@@ -177,6 +177,18 @@ def test_compute_features_assembles_all_columns(series):
         assert expected in names
 
 
+def test_compute_features_column_order(series):
+    """The column order drives features.csv and the tree feature indices."""
+    frame = ind.compute_features(series, extra={
+        "arima_close": series.close.copy(), "arima_high": series.high.copy()})
+    assert frame.feature_names == [
+        "open", "high", "low", "close", "sma10", "sma30", "ema10", "wma5",
+        "dema", "tema", "trima30", "macd", "macdsignal", "macdhist", "willr",
+        "bop", "trange", "atr", "natr", "avgprice", "medprice", "typprice",
+        "wclprice", "upperband", "middleband", "lowerband", "rsi", "mom",
+        "roc10", "arima_close", "arima_high"]
+
+
 def test_compute_features_rejects_duplicates(series):
     with pytest.raises(SpecError):
         ind.compute_features(series, False, extra={"close": series.close})

@@ -123,10 +123,6 @@ def test_leakage_guard_rejects_overlap(planted):
     with pytest.raises(LeakageError):
         recap.run_recap(planted.frame, spec, _quick_config(),
                         final_test_range=overlapping)
-    # guard off: same call passes
-    cfg = recap.RecapConfig(**{**_quick_config().__dict__,
-                               "leakage_guard": False})
-    recap.run_recap(planted.frame, spec, cfg, final_test_range=overlapping)
 
 
 def test_export_scores_csv(tmp_path, planted):
