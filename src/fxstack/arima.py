@@ -1,9 +1,12 @@
 """ARMA fitting with AIC order selection and causal rolling forecast columns.
 
-Estimation is by conditional least squares: the AR part (plus intercept) is
-an ordinary regression on lagged values; MA terms are added by iterating a
-regression on lagged residuals (conditional sum of squares). The likelihood
-is the Gaussian conditional likelihood implied by the residual variance.
+Estimation is by least squares. An AR model (plus intercept) is an ordinary
+regression on lagged values. A model with MA terms is fit by Hannan-Rissanen
+(Biometrika, 1982): a long autoregression estimates the innovations, then one
+regression on lagged values and lagged innovations gives the coefficients.
+The residuals are the recursive (conditional) ones with pre-sample residuals
+taken as zero, and the likelihood is the Gaussian conditional likelihood
+implied by their variance.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .errors import (
 )
 
 _VARIANCE_FLOOR = 1e-300  # keeps the log-likelihood finite on exact fits
-_CSS_MAX_ITER = 50
-_CSS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class ArmaModel:
     residual_variance: float
     n_fit: int
     log_likelihood: float
+    residuals: np.ndarray  # recursive residuals of w[p:], as _css_residuals
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,21 @@ def _css_residuals(
     return resid
 
 
+def _regress_on_lags(
+    w: np.ndarray, start: int, lagged: list[tuple[np.ndarray, int]]
+) -> np.ndarray:
+    """Least-squares coefficients of ``w[t]`` on an intercept and, for each
+    ``(x, k)`` in ``lagged``, on ``x[t-1], ..., x[t-k]``, over the rows
+    ``t >= start``: intercept first."""
+    n = len(w)
+    columns = [np.ones(n - start)]
+    for x, k in lagged:
+        columns += [x[start - i:n - i] for i in range(1, k + 1)]
+    # stacked column by column (Fortran order): each column is one
+    # contiguous copy, and lstsq takes the same values in any layout
+    return _solve_lstsq(np.array(columns).T, w[start:])
+
+
 def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
     """Fit ARMA(p, q) to the d-times differenced series."""
     x = np.asarray(series, dtype=float)
@@ -137,37 +154,19 @@ def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
             f"{n} points after differencing; need >= {10 * (p + q + 1)} "
             f"for ARMA({p},{q})"
         )
-    # AR + intercept by ordinary least squares on lagged values
-    rows = n - p
-    design = np.ones((rows, 1 + p))
-    for i in range(1, p + 1):
-        design[:, i] = w[p - i:n - i]
-    target = w[p:]
-    coef = _solve_lstsq(design, target)
-    intercept, ar = float(coef[0]), coef[1:]
-    ma = np.zeros(q)
-    if q > 0:
-        # iterated CSS: regress on lagged values and lagged recursive residuals
-        prev = np.concatenate(([intercept], ar, ma))
-        for _ in range(_CSS_MAX_ITER):
-            resid_full = np.zeros(n)
-            resid_full[p:] = _css_residuals(w, intercept, ar, ma)
-            design_q = np.ones((rows, 1 + p + q))
-            for i in range(1, p + 1):
-                design_q[:, i] = w[p - i:n - i]
-            for j in range(1, q + 1):
-                lagged = np.zeros(rows)
-                lagged[j:] = resid_full[p:n - j]
-                design_q[:, p + j] = lagged
-            coef = _solve_lstsq(design_q, target)
-            intercept, ar, ma = float(coef[0]), coef[1:1 + p], coef[1 + p:]
-            if np.max(np.abs(coef - prev)) < _CSS_TOL:
-                break
-            prev = coef
-        else:
-            raise DegenerateFitError(
-                f"MA estimation did not converge in {_CSS_MAX_ITER} iterations"
-            )
+    if q == 0:
+        coef = _regress_on_lags(w, p, [(w, p)])
+    else:
+        # Hannan-Rissanen: a long AR stands in for the innovations, then
+        # one regression on lagged values and lagged innovations
+        m = min(max(2 * (p + q), 20), (n - p - q) // 4)
+        long_ar = _regress_on_lags(w, m, [(w, m)])
+        innovations = np.zeros(n)
+        innovations[m:] = _css_residuals(
+            w, float(long_ar[0]), long_ar[1:], np.zeros(0))
+        coef = _regress_on_lags(
+            w, max(m + q, p), [(w, p), (innovations, q)])
+    intercept, ar, ma = float(coef[0]), coef[1:1 + p], coef[1 + p:]
     resid = _css_residuals(w, intercept, ar, ma)
     sigma2 = float(np.mean(resid**2))
     n_eff = len(resid)
@@ -184,6 +183,7 @@ def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
         residual_variance=sigma2,
         n_fit=n_eff,
         log_likelihood=float(log_lik),
+        residuals=resid,
     )
 
 
@@ -206,16 +206,11 @@ def select_order(
     orders are scored on the same observations.
     """
     grid: list[tuple[int, int, int, float]] = []
-    x = np.asarray(series, dtype=float)
     for d in d_set:
-        w = np.diff(x, n=d) if d > 0 else x
         for p in range(p_max + 1):
             for q in range(q_max + 1):
                 try:
-                    model = fit_arma(series, p, d, q)
-                    resid = _css_residuals(
-                        w, model.intercept, model.ar_coeffs, model.ma_coeffs
-                    )
+                    resid = fit_arma(series, p, d, q).residuals
                 except (DegenerateFitError, InsufficientDataError):
                     continue
                 tail = resid[p_max - p:] if p_max > p else resid
@@ -259,16 +254,15 @@ def rolling_forecast_feature(
         m0, m1 = t0 - d, t1 - d
         try:
             fitted = fit_arma(x[:t0], p, d, q)
-            resid = _css_residuals(
-                w[:m0], fitted.intercept, fitted.ar_coeffs, fitted.ma_coeffs)
         except DegenerateFitError:
             if model is None:
                 raise
             fallbacks += 1
         else:
+            # the fit's residuals are those of w[:m0], since w is diff(x)
             model = fitted
-            lags = [float(resid[m0 - p - j]) if m0 - j >= p else 0.0
-                    for j in range(1, q + 1)]
+            lags = [float(model.residuals[m0 - p - j]) if m0 - j >= p
+                    else 0.0 for j in range(1, q + 1)]
         # AR part with the intercept first, the order of the per-bar forecast
         pred = np.full(m1 - m0, model.intercept)
         for i in range(1, p + 1):

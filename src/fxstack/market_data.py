@@ -160,8 +160,8 @@ class FeatureFrame:
         per block of ``_CSV_BLOCK_ROWS`` rows."""
         names = list(self.columns)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["datetime"] + names)
+            # a column name can need quoting, so the header goes through csv
+            csv.writer(fh).writerow(["datetime"] + names)
             for start in range(0, len(self), _CSV_BLOCK_ROWS):
                 rows = slice(start, start + _CSV_BLOCK_ROWS)
                 cells = [[format_rfc3339(t) for t in self.index[rows]]]
@@ -171,7 +171,10 @@ class FeatureFrame:
                     for i in np.flatnonzero(~np.isfinite(values)).tolist():
                         text[i] = "NaN"
                     cells.append(text)
-                writer.writerows(zip(*cells))
+                # no cell (an RFC 3339 stamp, a float repr or NaN) holds a
+                # comma, a quote or a line break, so none needs quoting;
+                # "\r\n" is csv.writer's line terminator
+                fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 @dataclass(frozen=True)

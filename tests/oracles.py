@@ -10,7 +10,11 @@ import math
 import numpy as np
 
 from fxstack import arima
-from fxstack.errors import DegenerateFitError, TrainingError
+from fxstack.errors import (
+    DegenerateFitError,
+    InsufficientDataError,
+    TrainingError,
+)
 from fxstack.market_data import format_rfc3339
 from fxstack.recurrent import MinMaxScaler
 from fxstack.seeding import derive_seed
@@ -385,6 +389,76 @@ def css_residuals_oracle(w, intercept, ar, ma):
     if not np.isfinite(resid).all():
         raise DegenerateFitError("residual recursion diverged (non-invertible MA)")
     return resid[start:]
+
+
+_CSS_MAX_ITER = 50
+_CSS_TOL = 1e-8
+
+
+def css_fit_oracle(series, p, d, q):
+    """``arima.fit_arma`` as it estimated ARMA(p, q) before Hannan-Rissanen:
+    ordinary least squares for the AR part, then, for q >= 1, the
+    regression on lagged values and lagged recursive residuals iterated
+    until the coefficients move by less than ``_CSS_TOL`` (conditional sum
+    of squares). Raises ``DegenerateFitError`` when it does not converge in
+    ``_CSS_MAX_ITER`` iterations."""
+    x = np.asarray(series, dtype=float)
+    w = np.diff(x, n=d) if d > 0 else x
+    n = len(w)
+    if n < 10 * (p + q + 1):
+        raise InsufficientDataError(
+            f"{n} points after differencing; need >= {10 * (p + q + 1)} "
+            f"for ARMA({p},{q})"
+        )
+    # AR + intercept by ordinary least squares on lagged values
+    rows = n - p
+    design = np.ones((rows, 1 + p))
+    for i in range(1, p + 1):
+        design[:, i] = w[p - i:n - i]
+    target = w[p:]
+    coef = arima._solve_lstsq(design, target)
+    intercept, ar = float(coef[0]), coef[1:]
+    ma = np.zeros(q)
+    if q > 0:
+        # iterated CSS: regress on lagged values and lagged recursive residuals
+        prev = np.concatenate(([intercept], ar, ma))
+        for _ in range(_CSS_MAX_ITER):
+            resid_full = np.zeros(n)
+            resid_full[p:] = arima._css_residuals(w, intercept, ar, ma)
+            design_q = np.ones((rows, 1 + p + q))
+            for i in range(1, p + 1):
+                design_q[:, i] = w[p - i:n - i]
+            for j in range(1, q + 1):
+                lagged = np.zeros(rows)
+                lagged[j:] = resid_full[p:n - j]
+                design_q[:, p + j] = lagged
+            coef = arima._solve_lstsq(design_q, target)
+            intercept, ar, ma = float(coef[0]), coef[1:1 + p], coef[1 + p:]
+            if np.max(np.abs(coef - prev)) < _CSS_TOL:
+                break
+            prev = coef
+        else:
+            raise DegenerateFitError(
+                f"MA estimation did not converge in {_CSS_MAX_ITER} iterations"
+            )
+    resid = arima._css_residuals(w, intercept, ar, ma)
+    sigma2 = float(np.mean(resid**2))
+    n_eff = len(resid)
+    log_lik = -0.5 * n_eff * (
+        np.log(2.0 * np.pi * max(sigma2, arima._VARIANCE_FLOOR)) + 1.0
+    )
+    return arima.ArmaModel(
+        p=p,
+        d=d,
+        q=q,
+        ar_coeffs=np.asarray(ar, dtype=float),
+        ma_coeffs=np.asarray(ma, dtype=float),
+        intercept=intercept,
+        residual_variance=sigma2,
+        n_fit=n_eff,
+        log_likelihood=float(log_lik),
+        residuals=resid,
+    )
 
 
 def _one_step_forecast_oracle(w, resid, model):

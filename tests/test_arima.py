@@ -9,7 +9,11 @@ from fxstack.errors import (
 )
 from fxstack.market_data import generate_synthetic_ohlc
 from fxstack.seeding import derive_seed
-from oracles import css_residuals_oracle, rolling_forecast_oracle
+from oracles import (
+    css_fit_oracle,
+    css_residuals_oracle,
+    rolling_forecast_oracle,
+)
 
 
 def ar2_series(n, phi1=0.6, phi2=-0.3, seed=0, burn=200):
@@ -138,12 +142,16 @@ def test_rolling_forecast_with_differencing_tracks_level():
 def stub_fit(series, p, d, q):
     """Stand-in for ``arima.fit_arma`` whose coefficients depend on the
     history length, so every refit changes the model. MA coefficients stay
-    below 1/4 in size, so the MA part is invertible for q <= 3."""
+    below 1/4 in size, so the MA part is invertible for q <= 3. Its
+    residuals are the recursion's on its own coefficients, as a fit's are."""
     rng = np.random.default_rng(len(series))
+    ar, ma = rng.uniform(-0.3, 0.3, p), rng.uniform(-0.25, 0.25, q)
+    intercept = rng.normal(0, 0.1)
+    w = np.diff(series, n=d) if d else np.asarray(series, dtype=float)
     return arima.ArmaModel(
-        p=p, d=d, q=q, ar_coeffs=rng.uniform(-0.3, 0.3, p),
-        ma_coeffs=rng.uniform(-0.25, 0.25, q), intercept=rng.normal(0, 0.1),
-        residual_variance=1.0, n_fit=len(series), log_likelihood=0.0)
+        p=p, d=d, q=q, ar_coeffs=ar, ma_coeffs=ma, intercept=intercept,
+        residual_variance=1.0, n_fit=len(series), log_likelihood=0.0,
+        residuals=arima._css_residuals(w, intercept, ar, ma))
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -228,10 +236,69 @@ def test_non_invertible_ma_is_degenerate():
     with pytest.raises(DegenerateFitError, match="non-invertible"):
         arima._css_residuals(w, 0.0, np.array([]), np.array([3.0]))
     # the pipeline's synthetic prices at seed 56: the iterated CSS fit of
-    # ARMA(4, 2) on the first 1100 ends with a non-invertible MA part
+    # ARMA(4, 2) on the first 1100 ends with a non-invertible MA part, and
+    # the Hannan-Rissanen fit does not
     close = generate_synthetic_ohlc(1500, seed=derive_seed(56, "data")).close
     with pytest.raises(DegenerateFitError, match="non-invertible"):
-        arima.fit_arma(close[:1100], 4, 0, 2)
+        css_fit_oracle(close[:1100], 4, 0, 2)
+    assert np.isfinite(arima.fit_arma(close[:1100], 4, 0, 2).residuals).all()
+
+
+def arma11_series(n, phi, theta, seed, burn=200):
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=n + burn)
+    x = np.zeros(n + burn)
+    for t in range(1, n + burn):
+        x[t] = phi * x[t - 1] + e[t] + theta * e[t - 1]
+    return x[burn:]
+
+
+@pytest.mark.parametrize("n, ratio_max, dtheta_max",
+                         [(1100, 1.01, 0.05), (6000, 1.001, 0.01)])
+@pytest.mark.parametrize("p, phi, theta", [
+    (1, 0.5, 0.3), (1, 0.5, 0.6), (1, 0.5, 0.8), (0, 0.0, 0.8)])
+def test_hannan_rissanen_matches_css_fit(p, phi, theta, n, ratio_max,
+                                         dtheta_max):
+    for seed in range(8):
+        x = arma11_series(n, phi, theta, seed)
+        hr, css = arima.fit_arma(x, p, 0, 1), css_fit_oracle(x, p, 0, 1)
+        assert hr.residual_variance / css.residual_variance <= ratio_max
+        assert abs(hr.ma_coeffs[0] - css.ma_coeffs[0]) <= dtheta_max
+
+
+def test_hannan_rissanen_fits_where_css_does_not_converge():
+    for seed in range(8):
+        x = arma11_series(6000, 0.5, -0.8, seed)
+        with pytest.raises(DegenerateFitError, match="did not converge"):
+            css_fit_oracle(x, 1, 0, 1)
+        model = arima.fit_arma(x, 1, 0, 1)
+        assert model.ma_coeffs[0] == pytest.approx(-0.8, abs=0.1)
+        assert model.residual_variance == pytest.approx(1.0, rel=0.03)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_fit_residuals_are_the_recursion_on_its_coefficients(d):
+    walk = 5.0 + np.cumsum(arma11_series(1500, 0.3, 0.5, seed=4))
+    x = np.diff(walk) if d == 0 else walk
+    w = np.diff(x, n=d) if d else x
+    for p in range(4):
+        for q in range(3):
+            model = arima.fit_arma(x, p, d, q)
+            np.testing.assert_array_equal(model.residuals, arima._css_residuals(
+                w, model.intercept, model.ar_coeffs, model.ma_coeffs))
+
+
+def test_ar_fits_match_css_fit_bytes():
+    x = ar2_series(1200, seed=17)
+    level = 20.0 + np.cumsum(x)
+    for series, d in ((x, 0), (level, 1)):
+        for p in range(6):
+            new, old = arima.fit_arma(series, p, d, 0), css_fit_oracle(
+                series, p, d, 0)
+            for field in ("ar_coeffs", "ma_coeffs", "intercept",
+                          "residual_variance", "log_likelihood", "residuals"):
+                np.testing.assert_array_equal(getattr(new, field),
+                                              getattr(old, field))
 
 
 def test_failed_refit_keeps_previous_coefficients(monkeypatch):

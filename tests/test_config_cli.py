@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from fxstack import cli, config
-from fxstack.errors import SpecError
+from fxstack import arima, cli, config
+from fxstack.errors import DegenerateFitError, SpecError
 from test_pipeline import SMALL
 
 
@@ -274,14 +274,32 @@ def test_cli_ingest_synthetic(tmp_path, capsys):
     assert "bars: 500" in capsys.readouterr().out
 
 
-def test_cli_features_reports_refit_fallbacks(tmp_path, capsys):
-    # with these 1500 bars the ARMA(4, 0, 2) refit of arima_close at bar
-    # 1100 diverges, and the column keeps the coefficients of bar 600
+def test_cli_features_reports_refit_fallbacks(tmp_path, capsys, monkeypatch):
+    # no seed in 0-299 at 1500 bars has a refit fail, so the refit of
+    # arima_close at bar 1100 is made to fail, and the column keeps the
+    # coefficients of bar 600
+    real_fit = arima.fit_arma
+    refits = []
+
+    def fit(series, p, d, q):
+        # the order search and the first rolling fit see the leading 600
+        # bars; arima_close is built first, so its refit is the first
+        # longer history
+        if len(series) > 600:
+            refits.append(len(series))
+            if len(refits) == 1:
+                raise DegenerateFitError("injected")
+        return real_fit(series, p, d, q)
+
+    monkeypatch.setattr(arima, "fit_arma", fit)
     cfg = tmp_path / "cfg.cfg"
     cfg.write_text(f"data.n = 1500\nseed = 56\nout_dir = {tmp_path}\n")
     assert cli.main(["--config", str(cfg), "features"]) == 0
+    assert refits == [1100, 1100]
     lines = capsys.readouterr().out.splitlines()
-    assert "arima order arima_close: (4, 0, 2)" in lines
+    assert [line for line in lines if line.startswith("arima order ")] == [
+        "arima order arima_close: (3, 0, 0)",
+        "arima order arima_high: (1, 0, 1)"]
     assert [line for line in lines if line.startswith("arima refit ")] == [
         "arima refit fallbacks arima_close: 1",
         "arima refit fallbacks arima_high: 0"]
