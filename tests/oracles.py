@@ -461,6 +461,25 @@ def css_fit_oracle(series, p, d, q):
     )
 
 
+def hannan_rissanen_oracle(w, p, q):
+    """Hannan-Rissanen ARMA(p, q) coefficients ``[intercept, ar..., ma...]``
+    with both designs built one row at a time: a long AR of order
+    m = max(2(p+q), 20), capped at (n - p - q) // 4, with an intercept; its
+    recursive residuals, zero for the first m rows, stand in for the
+    innovations; then w[t] on [1, w[t-1..t-p], e[t-1..t-q]] over
+    t >= max(m + q, p)."""
+    n = len(w)
+    m = min(max(2 * (p + q), 20), (n - p - q) // 4)
+    rows = [[1.0] + [w[t - i] for i in range(1, m + 1)] for t in range(m, n)]
+    long_ar = arima._solve_lstsq(np.array(rows), w[m:])
+    e = np.zeros(n)
+    e[m:] = arima._css_residuals(w, float(long_ar[0]), long_ar[1:], [])
+    start = max(m + q, p)
+    rows = [[1.0] + [w[t - i] for i in range(1, p + 1)]
+            + [e[t - j] for j in range(1, q + 1)] for t in range(start, n)]
+    return arima._solve_lstsq(np.array(rows), w[start:])
+
+
 def _one_step_forecast_oracle(w, resid, model):
     pred = model.intercept
     for i in range(1, model.p + 1):

@@ -12,6 +12,7 @@ from fxstack.seeding import derive_seed
 from oracles import (
     css_fit_oracle,
     css_residuals_oracle,
+    hannan_rissanen_oracle,
     rolling_forecast_oracle,
 )
 
@@ -251,6 +252,24 @@ def arma11_series(n, phi, theta, seed, burn=200):
     for t in range(1, n + burn):
         x[t] = phi * x[t - 1] + e[t] + theta * e[t - 1]
     return x[burn:]
+
+
+@pytest.mark.parametrize("n", [30, 60, 1100])
+def test_hannan_rissanen_matches_row_by_row_oracle(n):
+    # at 30 and 60 points the cap (n - p - q) // 4 sets the long-AR order
+    x = arma11_series(1100, 0.4, 0.5, seed=n)
+    walk = 3.0 + np.cumsum(x)
+    for series, d in ((x, 0), (walk, 1)):
+        w = np.diff(series[:n + d], n=d) if d else series[:n]
+        for p in range(3):
+            for q in range(1, 3):
+                if n < 10 * (p + q + 1):
+                    continue
+                model = arima.fit_arma(series[:n + d], p, d, q)
+                coef = np.concatenate(([model.intercept], model.ar_coeffs,
+                                       model.ma_coeffs))
+                np.testing.assert_array_equal(
+                    coef, hannan_rissanen_oracle(w, p, q))
 
 
 @pytest.mark.parametrize("n, ratio_max, dtheta_max",
