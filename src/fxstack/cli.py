@@ -86,11 +86,13 @@ def _cmd_validate(config: PipelineConfig, args) -> int:
 
 
 def _cmd_ingest(config: PipelineConfig, args) -> int:
+    from .market_data import format_rfc3339
     from .pipeline import _ingest
 
     series, dropped = _ingest(config)
     print(f"bars: {len(series)}")
-    print(f"range: {series.timestamps[0]} .. {series.timestamps[-1]}")
+    print(f"range: {format_rfc3339(series.timestamps[0])} .. "
+          f"{format_rfc3339(series.timestamps[-1])}")
     for reason, count in sorted(dropped.items()):
         print(f"dropped[{reason}]: {count}")
     return 0

@@ -8,8 +8,8 @@ must be removed with :func:`clean` before windowing.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -25,48 +25,50 @@ from .errors import (
 
 CSV_HEADER = ["datetime", "open", "high", "low", "close"]
 OHLC_COLUMNS = ("open", "high", "low", "close")
+# every timestamp is UTC at Python datetime's own resolution, so a stamp
+# that parses keeps its exact value
+STAMP_DTYPE = np.dtype("datetime64[us]")
+_SYNTHETIC_START = np.datetime64("2014-06-01", "us")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
-def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+def parse_rfc3339(text: str) -> np.datetime64:
+    """Parse an RFC 3339 timestamp into a UTC ``datetime64[us]``."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    return np.datetime64((dt - _EPOCH) // _MICROSECOND, "us")
 
 
-def format_rfc3339(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def format_rfc3339(stamps):
+    """``YYYY-MM-DDTHH:MM:SSZ`` of a ``datetime64`` scalar (a ``str``) or
+    array (an array of ``str``), truncated to whole seconds."""
+    text = np.char.add(np.datetime_as_string(stamps, unit="s"), "Z")
+    return text if text.ndim else str(text)
 
 
-@dataclass(frozen=True)
-class Candle:
-    """One OHLC bar. low <= min(open, close) and high >= max(open, close)."""
+def _check_stamps(stamps, what: str) -> None:
+    if not (isinstance(stamps, np.ndarray) and stamps.dtype == STAMP_DTYPE):
+        found = getattr(stamps, "dtype", type(stamps).__name__)
+        raise ParameterError(f"{what} must be a datetime64[us] array, got {found}")
 
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
 
-    def is_valid(self) -> bool:
-        prices = (self.open, self.high, self.low, self.close)
-        if not all(math.isfinite(p) and p > 0 for p in prices):
-            return False
-        return self.low <= min(self.open, self.close) and self.high >= max(
-            self.open, self.close
-        )
+def _first_not_later(stamps: np.ndarray) -> int | None:
+    """Position of the first stamp not after its predecessor, if any."""
+    later = np.diff(stamps) > np.timedelta64(0)
+    return None if later.all() else int(np.argmin(later)) + 1
 
 
 @dataclass(frozen=True)
 class CandleSeries:
     """Time-ordered OHLC bars with strictly increasing timestamps.
 
-    Columns are stored as parallel numpy arrays; ``timestamps`` holds aware
-    UTC datetimes (dtype=object). Gaps are permitted, duplicates are not.
+    Columns are stored as parallel numpy arrays; ``timestamps`` holds UTC
+    ``datetime64[us]`` values. Gaps are permitted, duplicates are not.
     """
 
     timestamps: np.ndarray
@@ -74,19 +76,17 @@ class CandleSeries:
     high: np.ndarray
     low: np.ndarray
     close: np.ndarray
-    timeframe: timedelta = timedelta(minutes=15)
 
     def __post_init__(self) -> None:
+        _check_stamps(self.timestamps, "timestamps")
         n = len(self.timestamps)
         for name in OHLC_COLUMNS:
             if len(getattr(self, name)) != n:
                 raise ParameterError(f"column {name!r} length mismatch")
-        for i in range(1, n):
-            if self.timestamps[i] <= self.timestamps[i - 1]:
-                raise OrderingError(
-                    f"timestamps not strictly increasing at row {i}: "
-                    f"{self.timestamps[i]!r}"
-                )
+        i = _first_not_later(self.timestamps)
+        if i is not None:
+            raise OrderingError(f"timestamps not strictly increasing at row "
+                                f"{i}: {self.timestamps[i]}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -104,11 +104,12 @@ class FeatureFrame:
     NaN marks a cell as undefined (warmup or missing label), never zero.
     """
 
-    index: np.ndarray  # aware UTC datetimes, dtype=object
+    index: np.ndarray  # UTC datetime64[us]
     columns: dict[str, np.ndarray]
     label_name: str | None = None
 
     def __post_init__(self) -> None:
+        _check_stamps(self.index, "index")
         n = len(self.index)
         for name, values in self.columns.items():
             if len(values) != n:
@@ -164,7 +165,7 @@ class FeatureFrame:
             csv.writer(fh).writerow(["datetime"] + names)
             for start in range(0, len(self), _CSV_BLOCK_ROWS):
                 rows = slice(start, start + _CSV_BLOCK_ROWS)
-                cells = [[format_rfc3339(t) for t in self.index[rows]]]
+                cells = [format_rfc3339(self.index[rows]).tolist()]
                 for name in names:
                     values = np.asarray(self.columns[name][rows], dtype=float)
                     text = list(map(repr, values.tolist()))
@@ -198,9 +199,9 @@ class SequenceDataset:
 class SplitSpec:
     """Half-open [start, end) timestamp ranges for train/validation/test."""
 
-    train: tuple[datetime, datetime]
-    validation: tuple[datetime, datetime]
-    test: tuple[datetime, datetime]
+    train: tuple[np.datetime64, np.datetime64]
+    validation: tuple[np.datetime64, np.datetime64]
+    test: tuple[np.datetime64, np.datetime64]
 
     def __post_init__(self) -> None:
         for name, (start, end) in self.ranges().items():
@@ -211,7 +212,7 @@ class SplitSpec:
             raise SplitError("ranges must be disjoint and ordered "
                              "train < validation < test")
 
-    def ranges(self) -> dict[str, tuple[datetime, datetime]]:
+    def ranges(self) -> dict[str, tuple[np.datetime64, np.datetime64]]:
         return {"train": self.train, "validation": self.validation,
                 "test": self.test}
 
@@ -230,7 +231,7 @@ def split_spec_from_fractions(
     n_val = max(1, int(round(n * fractions[1] / total)))
     n_train = min(n_train, n - 2)
     n_val = min(n_val, n - n_train - 1)
-    eps = timedelta(seconds=1)
+    eps = np.timedelta64(1, "s")
     start = index[0]
     t1 = index[n_train]
     t2 = index[n_train + n_val]
@@ -242,8 +243,9 @@ def load_ohlc_csv(path) -> tuple[CandleSeries, dict[str, int]]:
     """Load a ``datetime,open,high,low,close`` CSV.
 
     Malformed rows (non-finite, non-positive, or invariant-violating prices)
-    are dropped and counted, never fatal. Non-monotone timestamps raise
-    :class:`OrderingError` naming the offending row.
+    are dropped and counted, never fatal. Non-monotone timestamps among the
+    kept rows raise :class:`OrderingError` naming the offending row; a bad
+    header, field count or datetime raises :class:`SchemaError`.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -255,8 +257,9 @@ def load_ohlc_csv(path) -> tuple[CandleSeries, dict[str, int]]:
             raise SchemaError(
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
-        timestamps: list[datetime] = []
-        cols: dict[str, list[float]] = {c: [] for c in OHLC_COLUMNS}
+        # one stamp, line number and four prices per parsed row; the numbers
+        # go to flat buffers, since a list per row costs memory
+        stamps, lines, prices = [], array("q"), array("d")
         dropped: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -264,33 +267,30 @@ def load_ohlc_csv(path) -> tuple[CandleSeries, dict[str, int]]:
             if len(row) != 5:
                 raise SchemaError(f"row {lineno}: expected 5 fields, got {len(row)}")
             try:
-                ts = parse_rfc3339(row[0])
+                stamp = parse_rfc3339(row[0])
             except ValueError as exc:
                 raise SchemaError(f"row {lineno}: bad datetime {row[0]!r}") from exc
             try:
-                o, h, l, c = (float(v) for v in row[1:5])
+                prices.extend([float(v) for v in row[1:5]])
             except ValueError:
                 dropped["unparseable_price"] = dropped.get("unparseable_price", 0) + 1
                 continue
-            candle = Candle(ts, o, h, l, c)
-            if not candle.is_valid():
-                dropped["invalid_candle"] = dropped.get("invalid_candle", 0) + 1
-                continue
-            if timestamps and ts <= timestamps[-1]:
-                raise OrderingError(
-                    f"row {lineno}: timestamp {row[0]} not after previous bar"
-                )
-            timestamps.append(ts)
-            for name, value in zip(OHLC_COLUMNS, (o, h, l, c)):
-                cols[name].append(value)
-    series = CandleSeries(
-        timestamps=np.array(timestamps, dtype=object),
-        open=np.array(cols["open"], dtype=float),
-        high=np.array(cols["high"], dtype=float),
-        low=np.array(cols["low"], dtype=float),
-        close=np.array(cols["close"], dtype=float),
-    )
-    return series, dropped
+            stamps.append(stamp)
+            lines.append(lineno)
+    ohlc = np.array(prices).reshape(-1, 4)
+    o, h, l, c = ohlc.T
+    valid = ((np.isfinite(ohlc) & (ohlc > 0)).all(axis=1)
+             & (l <= np.minimum(o, c)) & (h >= np.maximum(o, c)))
+    if not valid.all():
+        dropped["invalid_candle"] = int(np.count_nonzero(~valid))
+    stamps = np.array(stamps, dtype=STAMP_DTYPE)[valid]
+    i = _first_not_later(stamps)
+    if i is not None:
+        line = np.array(lines)[valid][i]
+        raise OrderingError(f"row {line}: timestamp {stamps[i]} not after "
+                            "previous bar")
+    return CandleSeries(timestamps=stamps, open=o[valid], high=h[valid],
+                        low=l[valid], close=c[valid]), dropped
 
 
 def generate_synthetic_ohlc(
@@ -298,22 +298,14 @@ def generate_synthetic_ohlc(
     seed: int,
     volatility: float = 0.001,
     start_price: float = 1.0,
-    start: datetime | None = None,
-    timeframe: timedelta = timedelta(minutes=15),
-    high_boost: np.ndarray | None = None,
+    timeframe: np.timedelta64 = np.timedelta64(15, "m"),
 ) -> CandleSeries:
-    """Seeded geometric random-walk OHLC bars.
-
-    ``high_boost``, when given, is an additive per-bar lift applied to the
-    high price; it is the planted-signal hook used by acceptance tests to
-    make future highs depend on a known driver.
-    """
+    """Seeded geometric random-walk OHLC bars, one every ``timeframe`` from
+    2014-06-01 UTC."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not (volatility > 0):
         raise ParameterError("volatility must be > 0")
-    if start is None:
-        start = datetime(2014, 6, 1, tzinfo=timezone.utc)
     rng = np.random.default_rng(seed)
     log_returns = rng.normal(0.0, volatility, size=n)
     closes = start_price * np.exp(np.cumsum(log_returns))
@@ -326,79 +318,12 @@ def generate_synthetic_ohlc(
     wick_dn = np.abs(rng.normal(0.0, volatility, size=n)) * body_lo
     highs = body_hi + wick_up
     lows = np.maximum(body_lo - wick_dn, body_lo * 0.5)
-    if high_boost is not None:
-        if len(high_boost) != n:
-            raise ParameterError("high_boost length must equal n")
-        highs = highs + np.maximum(high_boost, 0.0)
-    timestamps = np.array([start + i * timeframe for i in range(n)], dtype=object)
     return CandleSeries(
-        timestamps=timestamps,
+        timestamps=_SYNTHETIC_START + np.arange(n) * timeframe,
         open=opens,
         high=highs,
         low=lows,
         close=closes,
-        timeframe=timeframe,
-    )
-
-
-@dataclass(frozen=True)
-class PlantedData:
-    """Synthetic dataset where a few named feature columns drive future highs."""
-
-    series: CandleSeries
-    frame: "FeatureFrame"
-    informative: list[str] = field(default_factory=list)
-
-
-def generate_planted_frame(
-    n: int,
-    n_features: int,
-    n_informative: int,
-    seed: int,
-    horizon: int = 5,
-    volatility: float = 0.0005,
-    signal_strength: float = 0.02,
-) -> PlantedData:
-    """Synthetic OHLC plus ``n_features`` extra columns, ``n_informative`` of
-    which linearly lift the next bar's high (and hence the highest-high label).
-
-    Used by recap/selection tests: a correct selector should rank the
-    informative columns above the pure-noise ones.
-    """
-    if n_informative > n_features:
-        raise ParameterError("n_informative must be <= n_features")
-    rng = np.random.default_rng(seed)
-    names = [f"f{i:02d}" for i in range(n_features)]
-    informative = sorted(
-        rng.choice(n_features, size=n_informative, replace=False).tolist()
-    )
-    signals = {}
-    boost = np.zeros(n)
-    for i in range(n_features):
-        raw = rng.normal(0.0, 1.0, size=n)
-        # mild smoothing so the columns look like indicator-style series
-        smooth = np.convolve(raw, np.ones(4) / 4.0, mode="same")
-        signals[names[i]] = smooth
-        if i in informative:
-            # feature value at t lifts the high of bar t+1
-            lifted = np.zeros(n)
-            lifted[1:] = np.maximum(smooth[:-1], 0.0)
-            boost = boost + signal_strength * lifted / max(n_informative, 1)
-    series = generate_synthetic_ohlc(
-        n, seed=seed + 1, volatility=volatility, high_boost=boost
-    )
-    columns: dict[str, np.ndarray] = {
-        "open": series.open,
-        "high": series.high,
-        "low": series.low,
-        "close": series.close,
-    }
-    columns.update({name: signals[name] for name in names})
-    frame = FeatureFrame(index=series.timestamps, columns=columns)
-    label = compute_highest_high(series, horizon)
-    frame = frame.with_label("highest_high", label)
-    return PlantedData(
-        series=series, frame=frame, informative=[names[i] for i in informative]
     )
 
 
@@ -443,10 +368,9 @@ def clean(frame: FeatureFrame) -> tuple[FeatureFrame, dict[str, int]]:
     return frame.take(keep), report
 
 
-def in_range(index: np.ndarray, start: datetime, end: datetime) -> np.ndarray:
+def in_range(index: np.ndarray, start, end) -> np.ndarray:
     """Mask of the timestamps in ``index`` inside the half-open [start, end)."""
-    return np.fromiter((start <= t < end for t in index), dtype=bool,
-                       count=len(index))
+    return (index >= start) & (index < end)
 
 
 def split_by_dates(

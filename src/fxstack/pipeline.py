@@ -15,7 +15,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from datetime import timedelta
 
 import numpy as np
 
@@ -100,7 +99,7 @@ def _ingest(config: PipelineConfig) -> tuple[CandleSeries, dict]:
         seed=derive_seed(config.seed, "data"),
         volatility=config.synthetic_volatility,
         start_price=config.start_price,
-        timeframe=timedelta(minutes=config.timeframe_minutes),
+        timeframe=np.timedelta64(config.timeframe_minutes, "m"),
     )
     return series, {}
 
@@ -140,7 +139,7 @@ def _recap_split(config: PipelineConfig, spec: SplitSpec) -> SplitSpec:
     """
     if not config.paper_mode:
         return spec
-    eps = timedelta(seconds=1)
+    eps = np.timedelta64(1, "s")
     return SplitSpec(
         train=(spec.train[0], spec.validation[1]),
         validation=spec.test,

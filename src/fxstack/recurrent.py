@@ -5,8 +5,8 @@ and the minibatch early-stopping loop (:func:`train_minibatch`).
 
 The GRU uses the convention where the update gate multiplies the OLD state:
 h = z * h_prev + (1 - z) * h_tilde. The LSTM is the standard three-gate
-formulation. Everything is double-precision numpy; gradients are validated
-against central finite differences (see :func:`gradient_check`).
+formulation. Everything is double-precision numpy; the tests check the
+gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -492,49 +492,6 @@ def predict_rnn(model: RnnRegressor, data: SequenceDataset) -> np.ndarray:
     if data.X.ndim != 3 or data.X.shape[2] != model.weights.input_size:
         raise ParameterError("dataset shape does not match model input size")
     return model.label_scaler.inverse_transform(_predict_scaled(model, data.X))
-
-
-def export_history_csv(history: list[EpochRecord], path) -> None:
-    """One ``epoch,train_rmse,val_rmse`` row per :class:`EpochRecord`; the
-    training column is the minibatch-loss RMSE the record describes."""
-    with open(path, "w") as fh:
-        fh.write("epoch,train_rmse,val_rmse\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{rec.train_rmse!r},{rec.val_rmse!r}\n")
-
-
-def gradient_check(arch: RnnArch, seed: int, steps: int = 8,
-                   input_size: int = 3, batch: int = 4) -> float:
-    """Max relative error between BPTT and central finite differences."""
-    if arch.hidden_size > 8 or steps > 20:
-        raise ParameterError("gradient check is for small nets only")
-    rng = np.random.default_rng(derive_seed(seed, "grad-check"))
-    model = _build_model(arch, input_size, seed)
-    X = rng.normal(size=(batch, steps, input_size))
-    y = rng.normal(size=batch)
-    arrays = model.params()
-    _, grads = _loss_and_grads(model, X, y)
-
-    def loss_only() -> float:
-        pred = _predict_scaled(model, X)
-        return float(np.mean((pred - y) ** 2))
-
-    step = 1e-6
-    max_rel = 0.0
-    for array, grad in zip(arrays, grads):
-        flat = array.ravel()
-        gflat = grad.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = loss_only()
-            flat[j] = orig - step
-            down = loss_only()
-            flat[j] = orig
-            numeric = (up - down) / (2 * step)
-            denom = max(abs(numeric), abs(gflat[j]), 1e-8)
-            max_rel = max(max_rel, abs(numeric - gflat[j]) / denom)
-    return max_rel
 
 
 # --- serialization -----------------------------------------------------------

@@ -6,16 +6,19 @@ definitions, deliberately avoiding the vectorized formulations under test.
 
 import csv
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
 from fxstack import arima
+from fxstack import recurrent as rnn
 from fxstack.errors import (
     DegenerateFitError,
     InsufficientDataError,
+    OrderingError,
+    SchemaError,
     TrainingError,
 )
-from fxstack.market_data import format_rfc3339
 from fxstack.recurrent import MinMaxScaler
 from fxstack.seeding import derive_seed
 from fxstack.stacking import MetaModel
@@ -175,11 +178,94 @@ def feature_csv_oracle(frame, path):
         writer = csv.writer(fh)
         writer.writerow(["datetime"] + names)
         for i in range(len(frame)):
-            row = [format_rfc3339(frame.index[i])]
+            stamp = frame.index[i].astype(datetime)
+            row = [stamp.strftime("%Y-%m-%dT%H:%M:%SZ")]
             for name in names:
                 v = frame.columns[name][i]
                 row.append("NaN" if not math.isfinite(v) else repr(float(v)))
             writer.writerow(row)
+
+
+def load_csv_oracle(path):
+    """``load_ohlc_csv`` one row at a time: each row is parsed into an aware
+    ``datetime``, checked as one candle and ordered against the last kept
+    row as it is read. Returns the kept stamps as ``datetime64[us]``, the
+    kept rows as an (n, 4) open/high/low/close array and the drop counts."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("file is empty (no header)") from None
+        if [h.strip() for h in header] != ["datetime", "open", "high", "low",
+                                           "close"]:
+            raise SchemaError(f"unexpected header {header!r}")
+        stamps, rows, dropped = [], [], {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 5:
+                raise SchemaError(f"row {lineno}: expected 5 fields")
+            text = row[0].strip()
+            if text.endswith(("Z", "z")):
+                text = text[:-1] + "+00:00"
+            try:
+                ts = datetime.fromisoformat(text)
+            except ValueError as exc:
+                raise SchemaError(f"row {lineno}: bad datetime") from exc
+            if ts.tzinfo is None:
+                ts = ts.replace(tzinfo=timezone.utc)
+            ts = ts.astimezone(timezone.utc)
+            try:
+                prices = [float(v) for v in row[1:5]]
+            except ValueError:
+                dropped["unparseable_price"] = (
+                    dropped.get("unparseable_price", 0) + 1)
+                continue
+            o, h, l, c = prices
+            if not (all(math.isfinite(p) and p > 0 for p in prices)
+                    and l <= min(o, c) and h >= max(o, c)):
+                dropped["invalid_candle"] = dropped.get("invalid_candle", 0) + 1
+                continue
+            if stamps and ts <= stamps[-1]:
+                raise OrderingError(f"row {lineno}: timestamp not after "
+                                    "previous bar")
+            stamps.append(ts)
+            rows.append(prices)
+    naive = [t.replace(tzinfo=None) for t in stamps]
+    return (np.array(naive, dtype="datetime64[us]"),
+            np.array(rows, dtype=float).reshape(-1, 4), dropped)
+
+
+def gradient_check(arch, seed, steps=8, input_size=3, batch=4):
+    """Max relative error between BPTT and central finite differences on a
+    freshly initialised small net."""
+    rng = np.random.default_rng(derive_seed(seed, "grad-check"))
+    model = rnn._build_model(arch, input_size, seed)
+    X = rng.normal(size=(batch, steps, input_size))
+    y = rng.normal(size=batch)
+    _, grads = rnn._loss_and_grads(model, X, y)
+
+    def loss_only():
+        pred = rnn._predict_scaled(model, X)
+        return float(np.mean((pred - y) ** 2))
+
+    step = 1e-6
+    max_rel = 0.0
+    for array, grad in zip(model.params(), grads):
+        flat = array.ravel()
+        gflat = grad.ravel()
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            up = loss_only()
+            flat[j] = orig - step
+            down = loss_only()
+            flat[j] = orig
+            numeric = (up - down) / (2 * step)
+            denom = max(abs(numeric), abs(gflat[j]), 1e-8)
+            max_rel = max(max_rel, abs(numeric - gflat[j]) / denom)
+    return max_rel
 
 
 def adam_step_oracle(params, grads, m, v, t, learning_rate,

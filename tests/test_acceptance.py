@@ -10,7 +10,6 @@ import hashlib
 import json
 import time
 from collections import Counter
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from oracles import (
     bop_oracle,
     dema_oracle,
     ema_oracle,
+    gradient_check,
     highest_high_oracle,
     macd_oracle,
     mom_oracle,
@@ -40,6 +40,7 @@ from oracles import (
     willr_oracle,
     wma_oracle,
 )
+from planted import generate_planted_frame
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -123,8 +124,7 @@ def test_target_and_windowing_leakage_suite():
     m = 300
     head = md.CandleSeries(
         timestamps=series.timestamps[:m], open=series.open[:m],
-        high=series.high[:m], low=series.low[:m], close=series.close[:m],
-        timeframe=series.timeframe)
+        high=series.high[:m], low=series.low[:m], close=series.close[:m])
     causal = True
     frame_full = ind.compute_features(series)
     frame_head = ind.compute_features(head)
@@ -145,8 +145,7 @@ def test_target_and_windowing_leakage_suite():
         highs[t + k] += 5.0
         bumped = md.CandleSeries(
             timestamps=series.timestamps, open=series.open, high=highs,
-            low=series.low, close=np.minimum(series.close, highs),
-            timeframe=series.timeframe)
+            low=series.low, close=np.minimum(series.close, highs))
         moved = md.compute_highest_high(bumped, 5)[t] != label[t]
         if moved != expect:
             local = False
@@ -186,8 +185,7 @@ def test_recurrent_gradients():
     """GRU and LSTM BPTT gradients match central differences < 1e-4; < 30 s."""
     start = time.perf_counter()
     errs = {
-        cell: rnn.gradient_check(rnn.RnnArch(cell=cell, hidden_size=6),
-                                 seed=11)
+        cell: gradient_check(rnn.RnnArch(cell=cell, hidden_size=6), seed=11)
         for cell in ("gru", "lstm")
     }
     elapsed = time.perf_counter() - start
@@ -227,8 +225,8 @@ def test_recap_effectiveness():
     successes = 0
     details = []
     for seed in range(3):
-        planted = md.generate_planted_frame(20000, n_features=70,
-                                            n_informative=5, seed=seed)
+        planted = generate_planted_frame(20000, n_features=70,
+                                         n_informative=5, seed=seed)
         spec = md.split_spec_from_fractions(planted.frame.index,
                                             (0.7, 0.15, 0.15))
         cfg = recap.RecapConfig(k=20, seed=seed, with_baseline=True)
@@ -284,9 +282,7 @@ def test_stacking_structure():
              for name, q in zip(stacking.MODEL_ORDER,
                                 (0.02, 0.05, 0.04, 0.15, 0.03))}
     labels = truth + rng.normal(size=n) * 0.01
-    ts = np.array(
-        [datetime(2021, 1, 1, tzinfo=timezone.utc) + timedelta(minutes=15 * i)
-         for i in range(n)], dtype=object)
+    ts = np.datetime64("2021-01-01", "us") + np.arange(n) * np.timedelta64(15, "m")
     frame = stacking.build_meta_frame(preds, labels, ts)
     spec = md.split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     result = stacking.run_stacking_search(frame, spec, seed=0)

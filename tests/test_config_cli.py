@@ -271,7 +271,10 @@ def test_cli_ingest_synthetic(tmp_path, capsys):
     cfg = tmp_path / "cfg.cfg"
     cfg.write_text("data.source = synthetic\ndata.n = 500\n")
     assert cli.main(["--config", str(cfg), "ingest"]) == 0
-    assert "bars: 500" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "bars: 500" in out
+    # 500 bars of 15 minutes from the synthetic source's 2014-06-01 start
+    assert "range: 2014-06-01T00:00:00Z .. 2014-06-06T04:45:00Z\n" in out
 
 
 def test_cli_features_reports_refit_fallbacks(tmp_path, capsys, monkeypatch):

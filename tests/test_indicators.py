@@ -87,7 +87,7 @@ def test_willr_flat_window_reads_minus_50():
     flat = generate_synthetic_ohlc(30, seed=1)
     prices = np.full(30, 1.25)
     flat = type(flat)(timestamps=flat.timestamps, open=prices, high=prices,
-                      low=prices, close=prices, timeframe=flat.timeframe)
+                      low=prices, close=prices)
     values = ind.willr(flat, 14).values
     assert np.all(values[13:] == -50.0)
 
@@ -144,7 +144,6 @@ def test_indicators_are_causal(series):
     head = type(series)(
         timestamps=series.timestamps[:m], open=series.open[:m],
         high=series.high[:m], low=series.low[:m], close=series.close[:m],
-        timeframe=series.timeframe,
     )
     pairs = [
         (ind.ema(series.close, 10).values, ind.ema(head.close, 10).values),

@@ -1,7 +1,12 @@
-from datetime import datetime, timedelta, timezone
+import re
+import tempfile
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxstack import market_data as md
 from fxstack.errors import (
@@ -11,28 +16,26 @@ from fxstack.errors import (
     SchemaError,
     SplitError,
 )
-from oracles import feature_csv_oracle, highest_high_oracle
+from oracles import feature_csv_oracle, highest_high_oracle, load_csv_oracle
+from planted import generate_planted_frame
 
-UTC = timezone.utc
+MINUTE = np.timedelta64(1, "m")
+
+
+def _stamps(n, step=15 * MINUTE):
+    return np.datetime64("2021-01-01", "us") + np.arange(n) * step
 
 
 def test_rfc3339_roundtrip():
-    ts = datetime(2021, 3, 5, 14, 45, tzinfo=UTC)
+    ts = np.datetime64("2021-03-05T14:45", "us")
     assert md.parse_rfc3339(md.format_rfc3339(ts)) == ts
     assert md.parse_rfc3339("2021-03-05T14:45:00Z") == ts
     assert md.parse_rfc3339("2021-03-05T14:45:00+00:00") == ts
 
 
-def test_candle_validity():
-    ts = datetime(2021, 1, 1, tzinfo=UTC)
-    assert md.Candle(ts, 1.0, 1.2, 0.9, 1.1).is_valid()
-    assert not md.Candle(ts, 1.0, 0.95, 0.9, 1.1).is_valid()  # high < open
-    assert not md.Candle(ts, 1.0, 1.2, 0.9, -1.0).is_valid()  # negative price
-
-
 def test_candle_series_rejects_unordered():
-    ts = datetime(2021, 1, 1, tzinfo=UTC)
-    stamps = np.array([ts, ts], dtype=object)
+    ts = np.datetime64("2021-01-01", "us")
+    stamps = np.array([ts, ts])
     ones = np.ones(2)
     with pytest.raises(OrderingError):
         md.CandleSeries(timestamps=stamps, open=ones, high=ones,
@@ -63,10 +66,11 @@ def test_load_ohlc_csv_drops_and_counts_invalid(tmp_path):
         "2021-01-01T00:15:00Z,1.1,0.5,1.0,1.2",   # high below open: invalid
         "2021-01-01T00:30:00Z,1.1,1.3,1.0,oops",  # unparseable price
         "2021-01-01T00:45:00Z,1.1,1.3,1.0,1.2",
+        "2021-01-01T01:00:00Z,1.0,1.2,0.9,-1.0",  # negative price: invalid
     ])
     series, dropped = md.load_ohlc_csv(path)
     assert len(series) == 2
-    assert dropped == {"invalid_candle": 1, "unparseable_price": 1}
+    assert dropped == {"invalid_candle": 2, "unparseable_price": 1}
 
 
 def test_load_ohlc_csv_schema_and_ordering_errors(tmp_path):
@@ -105,16 +109,13 @@ def test_highest_high_label_locality():
         bumped = md.CandleSeries(
             timestamps=series.timestamps, open=series.open, high=highs,
             low=series.low, close=np.minimum(series.close, highs),
-            timeframe=series.timeframe,
         )
         label = md.compute_highest_high(bumped, 5)
         assert (label[t] != base[t]) == expect_change
 
 
 def test_clean_drops_and_counts():
-    idx = np.array([datetime(2021, 1, 1, tzinfo=UTC) + timedelta(minutes=i)
-                    for i in range(5)], dtype=object)
-    frame = md.FeatureFrame(index=idx, columns={
+    frame = md.FeatureFrame(index=_stamps(5, MINUTE), columns={
         "a": np.array([np.nan, 1.0, 2.0, 3.0, 4.0]),
         "b": np.array([np.nan, np.nan, 2.0, 3.0, np.nan]),
     })
@@ -166,14 +167,15 @@ def test_windowing_requires_finite_cells():
 
 
 def test_split_spec_validation():
-    t0 = datetime(2021, 1, 1, tzinfo=UTC)
+    t0 = np.datetime64("2021-01-01", "us")
+    day = np.timedelta64(1, "D")
     with pytest.raises(SplitError):
         md.SplitSpec(train=(t0, t0), validation=(t0, t0), test=(t0, t0))
     with pytest.raises(SplitError):  # overlapping train/validation
         md.SplitSpec(
-            train=(t0, t0 + timedelta(days=2)),
-            validation=(t0 + timedelta(days=1), t0 + timedelta(days=3)),
-            test=(t0 + timedelta(days=3), t0 + timedelta(days=4)),
+            train=(t0, t0 + 2 * day),
+            validation=(t0 + day, t0 + 3 * day),
+            test=(t0 + 3 * day, t0 + 4 * day),
         )
 
 
@@ -191,17 +193,16 @@ def test_split_by_dates_partitions_rows():
 
 
 def test_generate_planted_frame_names_informative():
-    planted = md.generate_planted_frame(500, n_features=10, n_informative=2,
-                                        seed=3)
+    planted = generate_planted_frame(500, n_features=10, n_informative=2,
+                                     seed=3)
     assert len(planted.informative) == 2
     assert set(planted.informative) <= set(planted.frame.feature_names)
     assert planted.frame.label_name == "highest_high"
 
 
 def test_split_fractions_insufficient_rows():
-    idx = np.array([datetime(2021, 1, 1, tzinfo=UTC)], dtype=object)
     with pytest.raises(InsufficientDataError):
-        md.split_spec_from_fractions(idx, (0.6, 0.2, 0.2))
+        md.split_spec_from_fractions(_stamps(1), (0.6, 0.2, 0.2))
 
 
 @pytest.mark.parametrize("block_rows", [4, md._CSV_BLOCK_ROWS])
@@ -211,9 +212,7 @@ def test_feature_csv_matches_per_cell_oracle(tmp_path, monkeypatch, block_rows):
                -1.5e17, 5e-324]
     rng = np.random.default_rng(19)
     n = len(special) + 6
-    idx = np.array([datetime(2021, 1, 1, tzinfo=UTC) + timedelta(minutes=15 * i)
-                    for i in range(n)], dtype=object)
-    frame = md.FeatureFrame(index=idx, columns={
+    frame = md.FeatureFrame(index=_stamps(n), columns={
         "plain": np.concatenate([special, rng.normal(size=6)]),
         'needs, "quoting"': np.concatenate([rng.normal(size=6), special[::-1]]),
         "ints": np.arange(n),
@@ -229,3 +228,96 @@ def test_feature_csv_matches_per_cell_oracle(tmp_path, monkeypatch, block_rows):
     assert lines[3].split(",")[1] == "NaN"
     assert lines[4].split(",")[1] == "-0.0"
     assert lines[5].split(",")[1] == "1e-300"
+
+
+@pytest.mark.parametrize("index", [
+    np.array([datetime(2021, 1, 1), datetime(2021, 1, 2)], dtype=object),
+    np.array(["2021-01-01", "2021-01-02"], dtype="datetime64[s]"),
+    np.arange(2),
+    list(_stamps(2)),
+], ids=["object", "seconds", "int", "list"])
+def test_containers_reject_other_index_types(index):
+    ones = np.ones(2)
+    with pytest.raises(ParameterError, match=r"datetime64\[us\]"):
+        md.FeatureFrame(index=index, columns={"a": ones})
+    with pytest.raises(ParameterError, match=r"datetime64\[us\]"):
+        md.CandleSeries(timestamps=index, open=ones, high=ones, low=ones,
+                        close=ones)
+
+
+_EPOCH = datetime(1970, 1, 1)
+_BAR_US = 15 * 60 * 10**6
+_ROW_KINDS = ("valid",) * 4 + ("flat", "blank", "unparseable", "bad_value",
+                               "high_below_open", "low_above_close")
+_STEPS = ("bar",) * 6 + ("gap", "subsecond", "duplicate", "decrease")
+_OFFSETS = {"Z": 0, "z": 0, "": 0, "+02:00": 120, "-05:30": -330}
+
+
+@st.composite
+def _csv_rows(draw):
+    """Data rows of 5 fields with parseable dates, or blank lines: valid and
+    flat bars, unparseable, non-finite and non-positive prices, high below
+    open and low above close, on stamps that step a bar, jump a gap, step
+    less than a second, repeat or go back, with any of five suffixes."""
+    price = st.floats(0.5, 2.0)
+    wick = st.floats(0.0, 0.1)
+    t = 1_420_070_400 * 10**6  # 2015-01-01T00:00:00Z
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(_ROW_KINDS))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",,,,", " , ,,, "])))
+            continue
+        step = draw(st.sampled_from(_STEPS))
+        if step in ("bar", "gap"):
+            bars = 1 if step == "bar" else draw(st.integers(2, 500))
+            t += bars * _BAR_US + draw(st.sampled_from([0, 0, 1, 999_999]))
+        elif step == "subsecond":
+            t += draw(st.integers(1, 999_999))
+        elif step == "decrease":
+            t -= draw(st.integers(1, 3 * _BAR_US))
+        suffix = draw(st.sampled_from(sorted(_OFFSETS)))
+        local = _EPOCH + timedelta(microseconds=t, minutes=_OFFSETS[suffix])
+        o, c = draw(price), draw(price)
+        h, lo = max(o, c) + draw(wick), min(o, c) - draw(wick)
+        if kind == "flat":
+            h = lo = c = o
+        elif kind == "high_below_open":
+            h = o - draw(st.floats(1e-9, 0.1))
+        elif kind == "low_above_close":
+            lo = c + draw(st.floats(1e-9, 0.1))
+        cells = [repr(v) for v in (o, h, lo, c)]
+        if kind in ("unparseable", "bad_value"):
+            bad = (["oops", "", "n/a", "1.2.3"] if kind == "unparseable" else
+                   ["nan", "inf", "-inf", "0", "0.0", "-0.0", "-1.5"])
+            cells[draw(st.integers(0, 3))] = draw(st.sampled_from(bad))
+        lines.append(",".join([local.isoformat() + suffix] + cells))
+    return lines
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except (SchemaError, OrderingError) as exc:
+        return type(exc), re.search(r"row (\d+)", str(exc)).group(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_rows())
+def test_load_ohlc_csv_matches_row_by_row_oracle(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bars.csv"
+        _write_csv(path, rows)
+        expected = _outcome(load_csv_oracle, path)
+        got = _outcome(md.load_ohlc_csv, path)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    stamps, ohlc, dropped = expected
+    series, got_dropped = got
+    assert series.timestamps.dtype == stamps.dtype
+    np.testing.assert_array_equal(series.timestamps, stamps)
+    np.testing.assert_array_equal(
+        np.column_stack([series.open, series.high, series.low, series.close]),
+        ohlc)
+    assert got_dropped == dropped

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fxstack import recap
 from fxstack.errors import LeakageError, ParameterError
-from fxstack.market_data import generate_planted_frame, split_spec_from_fractions
+from fxstack.market_data import split_spec_from_fractions
+from planted import generate_planted_frame
 from fxstack.recurrent import RnnArch, TrainConfig
 from fxstack.trees import BoostParams, ForestParams, ImportanceVector
 

@@ -9,7 +9,12 @@ from fxstack import recurrent as rnn
 from fxstack.errors import ParameterError, TrainingError
 from fxstack.market_data import SequenceDataset
 from fxstack.seeding import derive_seed
-from oracles import adam_step_oracle, gru_step_oracle, lstm_step_oracle
+from oracles import (
+    adam_step_oracle,
+    gradient_check,
+    gru_step_oracle,
+    lstm_step_oracle,
+)
 
 
 def make_dataset(n=200, steps=5, features=3, seed=0, signal=True):
@@ -66,7 +71,7 @@ def test_gru_gates_old_state():
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_bptt_gradients_match_finite_differences(cell):
-    err = rnn.gradient_check(rnn.RnnArch(cell=cell, hidden_size=5), seed=7)
+    err = gradient_check(rnn.RnnArch(cell=cell, hidden_size=5), seed=7)
     assert err < 1e-4
 
 
@@ -213,20 +218,6 @@ def test_predict_shape_mismatch_rejected():
     bad = make_dataset(n=10, features=5, seed=16)
     with pytest.raises(ParameterError):
         rnn.predict_rnn(model, bad)
-
-
-def test_history_csv_export(tmp_path):
-    train = make_dataset(n=100, seed=17)
-    val = make_dataset(n=30, seed=18)
-    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=3,
-                          seed=0)
-    _, history = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell="gru", hidden_size=4), cfg)
-    path = tmp_path / "history.csv"
-    rnn.export_history_csv(history, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_rmse,val_rmse"
-    assert len(lines) == len(history) + 1
 
 
 def test_flat_adam_matches_per_array_oracle():

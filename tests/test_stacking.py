@@ -1,5 +1,4 @@
 from collections import Counter
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -9,8 +8,6 @@ from fxstack.errors import ParameterError, SplitError, TrainingError
 from fxstack.market_data import SplitSpec, split_spec_from_fractions
 from fxstack.seeding import derive_seed
 from oracles import meta_nn_oracle
-
-UTC = timezone.utc
 
 
 def make_frame(n=600, seed=0, noise=0.05):
@@ -22,8 +19,7 @@ def make_frame(n=600, seed=0, noise=0.05):
         quality = 0.02 if name in ("xgboost", "gru") else 0.2
         preds[name] = truth + rng.normal(size=n) * quality
     labels = (preds["xgboost"] + preds["gru"]) / 2 + rng.normal(size=n) * noise
-    ts = np.array([datetime(2021, 1, 1, tzinfo=UTC) + timedelta(minutes=15 * i)
-                   for i in range(n)], dtype=object)
+    ts = np.datetime64("2021-01-01", "us") + np.arange(n) * np.timedelta64(15, "m")
     return stacking.build_meta_frame(preds, labels, ts)
 
 
@@ -67,11 +63,12 @@ def test_split_meta_partitions():
 
 def test_split_meta_empty_range_rejected():
     frame = make_frame(50)
-    t0 = frame.index[-1] + timedelta(days=1)
+    day = np.timedelta64(1, "D")
+    t0 = frame.index[-1] + day
     spec = SplitSpec(
-        train=(t0, t0 + timedelta(days=1)),
-        validation=(t0 + timedelta(days=1), t0 + timedelta(days=2)),
-        test=(t0 + timedelta(days=2), t0 + timedelta(days=3)),
+        train=(t0, t0 + day),
+        validation=(t0 + day, t0 + 2 * day),
+        test=(t0 + 2 * day, t0 + 3 * day),
     )
     with pytest.raises(SplitError):
         stacking.split_meta(frame, spec)
