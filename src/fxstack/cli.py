@@ -91,8 +91,9 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
 
     series, dropped = _ingest(config)
     print(f"bars: {len(series)}")
-    print(f"range: {format_rfc3339(series.timestamps[0])} .. "
-          f"{format_rfc3339(series.timestamps[-1])}")
+    if len(series):
+        first, last = format_rfc3339(series.timestamps[[0, -1]])
+        print(f"range: {first} .. {last}")
     for reason, count in sorted(dropped.items()):
         print(f"dropped[{reason}]: {count}")
     return 0

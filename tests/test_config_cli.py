@@ -277,6 +277,17 @@ def test_cli_ingest_synthetic(tmp_path, capsys):
     assert "range: 2014-06-01T00:00:00Z .. 2014-06-06T04:45:00Z\n" in out
 
 
+def test_cli_ingest_csv_without_valid_bars(tmp_path, capsys):
+    # every row is dropped, so there is no range to print
+    csv_path = tmp_path / "bars.csv"
+    csv_path.write_text("datetime,open,high,low,close\n"
+                        "2021-01-01T00:00:00Z,1.0,0.5,0.9,1.1\n")
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(f"data.source = csv\ndata.csv_path = {csv_path}\n")
+    assert cli.main(["--config", str(cfg), "ingest"]) == 0
+    assert capsys.readouterr().out == "bars: 0\ndropped[invalid_candle]: 1\n"
+
+
 def test_cli_features_reports_refit_fallbacks(tmp_path, capsys, monkeypatch):
     # no seed in 0-299 at 1500 bars has a refit fail, so the refit of
     # arima_close at bar 1100 is made to fail, and the column keeps the
