@@ -5,8 +5,8 @@ regression on lagged values. A model with MA terms is fit by Hannan-Rissanen
 (Biometrika, 1982): a long autoregression estimates the innovations, then one
 regression on lagged values and lagged innovations gives the coefficients.
 The residuals are the recursive (conditional) ones with pre-sample residuals
-taken as zero, and the likelihood is the Gaussian conditional likelihood
-implied by their variance.
+taken as zero; order selection scores each fit by the Gaussian conditional
+likelihood implied by their variance.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class ArmaModel:
     ma_coeffs: np.ndarray
     intercept: float
     residual_variance: float
-    n_fit: int
-    log_likelihood: float
     residuals: np.ndarray  # recursive residuals of w[p:], as _css_residuals
 
 
@@ -168,11 +166,6 @@ def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
             w, max(m + q, p), [(w, p), (innovations, q)])
     intercept, ar, ma = float(coef[0]), coef[1:1 + p], coef[1 + p:]
     resid = _css_residuals(w, intercept, ar, ma)
-    sigma2 = float(np.mean(resid**2))
-    n_eff = len(resid)
-    log_lik = -0.5 * n_eff * (
-        np.log(2.0 * np.pi * max(sigma2, _VARIANCE_FLOOR)) + 1.0
-    )
     return ArmaModel(
         p=p,
         d=d,
@@ -180,17 +173,9 @@ def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
         ar_coeffs=np.asarray(ar, dtype=float),
         ma_coeffs=np.asarray(ma, dtype=float),
         intercept=intercept,
-        residual_variance=sigma2,
-        n_fit=n_eff,
-        log_likelihood=float(log_lik),
+        residual_variance=float(np.mean(resid**2)),
         residuals=resid,
     )
-
-
-def aic(model: ArmaModel, k: int = 1) -> float:
-    """Akaike information criterion: -2 log L + 2 (p + q + k), k counting the
-    intercept."""
-    return -2.0 * model.log_likelihood + 2.0 * (model.p + model.q + k)
 
 
 def select_order(

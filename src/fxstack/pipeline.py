@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .arima import rolling_forecast_feature, select_order
 from .config import PipelineConfig, check_config, config_to_mapping
-from .errors import FxStackError
+from .errors import FxStackError, InsufficientDataError
 from .evaluation import Metrics, compute_metrics, format_results_table
 from .indicators import compute_features
 from .market_data import (
@@ -113,6 +113,10 @@ def _features(
     orders: dict[str, list[int]] = {}
     fallbacks: dict[str, int] = {}
     if config.use_arima:
+        if len(series) <= config.arima_fit_len:
+            raise InsufficientDataError(
+                f"{len(series)} bars; the ARIMA columns need more than "
+                f"arima.fit_len = {config.arima_fit_len}")
         for name, values in (("arima_close", series.close),
                              ("arima_high", series.high)):
             search = select_order(
@@ -183,7 +187,7 @@ def _train_base_models(
         windowed_fit.X, windowed_fit.y,
         BoostParams(
             n_trees=config.lgbm_n_trees, max_leaves=config.lgbm_max_leaves,
-            max_depth=config.xgb_max_depth + 2, growth="leaf",
+            max_depth=config.xgb_max_depth + 2,
             splitter="histogram", bins=config.lgbm_bins,
             learning_rate=config.lgbm_learning_rate, goss=(0.2, 0.1),
         ),

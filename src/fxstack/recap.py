@@ -127,7 +127,7 @@ class RecapConfig:
         n_trees=30, learning_rate=0.3, max_depth=5))
     hist_params: BoostParams = field(default_factory=lambda: BoostParams(
         n_trees=30, learning_rate=0.3, max_depth=6, max_leaves=31,
-        growth="leaf", splitter="histogram", bins=64, goss=(0.2, 0.1)))
+        splitter="histogram", bins=64, goss=(0.2, 0.1)))
     forest_params: ForestParams = field(default_factory=lambda: ForestParams(
         n_trees=20, max_depth=8, m=20))
     rnn_arch: RnnArch = field(default_factory=lambda: RnnArch(

@@ -2,10 +2,13 @@
 
 The boosted learner follows the second-order (g, h) formulation: leaf
 weights are -G/(H + lambda) and split gains compare the one-split objective
-against no split. The histogram splitter, leaf-wise growth, and GOSS row
-sampling give the lighter gradient-boosting variant; the forest reuses the
-same grower with g = -2y, h = 2, under which the split gain reduces exactly
-to the variance (SSE) reduction used for impurity importance.
+against no split. One grower serves every learner. It searches each node
+once, when the node is made; without ``max_leaves`` the tree grows level by
+level (XGBoost), and with it the waiting node of highest gain splits first
+until the tree has ``max_leaves`` leaves (LightGBM). The histogram splitter,
+that leaf budget and GOSS row sampling give the lighter variant; the forest
+grows level-wise with g = -2y, h = 2, under which the split gain reduces
+exactly to the variance (SSE) reduction used for impurity importance.
 
 A node's split search covers all candidate features in a few 2-D numpy
 operations: the exact splitter carries each node's rows sorted per feature,
@@ -54,19 +57,6 @@ def leaf_weight(G: float, H: float, lam: float) -> float:
     return -G / denom
 
 
-def split_gain(
-    G_L: float, H_L: float, G_R: float, H_R: float, lam: float, gamma: float
-) -> float:
-    """Objective reduction of one split versus keeping the parent leaf."""
-    if H_L + lam <= 0 or H_R + lam <= 0:
-        raise DegenerateFitError("H + lambda must be > 0 on both sides")
-    return 0.5 * (
-        G_L * G_L / (H_L + lam)
-        + G_R * G_R / (H_R + lam)
-        - (G_L + G_R) ** 2 / (H_L + H_R + lam)
-    ) - gamma
-
-
 @dataclass(frozen=True)
 class Tree:
     """A regression tree stored as parallel node arrays in pre-order.
@@ -101,7 +91,6 @@ class BoostParams:
     gamma: float = 0.0
     max_depth: int = 6
     max_leaves: int | None = None
-    growth: str = "level"  # "level" | "leaf"
     splitter: str = "exact"  # "exact" | "histogram"
     bins: int = 256
     goss: tuple[float, float] | None = None  # (top fraction a, sampled b)
@@ -117,8 +106,6 @@ class BoostParams:
             raise ParameterError("max_depth must be >= 0")
         if self.max_leaves is not None and self.max_leaves < 1:
             raise ParameterError("max_leaves must be >= 1 (None = no limit)")
-        if self.growth not in ("level", "leaf"):
-            raise ParameterError(f"unknown growth {self.growth!r}")
         if self.splitter not in ("exact", "histogram"):
             raise ParameterError(f"unknown splitter {self.splitter!r}")
         if self.splitter == "histogram" and self.bins < 2:
@@ -296,71 +283,50 @@ class _Splitter:
         rng: np.random.Generator | None = None,
         m: int | None = None,
     ) -> Tree:
+        """One tree over the rows ``idx``, drawing ``m`` features per node
+        from ``rng`` (all of them when ``m`` is None).
+
+        A node shallower than ``max_depth`` with two or more rows is searched
+        once, when it is made, and waits to split if its best gain is
+        positive. Without ``max_leaves`` the oldest waiting node splits next
+        (level-wise); with it, the first one of highest gain (leaf-wise),
+        until the tree has ``max_leaves`` leaves; the rest stay leaves.
+        """
         params = self.params
-        max_leaves = np.inf if params.max_leaves is None else params.max_leaves
-
-        def leaf_value(node_idx: np.ndarray) -> float:
-            G = float(g[node_idx].sum())
-            H = float(h[node_idx].sum())
-            return leaf_weight(G, H, params.lam)
-
-        def draw_features() -> np.ndarray:
-            if m is None or m >= self.F:
-                return np.arange(self.F)
-            return np.sort(rng.choice(self.F, size=m, replace=False))
-
-        def search(entry: list) -> tuple[float, int, float] | None:
-            return self.best_split(g, h, entry[1], entry[2], draw_features())
-
+        budget = np.inf if params.max_leaves is None else params.max_leaves
         # nodes in creation order: [feature, threshold, gain, value, left,
         # right]; renumbered into pre-order once the tree is grown
-        nodes: list[list] = [[-1, 0.0, 0.0, 0.0, -1, -1]]
-        # frontier entries: (node id, rows, rows sorted per feature or None,
-        # depth, cached best split or None)
-        frontier: list[list] = [[0, idx, self.sorted_rows_of(idx), 0, None]]
+        nodes: list[list] = []
+        # (gain, feature, threshold, node id, rows, rows sorted per feature
+        # or None, depth) of each node that waits to split
+        frontier: list[tuple] = []
+
+        def make_node(node_idx, rows, depth):
+            value = leaf_weight(float(g[node_idx].sum()),
+                                float(h[node_idx].sum()), params.lam)
+            nodes.append([-1, 0.0, 0.0, value, -1, -1])
+            if depth >= params.max_depth or len(node_idx) < 2:
+                return
+            features = (np.arange(self.F) if m is None or m >= self.F
+                        else np.sort(rng.choice(self.F, size=m, replace=False)))
+            found = self.best_split(g, h, node_idx, rows, features)
+            if found is not None and found[0] > 0:
+                frontier.append((*found, len(nodes) - 1, node_idx, rows, depth))
+
+        make_node(idx, self.sorted_rows_of(idx), 0)
         n_leaves = 1
-        while frontier:
-            if params.growth == "level":
-                entry = frontier.pop(0)
-            else:
-                # leaf-wise: evaluate all pending candidates, split the best
-                for entry in frontier:
-                    if entry[4] is None:
-                        entry[4] = ("eval", search(entry))
-                candidates = [
-                    e for e in frontier
-                    if e[4][1] is not None and e[4][1][0] > 0
-                    and e[3] < params.max_depth
-                ]
-                if not candidates or n_leaves >= max_leaves:
-                    break
-                entry = max(candidates, key=lambda e: e[4][1][0])
-                frontier = [e for e in frontier if e is not entry]
-            node, node_idx, rows, depth, cached = entry
-            if (
-                depth >= params.max_depth
-                or n_leaves >= max_leaves
-                or len(node_idx) < 2
-            ):
-                nodes[node][3] = leaf_value(node_idx)
-                continue
-            found = cached[1] if cached else search(entry)
-            if found is None or found[0] <= 0:
-                nodes[node][3] = leaf_value(node_idx)
-                continue
-            gain, f, threshold = found
-            goes_left = self.X[:, f] <= threshold
+        while frontier and n_leaves < budget:
+            # the first maximum: ties go to the node made first
+            i = 0 if params.max_leaves is None else max(
+                range(len(frontier)), key=lambda k: frontier[k][0])
+            gain, f, threshold, node, node_idx, rows, depth = frontier.pop(i)
             nodes[node] = [f, threshold, gain, 0.0, len(nodes), len(nodes) + 1]
             n_leaves += 1
+            goes_left = self.X[:, f] <= threshold
             for side in (goes_left, ~goes_left):
                 child_rows = (None if rows is None
                               else rows[side[rows]].reshape(self.F, -1))
-                frontier.append(
-                    [len(nodes), node_idx[side[node_idx]], child_rows,
-                     depth + 1, None])
-                nodes.append([-1, 0.0, 0.0, 0.0, -1, -1])
-        for entry in frontier:  # unexpanded leaf-wise leftovers become leaves
-            nodes[entry[0]][3] = leaf_value(entry[1])
+                make_node(node_idx[side[node_idx]], child_rows, depth + 1)
         return _preorder_tree(nodes)
 
 
@@ -484,7 +450,7 @@ def fit_random_forest(
         feature_names = [f"x{i}" for i in range(F)]
     tree_params = BoostParams(
         n_trees=1, learning_rate=1.0, lam=0.0, gamma=0.0,
-        max_depth=params.max_depth, growth="level", splitter="exact",
+        max_depth=params.max_depth, splitter="exact",
     )
     trees = []
     seeds = []

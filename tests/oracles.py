@@ -12,6 +12,7 @@ import numpy as np
 
 from fxstack import arima
 from fxstack import recurrent as rnn
+from fxstack import trees
 from fxstack.errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -454,6 +455,87 @@ def best_split_oracle(X, g, h, idx, features, params):
     return best
 
 
+def split_gain(G_L, H_L, G_R, H_R, lam, gamma):
+    """Objective reduction of one split versus keeping the parent leaf."""
+    if H_L + lam <= 0 or H_R + lam <= 0:
+        raise DegenerateFitError("H + lambda must be > 0 on both sides")
+    return 0.5 * (
+        G_L * G_L / (H_L + lam)
+        + G_R * G_R / (H_R + lam)
+        - (G_L + G_R) ** 2 / (H_L + H_R + lam)
+    ) - gamma
+
+
+def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
+    """``splitter.grow`` as it was with two growth modes, ``growth`` being
+    ``"level"`` or ``"leaf"``. Level-wise growth pops nodes first in, first
+    out and searches each as it is popped. Leaf-wise growth searches every
+    node in the frontier, whatever its depth, and splits the first of
+    highest positive gain; ``max_leaves`` caps the leaves in both modes."""
+    params = splitter.params
+    max_leaves = np.inf if params.max_leaves is None else params.max_leaves
+
+    def leaf_value(node_idx):
+        G = float(g[node_idx].sum())
+        H = float(h[node_idx].sum())
+        return trees.leaf_weight(G, H, params.lam)
+
+    def search(entry):
+        if m is None or m >= splitter.F:
+            features = np.arange(splitter.F)
+        else:
+            features = np.sort(rng.choice(splitter.F, size=m, replace=False))
+        return splitter.best_split(g, h, entry[1], entry[2], features)
+
+    # nodes: [feature, threshold, gain, value, left, right]; frontier
+    # entries: [node id, rows, sorted rows or None, depth, cached search]
+    nodes = [[-1, 0.0, 0.0, 0.0, -1, -1]]
+    frontier = [[0, idx, splitter.sorted_rows_of(idx), 0, None]]
+    n_leaves = 1
+    while frontier:
+        if growth == "level":
+            entry = frontier.pop(0)
+        else:
+            for entry in frontier:
+                if entry[4] is None:
+                    entry[4] = ("eval", search(entry))
+            candidates = [
+                e for e in frontier
+                if e[4][1] is not None and e[4][1][0] > 0
+                and e[3] < params.max_depth
+            ]
+            if not candidates or n_leaves >= max_leaves:
+                break
+            entry = max(candidates, key=lambda e: e[4][1][0])
+            frontier = [e for e in frontier if e is not entry]
+        node, node_idx, rows, depth, cached = entry
+        if (
+            depth >= params.max_depth
+            or n_leaves >= max_leaves
+            or len(node_idx) < 2
+        ):
+            nodes[node][3] = leaf_value(node_idx)
+            continue
+        found = cached[1] if cached else search(entry)
+        if found is None or found[0] <= 0:
+            nodes[node][3] = leaf_value(node_idx)
+            continue
+        gain, f, threshold = found
+        goes_left = splitter.X[:, f] <= threshold
+        nodes[node] = [f, threshold, gain, 0.0, len(nodes), len(nodes) + 1]
+        n_leaves += 1
+        for side in (goes_left, ~goes_left):
+            child_rows = (None if rows is None
+                          else rows[side[rows]].reshape(splitter.F, -1))
+            frontier.append(
+                [len(nodes), node_idx[side[node_idx]], child_rows,
+                 depth + 1, None])
+            nodes.append([-1, 0.0, 0.0, 0.0, -1, -1])
+    for entry in frontier:  # unexpanded leaf-wise leftovers become leaves
+        nodes[entry[0]][3] = leaf_value(entry[1])
+    return trees._preorder_tree(nodes)
+
+
 def css_residuals_oracle(w, intercept, ar, ma):
     """Recursive CSS residuals, one bar at a time, as ``arima._css_residuals``
     computed them before the AR part was vectorised: pre-sample residuals are
@@ -528,11 +610,6 @@ def css_fit_oracle(series, p, d, q):
                 f"MA estimation did not converge in {_CSS_MAX_ITER} iterations"
             )
     resid = arima._css_residuals(w, intercept, ar, ma)
-    sigma2 = float(np.mean(resid**2))
-    n_eff = len(resid)
-    log_lik = -0.5 * n_eff * (
-        np.log(2.0 * np.pi * max(sigma2, arima._VARIANCE_FLOOR)) + 1.0
-    )
     return arima.ArmaModel(
         p=p,
         d=d,
@@ -540,9 +617,7 @@ def css_fit_oracle(series, p, d, q):
         ar_coeffs=np.asarray(ar, dtype=float),
         ma_coeffs=np.asarray(ma, dtype=float),
         intercept=intercept,
-        residual_variance=sigma2,
-        n_fit=n_eff,
-        log_likelihood=float(log_lik),
+        residual_variance=float(np.mean(resid**2)),
         residuals=resid,
     )
 

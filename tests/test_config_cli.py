@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from fxstack import arima, cli, config
@@ -286,6 +287,28 @@ def test_cli_ingest_csv_without_valid_bars(tmp_path, capsys):
     cfg.write_text(f"data.source = csv\ndata.csv_path = {csv_path}\n")
     assert cli.main(["--config", str(cfg), "ingest"]) == 0
     assert capsys.readouterr().out == "bars: 0\ndropped[invalid_candle]: 1\n"
+
+
+@pytest.mark.parametrize("command", ["features", "run"])
+@pytest.mark.parametrize("bars", [0, 300])
+def test_cli_too_few_bars_for_arima_exit_3(tmp_path, capsys, command, bars):
+    # a header-only CSV, and one with enough bars for the order grid but
+    # not more than arima.fit_len, so the rolling column would be all NaN
+    stamps = np.datetime_as_string(np.datetime64("2021-01-01T00:00")
+                                   + np.arange(bars) * np.timedelta64(15, "m"),
+                                   unit="s")
+    rows = [f"{stamp}Z,1.0,1.2,0.9,1.1" for stamp in stamps]
+    csv_path = tmp_path / "bars.csv"
+    csv_path.write_text("\n".join(["datetime,open,high,low,close", *rows])
+                        + "\n")
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(f"data.source = csv\ndata.csv_path = {csv_path}\n"
+                   f"out_dir = {tmp_path}\n")
+    assert cli.main(["--config", str(cfg), command]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bars} bars; the ARIMA columns need more than " \
+        "arima.fit_len = 600" in err
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_cli_features_reports_refit_fallbacks(tmp_path, capsys, monkeypatch):

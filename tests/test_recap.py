@@ -81,8 +81,7 @@ def _quick_config(seed=0, k=6):
         k=k, seed=seed,
         boost_params=BoostParams(n_trees=10, max_depth=4),
         hist_params=BoostParams(n_trees=10, max_depth=5, max_leaves=15,
-                                growth="leaf", splitter="histogram", bins=32,
-                                goss=(0.2, 0.1)),
+                                splitter="histogram", bins=32, goss=(0.2, 0.1)),
         forest_params=ForestParams(n_trees=8, max_depth=6, m=10),
         rnn_arch=RnnArch(cell="gru", hidden_size=8),
         rnn_cfg=TrainConfig(batch_size=128, learning_rate=3e-3, max_epochs=3,

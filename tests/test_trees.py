@@ -5,7 +5,7 @@ import pytest
 
 from fxstack import trees
 from fxstack.errors import ParameterError
-from oracles import best_split_oracle
+from oracles import best_split_oracle, grow_oracle, split_gain
 
 
 def random_data(n=500, f=20, seed=0):
@@ -21,10 +21,10 @@ def test_leaf_weight_hand_value():
 def test_split_gain_hand_values():
     # G_L=2,H_L=1 | G_R=-2,H_R=1, lambda=0, gamma=0:
     # 1/2 * (4/1 + 4/1 - 0/2) = 4
-    assert trees.split_gain(2.0, 1.0, -2.0, 1.0, 0.0, 0.0) == pytest.approx(4.0)
+    assert split_gain(2.0, 1.0, -2.0, 1.0, 0.0, 0.0) == pytest.approx(4.0)
     # G_L=1,H_L=1 | G_R=1,H_R=1, lambda=1:
     # 1/2 * (1/2 + 1/2 - 4/3) = -1/6
-    assert trees.split_gain(1.0, 1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(-1 / 6)
+    assert split_gain(1.0, 1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(-1 / 6)
 
 
 def test_gradients_squared_loss():
@@ -90,16 +90,15 @@ def test_histogram_thresholds_are_cut_points():
 def test_leaf_wise_growth_respects_max_leaves():
     X, y = random_data(400, 10, seed=9)
     model = trees.newton_boost_fit(
-        X, y, trees.BoostParams(n_trees=5, growth="leaf", max_leaves=8,
-                                max_depth=32),
+        X, y, trees.BoostParams(n_trees=5, max_leaves=8, max_depth=32),
         seed=1)
     assert all(len(t.leaves()) <= 8 for t in model.trees)
 
 
 def test_goss_subsampling_trains_and_is_deterministic():
     X, y = random_data(500, 10, seed=4)
-    params = trees.BoostParams(n_trees=10, growth="leaf", max_leaves=8,
-                               splitter="histogram", bins=32, goss=(0.2, 0.1))
+    params = trees.BoostParams(n_trees=10, max_leaves=8, splitter="histogram",
+                               bins=32, goss=(0.2, 0.1))
     a = trees.newton_boost_fit(X, y, params, seed=3)
     b = trees.newton_boost_fit(X, y, params, seed=3)
     np.testing.assert_array_equal(trees.predict(a, X), trees.predict(b, X))
@@ -285,11 +284,11 @@ def test_grown_trees_match_per_feature_oracle(monkeypatch):
             X, y, trees.BoostParams(n_trees=3, max_depth=5), seed=0),
         lambda: trees.newton_boost_fit(
             X, y, trees.BoostParams(
-                n_trees=3, max_depth=8, max_leaves=12, growth="leaf",
+                n_trees=3, max_depth=8, max_leaves=12,
                 splitter="histogram", bins=16, goss=(0.2, 0.3)), seed=1),
         lambda: trees.newton_boost_fit(
             X, y, trees.BoostParams(
-                n_trees=2, max_depth=6, growth="leaf", lam=0.0, gamma=0.1,
+                n_trees=2, max_depth=6, lam=0.0, gamma=0.1,
                 goss=(0.3, 0.3)), seed=2),
         lambda: trees.fit_random_forest(
             X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4, seed=3)),
@@ -305,6 +304,81 @@ def test_grown_trees_match_per_feature_oracle(monkeypatch):
         assert json.dumps(got) == json.dumps(want)
 
 
+GROWER_CASES = [  # (the growth mode of the oracle, fit)
+    ("level", lambda X, y, s: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=3, max_depth=5), seed=s)),
+    ("leaf", lambda X, y, s: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=3, max_depth=8, max_leaves=12,
+                                splitter="histogram", bins=16,
+                                goss=(0.2, 0.3)), seed=s)),
+    ("leaf", lambda X, y, s: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=3, max_depth=6, max_leaves=10),
+        seed=s)),
+    # leaf-wise growth without a budget splits the nodes level-wise does
+    ("leaf", lambda X, y, s: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=2, max_depth=6, lam=0.0, gamma=0.1,
+                                goss=(0.3, 0.3)), seed=s)),
+    ("level", lambda X, y, s: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=2, max_depth=6, lam=0.0, gamma=0.1,
+                                goss=(0.3, 0.3)), seed=s)),
+    ("leaf", lambda X, y, s: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=2, max_depth=4, max_leaves=1),
+        seed=s)),
+    ("level", lambda X, y, s: trees.fit_random_forest(
+        X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4, seed=s))),
+    ("level", lambda X, y, s: trees.fit_random_forest(
+        X, y, trees.ForestParams(n_trees=2, max_depth=4, seed=s))),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grower_matches_two_mode_oracle(monkeypatch, seed):
+    """The grower builds the trees of the two-mode grower it replaced:
+    level-wise without max_leaves, leaf-wise with it, on tied and duplicate
+    columns and with per-node feature draws (forest m < F)."""
+    X, y = split_search_data(n=300, seed=20 + seed)
+    X[:, 9] = np.round(X[:, 9])  # a column of many ties
+    got = [trees.model_to_dict(fit(X, y, seed)) for _, fit in GROWER_CASES]
+    for (growth, fit), new in zip(GROWER_CASES, got):
+        def grow(self, idx, g, h, rng=None, m=None, growth=growth):
+            return grow_oracle(self, idx, g, h, growth, rng, m)
+
+        monkeypatch.setattr(trees._Splitter, "grow", grow)
+        want = trees.model_to_dict(fit(X, y, seed))
+        assert json.dumps(new) == json.dumps(want), growth
+
+
+def test_each_node_is_searched_once(monkeypatch):
+    """At max_depth=1 leaf-wise growth searches the root alone: its two
+    children can never split. The two-mode grower searched them too.
+    Level-wise growth searches the nodes it searched before."""
+    X, y = random_data(400, 10, seed=3)
+    real = trees._Splitter.best_split
+    calls = []
+
+    def counting(self, g, h, idx, rows, features):
+        calls.append(len(idx))
+        return real(self, g, h, idx, rows, features)
+
+    def searches(params, growth=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(trees._Splitter, "best_split", counting)
+            if growth is not None:
+                patch.setattr(trees._Splitter, "grow",
+                              lambda self, idx, g, h: grow_oracle(
+                                  self, idx, g, h, growth))
+            calls.clear()
+            trees.newton_boost_fit(X, y, params, seed=0)
+        return len(calls)
+
+    leaf = trees.BoostParams(n_trees=4, max_depth=1, max_leaves=31)
+    level = trees.BoostParams(n_trees=4, max_depth=3)
+    assert searches(leaf) == 4
+    assert searches(leaf, growth="leaf") == 12
+    # one node at depth 2 has a single row
+    assert searches(level) == searches(level, growth="level") == 27
+
+
 def flat_format_fits():
     X, y = split_search_data(n=300, seed=13)
     return [
@@ -312,7 +386,7 @@ def flat_format_fits():
             X, y, trees.BoostParams(n_trees=3, max_depth=4), seed=0),
         trees.newton_boost_fit(
             X, y, trees.BoostParams(
-                n_trees=3, max_depth=8, max_leaves=10, growth="leaf",
+                n_trees=3, max_depth=8, max_leaves=10,
                 splitter="histogram", bins=16, goss=(0.2, 0.3)), seed=1),
         trees.fit_random_forest(
             X, y, trees.ForestParams(n_trees=3, max_depth=5, m=4, seed=2)),
@@ -390,8 +464,6 @@ def test_model_from_dict_rejects_malformed_payloads():
 def test_bad_params_rejected():
     with pytest.raises(ParameterError):
         trees.BoostParams(learning_rate=0.0)
-    with pytest.raises(ParameterError):
-        trees.BoostParams(growth="diagonal")
     with pytest.raises(ParameterError):
         trees.ForestParams(n_trees=0)
     with pytest.raises(ParameterError):
