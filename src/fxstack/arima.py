@@ -35,7 +35,6 @@ class ArmaModel:
     ar_coeffs: np.ndarray
     ma_coeffs: np.ndarray
     intercept: float
-    residual_variance: float
     residuals: np.ndarray  # recursive residuals of w[p:], as _css_residuals
 
 
@@ -143,7 +142,8 @@ def _regress_on_lags(
 
 
 def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
-    """Fit ARMA(p, q) to the d-times differenced series."""
+    """Fit ARMA(p, q) to the d-times differenced series; a singular design,
+    diverging residuals or an overflowing mean square is degenerate."""
     x = np.asarray(series, dtype=float)
     w = np.diff(x, n=d) if d > 0 else x
     n = len(w)
@@ -166,6 +166,9 @@ def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
             w, max(m + q, p), [(w, p), (innovations, q)])
     intercept, ar, ma = float(coef[0]), coef[1:1 + p], coef[1 + p:]
     resid = _css_residuals(w, intercept, ar, ma)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.mean(resid**2)):
+            raise DegenerateFitError("explosive MA: squared residuals overflow")
     return ArmaModel(
         p=p,
         d=d,
@@ -173,7 +176,6 @@ def fit_arma(series: np.ndarray, p: int, d: int, q: int) -> ArmaModel:
         ar_coeffs=np.asarray(ar, dtype=float),
         ma_coeffs=np.asarray(ma, dtype=float),
         intercept=intercept,
-        residual_variance=float(np.mean(resid**2)),
         residuals=resid,
     )
 

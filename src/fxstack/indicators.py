@@ -1,7 +1,10 @@
 """Technical indicators over a CandleSeries and FeatureFrame assembly.
 
-:func:`compute_features` puts the columns of :func:`shipped_indicators`, in
-their order, between the raw OHLC and any external (e.g. ARIMA) columns.
+Each indicator returns a float array aligned to the candle index, or a tuple
+of them. :func:`shipped_indicators` is the one table of feature columns: its
+keys are the column names, each with its indicator and period, and its order
+is the feature order. :func:`compute_features` puts that table between the
+raw OHLC and any external (e.g. ARIMA) columns.
 
 Every indicator is causal: the value at index t depends only on bars <= t.
 Warmup cells (windows not yet full) are NaN and removed later by cleaning.
@@ -14,28 +17,11 @@ window yields a neutral value instead of an undefined cell mid-series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SpecError
 from .market_data import CandleSeries, FeatureFrame
-
-
-@dataclass(frozen=True)
-class IndicatorColumn:
-    """A named series aligned to the candle index; the first ``warmup_len``
-    cells are undefined (NaN)."""
-
-    name: str
-    values: np.ndarray
-    warmup_len: int
-
-
-def _column(name: str, values: np.ndarray) -> IndicatorColumn:
-    finite = np.isfinite(values)
-    warmup = int(np.argmax(finite)) if finite.any() else len(values)
-    return IndicatorColumn(name=name, values=values, warmup_len=warmup)
 
 
 def _rolling_mean(x: np.ndarray, n: int) -> np.ndarray:
@@ -46,40 +32,40 @@ def _rolling_mean(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _rolling_std(x: np.ndarray, n: int) -> np.ndarray:
-    # population standard deviation over each window
+def _on_defined(x: np.ndarray, n: int, fn) -> np.ndarray:
+    """``fn(d, n)`` on the finite tail ``d`` of ``x``, padded in front with
+    NaN back to ``len(x)``."""
+    d = x[np.isfinite(x)]
     out = np.full(len(x), np.nan)
-    if n <= len(x):
-        windows = np.lib.stride_tricks.sliding_window_view(x, n)
-        out[n - 1:] = windows.std(axis=1)
+    if len(d):
+        out[len(x) - len(d):] = fn(d, n)
     return out
 
 
-def sma(closes: np.ndarray, n: int, name: str = "sma") -> IndicatorColumn:
+def sma(closes: np.ndarray, n: int) -> np.ndarray:
     """Simple moving average: mean of the trailing n values."""
     if n < 1:
         raise ParameterError("sma period must be >= 1")
-    return _column(name, _rolling_mean(np.asarray(closes, dtype=float), n))
+    return _rolling_mean(np.asarray(closes, dtype=float), n)
 
 
-def ema(closes: np.ndarray, n: int, name: str = "ema") -> IndicatorColumn:
+def ema(closes: np.ndarray, n: int) -> np.ndarray:
     """Exponential moving average with K = 2/(n+1), seeded by the first-n SMA."""
     if n < 1:
         raise ParameterError("ema period must be >= 1")
     x = np.asarray(closes, dtype=float)
     out = np.full(len(x), np.nan)
-    if n > len(x):
-        return _column(name, out)
-    k = 2.0 / (n + 1.0)
-    value = x[:n].mean()
-    out[n - 1] = value
-    for i in range(n, len(x)):
-        value = value + k * (x[i] - value)
-        out[i] = value
-    return _column(name, out)
+    if n <= len(x):
+        k = 2.0 / (n + 1.0)
+        value = x[:n].mean()
+        out[n - 1] = value
+        for i in range(n, len(x)):
+            value = value + k * (x[i] - value)
+            out[i] = value
+    return out
 
 
-def wma(closes: np.ndarray, n: int, name: str = "wma") -> IndicatorColumn:
+def wma(closes: np.ndarray, n: int) -> np.ndarray:
     """Linearly weighted moving average (weight i+1 on the i-th oldest value)."""
     if n < 1:
         raise ParameterError("wma period must be >= 1")
@@ -89,71 +75,44 @@ def wma(closes: np.ndarray, n: int, name: str = "wma") -> IndicatorColumn:
         weights = np.arange(1, n + 1, dtype=float)
         windows = np.lib.stride_tricks.sliding_window_view(x, n)
         out[n - 1:] = windows @ weights / weights.sum()
-    return _column(name, out)
+    return out
 
 
-def dema(closes: np.ndarray, n: int, name: str = "dema") -> IndicatorColumn:
+def dema(closes: np.ndarray, n: int) -> np.ndarray:
     """Double EMA: 2*EMA(x) - EMA(EMA(x))."""
-    e1 = ema(closes, n).values
-    e2 = ema(e1[np.isfinite(e1)], n).values if np.isfinite(e1).any() else e1
-    out = np.full(len(closes), np.nan)
-    offset = len(closes) - len(e2)
-    out[offset:] = 2.0 * e1[offset:] - e2
-    return _column(name, out)
+    e1 = ema(closes, n)
+    return 2.0 * e1 - _on_defined(e1, n, ema)
 
 
-def tema(closes: np.ndarray, n: int, name: str = "tema") -> IndicatorColumn:
+def tema(closes: np.ndarray, n: int) -> np.ndarray:
     """Triple EMA: 3*EMA - 3*EMA(EMA) + EMA(EMA(EMA))."""
-    e1 = ema(closes, n).values
-    d1 = e1[np.isfinite(e1)]
-    e2full = np.full(len(closes), np.nan)
-    e2full[len(closes) - len(d1):] = ema(d1, n).values if len(d1) else d1
-    d2 = e2full[np.isfinite(e2full)]
-    e3full = np.full(len(closes), np.nan)
-    e3full[len(closes) - len(d2):] = ema(d2, n).values if len(d2) else d2
-    out = 3.0 * e1 - 3.0 * e2full + e3full
-    return _column(name, out)
+    e1 = ema(closes, n)
+    e2 = _on_defined(e1, n, ema)
+    return 3.0 * e1 - 3.0 * e2 + _on_defined(e2, n, ema)
 
 
-def trima(closes: np.ndarray, n: int, name: str = "trima") -> IndicatorColumn:
+def trima(closes: np.ndarray, n: int) -> np.ndarray:
     """Triangular moving average: SMA(SMA(x, m1), m2) with
     m1 = ceil((n+1)/2) and m2 = floor(n/2) + 1."""
     if n < 2:
         raise ParameterError("trima period must be >= 2")
     x = np.asarray(closes, dtype=float)
-    m1 = math.ceil((n + 1) / 2)
-    m2 = n // 2 + 1
-    inner = _rolling_mean(x, m1)
-    out = np.full(len(x), np.nan)
-    defined = inner[np.isfinite(inner)]
-    if len(defined) >= m2:
-        out[m1 - 1 + m2 - 1:] = np.lib.stride_tricks.sliding_window_view(
-            defined, m2
-        ).mean(axis=1)
-    return _column(name, out)
+    inner = _rolling_mean(x, math.ceil((n + 1) / 2))
+    return _on_defined(inner, n // 2 + 1, _rolling_mean)
 
 
 def macd(
     closes: np.ndarray, fast: int = 12, slow: int = 26, signal_period: int = 9
-) -> tuple[IndicatorColumn, IndicatorColumn, IndicatorColumn]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MACD line (fast EMA - slow EMA), its signal EMA, and the histogram."""
     if fast >= slow:
         raise ParameterError("macd requires fast < slow")
-    line = ema(closes, fast).values - ema(closes, slow).values
-    defined = line[np.isfinite(line)]
-    sig = np.full(len(closes), np.nan)
-    if len(defined):
-        offset = len(closes) - len(defined)
-        sig[offset:] = ema(defined, signal_period).values
-    hist = line - sig
-    return (
-        _column("macd", line),
-        _column("macdsignal", sig),
-        _column("macdhist", hist),
-    )
+    line = ema(closes, fast) - ema(closes, slow)
+    signal = _on_defined(line, signal_period, ema)
+    return line, signal, line - signal
 
 
-def willr(series: CandleSeries, n: int = 14, name: str = "willr") -> IndicatorColumn:
+def willr(series: CandleSeries, n: int = 14) -> np.ndarray:
     """Williams %R: -100 * (HH - close) / (HH - LL) over the trailing n bars.
 
     A flat window (HH == LL) reads -50.
@@ -170,10 +129,10 @@ def willr(series: CandleSeries, n: int = 14, name: str = "willr") -> IndicatorCo
             r = -100.0 * (hh - close) / span
         r[span == 0] = -50.0
         out[n - 1:] = r
-    return _column(name, out)
+    return out
 
 
-def bop(series: CandleSeries, n: int = 14, name: str = "bop") -> IndicatorColumn:
+def bop(series: CandleSeries, n: int = 14) -> np.ndarray:
     """Balance of power: SMA over n of (close-open)/(high-low); 0 when high==low."""
     if n < 1:
         raise ParameterError("bop period must be >= 1")
@@ -181,12 +140,12 @@ def bop(series: CandleSeries, n: int = 14, name: str = "bop") -> IndicatorColumn
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (series.close - series.open) / span
     raw = np.where(span == 0, 0.0, raw)
-    return _column(name, _rolling_mean(raw, n))
+    return _rolling_mean(raw, n)
 
 
 def true_range_atr(
     series: CandleSeries, n: int = 14
-) -> tuple[IndicatorColumn, IndicatorColumn, IndicatorColumn]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True range, its trailing-n arithmetic mean (ATR), and NATR = 100*ATR/close.
 
     ATR is the plain 1/n mean of the trailing true ranges, not Wilder's
@@ -206,25 +165,12 @@ def true_range_atr(
     atr = _rolling_mean(tr, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         natr = 100.0 * atr / series.close
-    return _column("trange", tr), _column("atr", atr), _column("natr", natr)
-
-
-def price_transforms(
-    series: CandleSeries,
-) -> tuple[IndicatorColumn, IndicatorColumn, IndicatorColumn, IndicatorColumn]:
-    """avg=(O+H+L+C)/4, med=(H+L)/2, typ=(H+L+C)/3, wcl=(2C+H+L)/4."""
-    o, h, l, c = series.open, series.high, series.low, series.close
-    return (
-        _column("avgprice", (o + h + l + c) / 4.0),
-        _column("medprice", (h + l) / 2.0),
-        _column("typprice", (h + l + c) / 3.0),
-        _column("wclprice", (2.0 * c + h + l) / 4.0),
-    )
+    return tr, atr, natr
 
 
 def bbands(
     closes: np.ndarray, n: int = 20, k: float = 2.0
-) -> tuple[IndicatorColumn, IndicatorColumn, IndicatorColumn]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bollinger bands: middle = SMA(n), upper/lower = middle +/- k*stddev.
 
     The deviation is the population standard deviation over the window.
@@ -235,15 +181,13 @@ def bbands(
         raise ParameterError("bbands width k must be > 0")
     x = np.asarray(closes, dtype=float)
     middle = _rolling_mean(x, n)
-    dev = _rolling_std(x, n)
-    return (
-        _column("upperband", middle + k * dev),
-        _column("middleband", middle),
-        _column("lowerband", middle - k * dev),
-    )
+    dev = np.full(len(x), np.nan)
+    if n <= len(x):
+        dev[n - 1:] = np.lib.stride_tricks.sliding_window_view(x, n).std(axis=1)
+    return middle + k * dev, middle, middle - k * dev
 
 
-def rsi(closes: np.ndarray, n: int = 14, name: str = "rsi") -> IndicatorColumn:
+def rsi(closes: np.ndarray, n: int = 14) -> np.ndarray:
     """Relative strength index from trailing-n mean gains and losses.
 
     Uses plain window means (consistent with the ATR convention here);
@@ -262,10 +206,10 @@ def rsi(closes: np.ndarray, n: int = 14, name: str = "rsi") -> IndicatorColumn:
             value = 100.0 * gains / total
         value = np.where(total == 0, 50.0, value)
         out[n:] = value[n - 1:]
-    return _column(name, out)
+    return out
 
 
-def mom(closes: np.ndarray, n: int = 10, name: str = "mom") -> IndicatorColumn:
+def mom(closes: np.ndarray, n: int = 10) -> np.ndarray:
     """Momentum: close(t) - close(t-n)."""
     if n < 1:
         raise ParameterError("mom period must be >= 1")
@@ -273,10 +217,10 @@ def mom(closes: np.ndarray, n: int = 10, name: str = "mom") -> IndicatorColumn:
     out = np.full(len(x), np.nan)
     if len(x) > n:
         out[n:] = x[n:] - x[:-n]
-    return _column(name, out)
+    return out
 
 
-def roc(closes: np.ndarray, n: int = 10, name: str = "roc") -> IndicatorColumn:
+def roc(closes: np.ndarray, n: int = 10) -> np.ndarray:
     """Rate of change: (close(t)/close(t-n) - 1) * 100."""
     if n < 1:
         raise ParameterError("roc period must be >= 1")
@@ -284,31 +228,36 @@ def roc(closes: np.ndarray, n: int = 10, name: str = "roc") -> IndicatorColumn:
     out = np.full(len(x), np.nan)
     if len(x) > n:
         out[n:] = (x[n:] / x[:-n] - 1.0) * 100.0
-    return _column(name, out)
+    return out
 
 
-def shipped_indicators(series: CandleSeries) -> list[IndicatorColumn]:
-    """The shipped indicator columns, in feature order (periods follow the
-    feature names used in reports plus industry defaults where unnamed)."""
-    closes = series.close
-    return [
-        sma(closes, 10, "sma10"),
-        sma(closes, 30, "sma30"),
-        ema(closes, 10, "ema10"),
-        wma(closes, 5, "wma5"),
-        dema(closes, 30),
-        tema(closes, 30),
-        trima(closes, 30, "trima30"),
-        *macd(closes, 12, 26, 9),
-        willr(series, 14),
-        bop(series, 14),
-        *true_range_atr(series, 14),
-        *price_transforms(series),
-        *bbands(closes, 20, 2.0),
-        rsi(closes, 14),
-        mom(closes, 10),
-        roc(closes, 10, "roc10"),
-    ]
+def shipped_indicators(series: CandleSeries) -> dict[str, np.ndarray]:
+    """The shipped indicator columns by name, in feature order: the one
+    source of both. Periods follow the names used in reports, with industry
+    defaults where a name carries none."""
+    o, h, l, c = series.open, series.high, series.low, series.close
+    return {
+        "sma10": sma(c, 10),
+        "sma30": sma(c, 30),
+        "ema10": ema(c, 10),
+        "wma5": wma(c, 5),
+        "dema": dema(c, 30),
+        "tema": tema(c, 30),
+        "trima30": trima(c, 30),
+        **dict(zip(("macd", "macdsignal", "macdhist"), macd(c, 12, 26, 9))),
+        "willr": willr(series, 14),
+        "bop": bop(series, 14),
+        **dict(zip(("trange", "atr", "natr"), true_range_atr(series, 14))),
+        "avgprice": (o + h + l + c) / 4.0,
+        "medprice": (h + l) / 2.0,
+        "typprice": (h + l + c) / 3.0,
+        "wclprice": (2.0 * c + h + l) / 4.0,
+        **dict(zip(("upperband", "middleband", "lowerband"),
+                   bbands(c, 20, 2.0))),
+        "rsi": rsi(c, 14),
+        "mom": mom(c, 10),
+        "roc10": roc(c, 10),
+    }
 
 
 def compute_features(
@@ -319,15 +268,10 @@ def compute_features(
     """Assemble raw OHLC, the shipped indicators (unless ``indicators`` is
     false) and any external columns (e.g. rolling ARIMA forecasts) into one
     FeatureFrame."""
-    columns: dict[str, np.ndarray] = {
-        "open": series.open.copy(),
-        "high": series.high.copy(),
-        "low": series.low.copy(),
-        "close": series.close.copy(),
-    }
+    columns = {"open": series.open.copy(), "high": series.high.copy(),
+               "low": series.low.copy(), "close": series.close.copy()}
     if indicators:
-        columns.update((col.name, col.values)
-                       for col in shipped_indicators(series))
+        columns.update(shipped_indicators(series))
     for name, values in (extra or {}).items():
         if name in columns:
             raise SpecError(f"duplicate extra column {name!r}")

@@ -20,6 +20,7 @@ from .errors import LeakageError, ParameterError
 from .evaluation import Metrics, compute_metrics
 from .market_data import FeatureFrame, SplitSpec, split_by_dates, to_sequences, to_windowed
 from .recurrent import (
+    MinMaxScaler,
     RnnArch,
     TrainConfig,
     apply_scaler,
@@ -45,12 +46,8 @@ def normalize_scores(v: ImportanceVector) -> ImportanceVector:
     if not v.scores:
         raise ParameterError("importance vector is empty")
     values = np.array(list(v.scores.values()), dtype=float)
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        scaled = {name: 0.5 for name in v.scores}
-    else:
-        scaled = {name: (s - lo) / (hi - lo) for name, s in v.scores.items()}
-    return ImportanceVector(kind=v.kind, scores=scaled)
+    scaled = MinMaxScaler.fit(values).transform(values)
+    return ImportanceVector(kind=v.kind, scores=dict(zip(v.scores, scaled)))
 
 
 def recap_scores(

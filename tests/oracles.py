@@ -617,7 +617,6 @@ def css_fit_oracle(series, p, d, q):
         ar_coeffs=np.asarray(ar, dtype=float),
         ma_coeffs=np.asarray(ma, dtype=float),
         intercept=intercept,
-        residual_variance=float(np.mean(resid**2)),
         residuals=resid,
     )
 

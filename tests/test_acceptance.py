@@ -67,42 +67,42 @@ def test_indicator_oracle_suite():
     series = md.generate_synthetic_ohlc(1000, seed=2024, volatility=0.002)
     close = series.close
     checks = {
-        "sma": _max_abs_diff(ind.sma(close, 10).values, sma_oracle(close, 10)),
-        "ema": _max_abs_diff(ind.ema(close, 10).values, ema_oracle(close, 10)),
-        "wma": _max_abs_diff(ind.wma(close, 5).values, wma_oracle(close, 5)),
-        "dema": _max_abs_diff(ind.dema(close, 30).values,
+        "sma": _max_abs_diff(ind.sma(close, 10), sma_oracle(close, 10)),
+        "ema": _max_abs_diff(ind.ema(close, 10), ema_oracle(close, 10)),
+        "wma": _max_abs_diff(ind.wma(close, 5), wma_oracle(close, 5)),
+        "dema": _max_abs_diff(ind.dema(close, 30),
                               dema_oracle(close, 30)),
-        "tema": _max_abs_diff(ind.tema(close, 30).values,
+        "tema": _max_abs_diff(ind.tema(close, 30),
                               tema_oracle(close, 30)),
-        "trima": _max_abs_diff(ind.trima(close, 30).values,
+        "trima": _max_abs_diff(ind.trima(close, 30),
                                trima_oracle(close, 30)),
         "willr": _max_abs_diff(
-            ind.willr(series, 14).values,
+            ind.willr(series, 14),
             willr_oracle(series.high, series.low, close, 14)),
         "bop": _max_abs_diff(
-            ind.bop(series, 14).values,
+            ind.bop(series, 14),
             bop_oracle(series.open, series.high, series.low, close, 14)),
-        "rsi": _max_abs_diff(ind.rsi(close, 14).values, rsi_oracle(close, 14)),
-        "mom": _max_abs_diff(ind.mom(close, 10).values, mom_oracle(close, 10)),
-        "roc": _max_abs_diff(ind.roc(close, 10).values, roc_oracle(close, 10)),
+        "rsi": _max_abs_diff(ind.rsi(close, 14), rsi_oracle(close, 14)),
+        "mom": _max_abs_diff(ind.mom(close, 10), mom_oracle(close, 10)),
+        "roc": _max_abs_diff(ind.roc(close, 10), roc_oracle(close, 10)),
     }
     line, sig, hist = ind.macd(close)
     o_line, o_sig, o_hist = macd_oracle(close)
-    checks["macd"] = max(_max_abs_diff(line.values, o_line),
-                         _max_abs_diff(sig.values, o_sig),
-                         _max_abs_diff(hist.values, o_hist))
+    checks["macd"] = max(_max_abs_diff(line, o_line),
+                         _max_abs_diff(sig, o_sig),
+                         _max_abs_diff(hist, o_hist))
     tr, atr, natr = ind.true_range_atr(series, 14)
     o_atr = atr_oracle(series.high, series.low, close, 14)
     checks["atr"] = max(
-        _max_abs_diff(tr.values,
+        _max_abs_diff(tr,
                       true_range_oracle(series.high, series.low, close)),
-        _max_abs_diff(atr.values, o_atr),
-        _max_abs_diff(natr.values, 100.0 * o_atr / close))
+        _max_abs_diff(atr, o_atr),
+        _max_abs_diff(natr, 100.0 * o_atr / close))
     upper, mid, lower = ind.bbands(close, 20, 2.0)
     o_up, o_mid, o_lo = bbands_oracle(close, 20, 2.0)
-    checks["bbands"] = max(_max_abs_diff(upper.values, o_up),
-                           _max_abs_diff(mid.values, o_mid),
-                           _max_abs_diff(lower.values, o_lo))
+    checks["bbands"] = max(_max_abs_diff(upper, o_up),
+                           _max_abs_diff(mid, o_mid),
+                           _max_abs_diff(lower, o_lo))
     elapsed = time.perf_counter() - start
     worst = max(checks.values())
     report("indicator-oracle-suite", worst < 1e-9 and elapsed < 5.0,

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_ar_fit_recovers_coefficients():
     model = arima.fit_arma(x, 2, 0, 0)
     np.testing.assert_allclose(model.ar_coeffs, [0.6, -0.3], atol=0.05)
     assert abs(model.intercept) < 0.05
-    assert model.residual_variance == pytest.approx(1.0, abs=0.1)
+    assert np.mean(model.residuals**2) == pytest.approx(1.0, abs=0.1)
 
 
 def test_ma_fit_recovers_coefficient():
@@ -164,7 +165,6 @@ def stub_fit(series, p, d, q):
     w = np.diff(series, n=d) if d else np.asarray(series, dtype=float)
     return arima.ArmaModel(
         p=p, d=d, q=q, ar_coeffs=ar, ma_coeffs=ma, intercept=intercept,
-        residual_variance=1.0,
         residuals=arima._css_residuals(w, intercept, ar, ma))
 
 
@@ -231,7 +231,7 @@ def test_fits_match_oracle_based_fits(monkeypatch):
         if isinstance(new, arima.ArmaModel):
             converged += new.q > 0
             for field in ("ar_coeffs", "ma_coeffs", "intercept",
-                          "residual_variance"):
+                          "residuals"):
                 np.testing.assert_array_equal(getattr(new, field),
                                               getattr(old, field))
         else:  # an OrderSearchResult, or the type and message of an error
@@ -256,6 +256,18 @@ def test_non_invertible_ma_is_degenerate():
     with pytest.raises(DegenerateFitError, match="non-invertible"):
         css_fit_oracle(close[:1100], 4, 0, 2)
     assert np.isfinite(arima.fit_arma(close[:1100], 4, 0, 2).residuals).all()
+
+
+def test_explosive_ma_fit_is_degenerate():
+    # MA(1) on a price level fits theta far outside the unit circle: the
+    # residuals stay finite (up to ~1e220) but their squares overflow
+    level = 20.0 + np.cumsum(ar2_series(1000, seed=5))
+    with pytest.raises(DegenerateFitError, match="explosive"):
+        arima.fit_arma(level, 0, 0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = arima.select_order(level)
+    assert (0, 0, 1) not in [cell[:3] for cell in result.grid]
 
 
 def arma11_series(n, phi, theta, seed, burn=200):
@@ -294,7 +306,8 @@ def test_hannan_rissanen_matches_css_fit(p, phi, theta, n, ratio_max,
     for seed in range(8):
         x = arma11_series(n, phi, theta, seed)
         hr, css = arima.fit_arma(x, p, 0, 1), css_fit_oracle(x, p, 0, 1)
-        assert hr.residual_variance / css.residual_variance <= ratio_max
+        assert (np.mean(hr.residuals**2) / np.mean(css.residuals**2)
+                <= ratio_max)
         assert abs(hr.ma_coeffs[0] - css.ma_coeffs[0]) <= dtheta_max
 
 
@@ -305,7 +318,7 @@ def test_hannan_rissanen_fits_where_css_does_not_converge():
             css_fit_oracle(x, 1, 0, 1)
         model = arima.fit_arma(x, 1, 0, 1)
         assert model.ma_coeffs[0] == pytest.approx(-0.8, abs=0.1)
-        assert model.residual_variance == pytest.approx(1.0, rel=0.03)
+        assert np.mean(model.residuals**2) == pytest.approx(1.0, rel=0.03)
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -328,7 +341,7 @@ def test_ar_fits_match_css_fit_bytes():
             new, old = arima.fit_arma(series, p, d, 0), css_fit_oracle(
                 series, p, d, 0)
             for field in ("ar_coeffs", "ma_coeffs", "intercept",
-                          "residual_variance", "residuals"):
+                          "residuals"):
                 np.testing.assert_array_equal(getattr(new, field),
                                               getattr(old, field))
 

@@ -30,16 +30,12 @@ def series():
     return generate_synthetic_ohlc(1000, seed=123, volatility=0.002)
 
 
-def assert_matches(column, expected, tol=TOL):
-    got = column.values
+def assert_matches(got, expected, tol=TOL):
     assert got.shape == expected.shape
     defined = np.isfinite(expected)
     np.testing.assert_array_equal(np.isfinite(got), defined)
     np.testing.assert_allclose(got[defined], expected[defined],
                                rtol=0, atol=tol)
-    # warmup_len matches the first defined index
-    first = int(np.argmax(defined)) if defined.any() else len(expected)
-    assert column.warmup_len == first
 
 
 def test_sma_matches_oracle(series):
@@ -88,7 +84,7 @@ def test_willr_flat_window_reads_minus_50():
     prices = np.full(30, 1.25)
     flat = type(flat)(timestamps=flat.timestamps, open=prices, high=prices,
                       low=prices, close=prices)
-    values = ind.willr(flat, 14).values
+    values = ind.willr(flat, 14)
     assert np.all(values[13:] == -50.0)
 
 
@@ -109,12 +105,13 @@ def test_atr_family_matches_oracle(series):
 
 
 def test_price_transforms(series):
-    avg, med, typ, wcl = ind.price_transforms(series)
+    table = ind.shipped_indicators(series)
     o, h, l, c = series.open, series.high, series.low, series.close
-    np.testing.assert_allclose(avg.values, (o + h + l + c) / 4, atol=TOL)
-    np.testing.assert_allclose(med.values, (h + l) / 2, atol=TOL)
-    np.testing.assert_allclose(typ.values, (h + l + c) / 3, atol=TOL)
-    np.testing.assert_allclose(wcl.values, (2 * c + h + l) / 4, atol=TOL)
+    np.testing.assert_allclose(table["avgprice"], (o + h + l + c) / 4, atol=TOL)
+    np.testing.assert_allclose(table["medprice"], (h + l) / 2, atol=TOL)
+    np.testing.assert_allclose(table["typprice"], (h + l + c) / 3, atol=TOL)
+    np.testing.assert_allclose(table["wclprice"], (2 * c + h + l) / 4,
+                               atol=TOL)
 
 
 def test_bbands_matches_oracle(series):
@@ -133,9 +130,9 @@ def test_rsi_mom_roc_match_oracle(series):
 
 def test_rsi_extremes():
     rising = np.linspace(1.0, 2.0, 40)
-    assert np.all(ind.rsi(rising, 14).values[14:] == 100.0)
+    assert np.all(ind.rsi(rising, 14)[14:] == 100.0)
     falling = rising[::-1].copy()
-    assert np.all(ind.rsi(falling, 14).values[14:] == 0.0)
+    assert np.all(ind.rsi(falling, 14)[14:] == 0.0)
 
 
 def test_indicators_are_causal(series):
@@ -146,10 +143,10 @@ def test_indicators_are_causal(series):
         high=series.high[:m], low=series.low[:m], close=series.close[:m],
     )
     pairs = [
-        (ind.ema(series.close, 10).values, ind.ema(head.close, 10).values),
-        (ind.trima(series.close, 30).values, ind.trima(head.close, 30).values),
-        (ind.willr(series, 14).values, ind.willr(head, 14).values),
-        (ind.rsi(series.close, 14).values, ind.rsi(head.close, 14).values),
+        (ind.ema(series.close, 10), ind.ema(head.close, 10)),
+        (ind.trima(series.close, 30), ind.trima(head.close, 30)),
+        (ind.willr(series, 14), ind.willr(head, 14)),
+        (ind.rsi(series.close, 14), ind.rsi(head.close, 14)),
     ]
     for full, truncated in pairs:
         np.testing.assert_array_equal(full[:m], truncated)
@@ -164,6 +161,49 @@ def test_bad_periods_raise(series):
         ind.macd(series.close, fast=26, slow=12)
     with pytest.raises(ParameterError):
         ind.bbands(series.close, 20, k=0.0)
+
+
+# Each shipped column's oracle at the period its name or the
+# shipped_indicators docstring gives, in feature order.
+SHIPPED_ORACLES = {
+    "sma10": lambda s: sma_oracle(s.close, 10),
+    "sma30": lambda s: sma_oracle(s.close, 30),
+    "ema10": lambda s: ema_oracle(s.close, 10),
+    "wma5": lambda s: wma_oracle(s.close, 5),
+    "dema": lambda s: dema_oracle(s.close, 30),
+    "tema": lambda s: tema_oracle(s.close, 30),
+    "trima30": lambda s: trima_oracle(s.close, 30),
+    "macd": lambda s: macd_oracle(s.close, 12, 26, 9)[0],
+    "macdsignal": lambda s: macd_oracle(s.close, 12, 26, 9)[1],
+    "macdhist": lambda s: macd_oracle(s.close, 12, 26, 9)[2],
+    "willr": lambda s: willr_oracle(s.high, s.low, s.close, 14),
+    "bop": lambda s: bop_oracle(s.open, s.high, s.low, s.close, 14),
+    "trange": lambda s: true_range_oracle(s.high, s.low, s.close),
+    "atr": lambda s: atr_oracle(s.high, s.low, s.close, 14),
+    "natr": lambda s: 100.0 * atr_oracle(s.high, s.low, s.close, 14) / s.close,
+    "avgprice": lambda s: (s.open + s.high + s.low + s.close) / 4,
+    "medprice": lambda s: (s.high + s.low) / 2,
+    "typprice": lambda s: (s.high + s.low + s.close) / 3,
+    "wclprice": lambda s: (2 * s.close + s.high + s.low) / 4,
+    "upperband": lambda s: bbands_oracle(s.close, 20, 2.0)[0],
+    "middleband": lambda s: bbands_oracle(s.close, 20, 2.0)[1],
+    "lowerband": lambda s: bbands_oracle(s.close, 20, 2.0)[2],
+    "rsi": lambda s: rsi_oracle(s.close, 14),
+    "mom": lambda s: mom_oracle(s.close, 10),
+    "roc10": lambda s: roc_oracle(s.close, 10),
+}
+
+
+def test_shipped_table_names_every_oracle_column(series):
+    assert list(ind.shipped_indicators(series)) == list(SHIPPED_ORACLES)
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_ORACLES))
+def test_shipped_column_uses_its_indicator_and_period(series, name):
+    """A column computed by the wrong indicator or period fails here: the
+    NaN prefix or the values differ from the oracle's."""
+    assert_matches(ind.shipped_indicators(series)[name],
+                   SHIPPED_ORACLES[name](series))
 
 
 def test_compute_features_assembles_all_columns(series):
