@@ -3,11 +3,10 @@
 Subcommands: ``validate``, ``ingest``, ``features`` and ``run``. ``run``
 executes the full pipeline, writes every artifact and prints the recap line
 per k, the base-model test metrics and the 31 stacking rows. Global flags
-``--config``, ``--seed``, ``--out``, ``--paper-mode`` override the
-corresponding config keys.
+``--config``, ``--seed`` and ``--out`` override the corresponding config
+keys.
 
-Every subcommand but ``validate`` refuses an invalid config before it starts
-and prints the config's warnings on stderr.
+Every subcommand but ``validate`` refuses an invalid config before it starts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training error.
 """
@@ -30,7 +29,6 @@ from .errors import (
     EmptyFrameError,
     FxStackError,
     InsufficientDataError,
-    LeakageError,
     OrderingError,
     ParameterError,
     SchemaError,
@@ -46,7 +44,7 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 
 _DATA_ERRORS = (SchemaError, OrderingError, InsufficientDataError,
-                EmptyFrameError, SplitError, LeakageError)
+                EmptyFrameError, SplitError)
 _TRAINING_ERRORS = (TrainingError, DegenerateFitError, SearchError)
 _CONFIG_ERRORS = (SpecError, ParameterError)
 
@@ -70,8 +68,6 @@ def _build_config(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.paper_mode:
-        overrides["paper_mode"] = True
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -79,9 +75,9 @@ def _cmd_validate(config: PipelineConfig, args) -> int:
     findings = validate_config(config)
     for finding in findings:
         print(f"{finding.severity}: {finding.message}")
-    if any(f.severity == "error" for f in findings):
+    if findings:
         return EXIT_CONFIG
-    print("config ok" + (" (with warnings)" if findings else ""))
+    print("config ok")
     return 0
 
 
@@ -139,8 +135,7 @@ def _cmd_run(config: PipelineConfig, args) -> int:
         print(f"{row['id']:2d} {'+'.join(row['members']):<45} "
               f"val {row['val_rmse']:.6g}  test {row['test_rmse']:.6g}")
     print(f"stacking winner: {report.stacking['selected_id']} "
-          f"({'+'.join(report.stacking['selected_members'])}; "
-          f"basis: {report.stacking['selection_basis']})")
+          f"({'+'.join(report.stacking['selected_members'])})")
     print(f"artifacts in: {config.out_dir}")
     return 0
 
@@ -162,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="config file (key=value or .json)")
     parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--paper-mode", action="store_true",
-                        help="reproduce the published window overlaps "
-                             "(leakage-biased; prints a warning)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name)
@@ -180,8 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if args.command != "validate":
-            for message in check_config(config):
-                print(f"warning: {message}", file=sys.stderr)
+            check_config(config)
         return _COMMANDS[args.command](config, args)
     except FxStackError as exc:
         print(f"error: {exc}", file=sys.stderr)

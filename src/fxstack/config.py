@@ -14,9 +14,8 @@ Example config file::
 
 Each ``PipelineConfig`` field declares its dotted key, its default (which
 fixes the type values are coerced to) and its bound, if any, in one place.
-Unknown keys are rejected so typos fail fast. ``findings`` from
-``validate_config`` carry a severity so callers can distinguish hard errors
-from leakage warnings.
+Unknown keys are rejected so typos fail fast. ``validate_config`` returns
+its findings; ``check_config`` raises on them.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class PipelineConfig:
     lookback: int = _key("lookback", 5, ">= 1")
     seed: int = _key("seed", 0)
     out_dir: str = _key("out_dir", "out")
-    paper_mode: bool = _key("paper_mode", False)
 
     # feature engineering
     use_indicators: bool = _key("features.indicators", True)
@@ -201,20 +199,17 @@ def config_to_mapping(config: PipelineConfig) -> dict:
 
 @dataclass(frozen=True)
 class Finding:
-    severity: str  # "error" | "warning"
+    severity: str  # "error", the one severity validate_config reports
     message: str
 
 
 def validate_config(config: PipelineConfig) -> list[Finding]:
-    """Bounds, split sanity, and leakage-guard conflicts. Warnings are
-    non-fatal; any error finding should block the run."""
+    """Bounds and split sanity; every finding is an error that blocks the
+    run."""
     findings: list[Finding] = []
 
     def err(msg):
         findings.append(Finding("error", msg))
-
-    def warn(msg):
-        findings.append(Finding("warning", msg))
 
     if config.source not in ("synthetic", "csv"):
         err(f"data.source must be 'synthetic' or 'csv', got {config.source!r}")
@@ -244,16 +239,12 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
             err("arima.fit_len too small for the requested grid")
         if config.arima_refit_every < 1:
             err("arima.refit_every must be >= 1")
-    if config.paper_mode:
-        warn("paper_mode: recap held-out and stacking selection use the final "
-             "test window — results are leakage-biased by construction")
     return findings
 
 
-def check_config(config: PipelineConfig) -> list[str]:
-    """Raise ``SpecError`` listing every error finding; return the warnings."""
+def check_config(config: PipelineConfig) -> None:
+    """Raise ``SpecError`` listing every finding."""
     findings = validate_config(config)
-    errors = [f.message for f in findings if f.severity == "error"]
-    if errors:
-        raise SpecError("invalid config: " + "; ".join(errors))
-    return [f.message for f in findings if f.severity == "warning"]
+    if findings:
+        raise SpecError("invalid config: "
+                        + "; ".join(f.message for f in findings))

@@ -43,7 +43,3 @@ class SearchError(FxStackError):
 
 class TrainingError(FxStackError):
     """Training diverged (non-finite loss)."""
-
-
-class LeakageError(FxStackError):
-    """A configuration would let evaluation-period data reach training."""

@@ -124,9 +124,6 @@ class FeatureFrame:
     def feature_names(self) -> list[str]:
         return [c for c in self.columns if c != self.label_name]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
     @property
     def label(self) -> np.ndarray:
         if self.label_name is None:

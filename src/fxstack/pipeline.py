@@ -1,6 +1,10 @@
 """End-to-end orchestration: ingest -> features -> label/clean -> split ->
 recap -> base-model training -> stacking search -> artifact emission.
 
+Recap fits on the main train range and scores on validation. The base
+models fit on train+validation; their test-range predictions form the
+stacking window.
+
 Every stage failure aborts with the stage name and original cause; artifacts
 are only written after all compute succeeds, and a failed write cleans up
 whatever it managed to create. ``report.json`` excludes wall-clock timings
@@ -81,7 +85,6 @@ class RunReport:
     selected_features: list[str]
     base_metrics: dict          # model name -> metrics dict (stacking window)
     stacking: dict
-    warnings: list[str]
     artifacts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)  # not part of report.json
 
@@ -132,23 +135,6 @@ def _features(
             )
     frame = compute_features(series, config.use_indicators, extra=extra)
     return frame, orders, fallbacks
-
-
-def _recap_split(config: PipelineConfig, spec: SplitSpec) -> SplitSpec:
-    """Recap train/held-out windows.
-
-    Default: held-out = the main validation range (test stays untouched).
-    paper_mode: train on train+validation and hold out the test window itself
-    (reproducing the published overlap, flagged as a leakage warning).
-    """
-    if not config.paper_mode:
-        return spec
-    eps = np.timedelta64(1, "s")
-    return SplitSpec(
-        train=(spec.train[0], spec.validation[1]),
-        validation=spec.test,
-        test=(spec.test[1], spec.test[1] + eps),
-    )
 
 
 def _train_base_models(
@@ -235,7 +221,7 @@ def _train_base_models(
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunReport:
-    warnings = check_config(config)
+    check_config(config)
     out_dir = config.out_dir if out_dir is None else out_dir
 
     timings: dict[str, float] = {}
@@ -264,7 +250,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
     spec = staged(
         "split", split_spec_from_fractions, clean_frame.index, config.main_split
     )
-    recap_split = _recap_split(config, spec)
 
     def _run_recaps() -> dict[int, RecapResult]:
         results = {}
@@ -280,9 +265,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
                 ),
                 seed=derive_seed(config.seed, "recap", k),
             )
-            # paper_mode holds out the test window on purpose
-            results[k] = run_recap(clean_frame, recap_split, recap_cfg,
-                                   None if config.paper_mode else spec.test)
+            results[k] = run_recap(clean_frame, spec, recap_cfg)
         return results
 
     recap_results = staged("recap", _run_recaps)
@@ -311,7 +294,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
                 hidden=config.meta_hidden, learning_rate=config.meta_lr,
                 max_epochs=config.meta_epochs, patience=config.meta_patience,
             ),
-            paper_mode=config.paper_mode,
         )
 
     stacking_report = staged("stack", _stack)
@@ -329,7 +311,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
         selected_features=selected_base,
         base_metrics={n: m.to_dict() for n, m in base_metrics.items()},
         stacking=stacking_report.to_dict(),
-        warnings=warnings,
         timings=timings,
     )
     written: list[str] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LeakageError, ParameterError
+from .errors import ParameterError
 from .evaluation import Metrics, compute_metrics
 from .market_data import FeatureFrame, SplitSpec, split_by_dates, to_sequences, to_windowed
 from .recurrent import (
@@ -162,26 +162,16 @@ def _train_sequence_model(
 
 def run_recap(
     frame: FeatureFrame,
-    recap_split: SplitSpec,
+    spec: SplitSpec,
     config: RecapConfig,
-    final_test_range: tuple | None = None,
 ) -> RecapResult:
     """Full recap procedure on a cleaned, labeled frame.
 
-    ``recap_split.validation`` is the held-out range used for the per-model
-    RMSEs and the final evaluation; when ``final_test_range`` is given, no
-    recap range but ``test`` may overlap it (:class:`LeakageError`).
+    The tree and sequence models fit on ``spec.train``; ``spec.validation``
+    is the held-out range of the per-model RMSEs and the final evaluation.
+    Nothing it computes depends on a row of ``spec.test``.
     """
-    if final_test_range is not None:
-        test_start, test_end = final_test_range
-        for name, (start, end) in recap_split.ranges().items():
-            if name == "test":
-                continue
-            if start < test_end and test_start < end:
-                raise LeakageError(
-                    f"recap {name} range overlaps the final test window"
-                )
-    train_frame, heldout_frame, _ = split_by_dates(frame, recap_split)
+    train_frame, heldout_frame, _ = split_by_dates(frame, spec)
     windowed = to_windowed(train_frame, config.lookback)
 
     fitters = {

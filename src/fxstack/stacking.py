@@ -10,15 +10,14 @@ its min-max scaler for inputs and label, and its Adam early-stopping loop,
 which :func:`train_meta_nn` runs once for all 31 nets stacked along a
 leading net axis.
 
-Selection uses the meta-validation RMSE by default; ``paper_mode`` selects on
-the meta-test RMSE instead (and is flagged as selection-biased in reports).
+The winner is the combination with the lowest meta-validation RMSE; the
+meta-test rows only score it.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,6 @@ class Combination:
             raise ParameterError("combination must have 1..5 members")
         if any(m not in MODEL_ORDER for m in self.members):
             raise ParameterError(f"unknown members in {self.members}")
-
-    def label(self) -> str:
-        return "+".join(self.members)
 
 
 def build_meta_frame(
@@ -237,7 +233,6 @@ class CombinationResult:
 class StackingReport:
     rows: list[CombinationResult]
     selected_id: int
-    selection_basis: str  # "validation" | "test"
 
     @property
     def selected(self) -> CombinationResult:
@@ -245,7 +240,6 @@ class StackingReport:
 
     def to_dict(self) -> dict:
         return {
-            "selection_basis": self.selection_basis,
             "selected_id": self.selected_id,
             "selected_members": list(self.selected.members),
             "rows": [
@@ -270,22 +264,15 @@ class StackingReport:
             )
         return out.getvalue()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def run_stacking_search(
     frame: FeatureFrame,
     meta_spec: SplitSpec,
     seed: int,
     cfg: MetaTrainConfig = MetaTrainConfig(),
-    paper_mode: bool = False,
 ) -> StackingReport:
-    """Train all 31 meta models and select the winner.
-
-    Default selection is the minimum meta-validation RMSE; ``paper_mode``
-    selects on meta-test RMSE (selection bias; reported as such).
-    """
+    """Train all 31 meta models and select the one with the minimum
+    meta-validation RMSE (ties go to the lower combination id)."""
     meta_train, meta_val, meta_test = split_meta(frame, meta_spec)
     combos = enumerate_combinations()
     models = train_meta_nn(
@@ -306,11 +293,5 @@ def run_stacking_search(
             test_rmse=test_metrics.rmse,
             test_mae=test_metrics.mae,
         ))
-    basis = "test" if paper_mode else "validation"
-    key = (lambda r: r.test_rmse) if paper_mode else (lambda r: r.val_rmse)
-    selected = min(rows, key=lambda r: (key(r), r.combo_id))
-    return StackingReport(
-        rows=rows,
-        selected_id=selected.combo_id,
-        selection_basis=basis,
-    )
+    selected = min(rows, key=lambda r: (r.val_rmse, r.combo_id))
+    return StackingReport(rows=rows, selected_id=selected.combo_id)

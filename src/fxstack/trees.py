@@ -537,6 +537,9 @@ def importance(model: BoostedModel | ForestModel, kind: str) -> ImportanceVector
 # --- serialization -----------------------------------------------------------
 
 _TREE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value")
+# payload keys of each model type, besides version, type, feature_names, trees
+_MODEL_KEYS = {"boosted": ("base_score", "learning_rate"),
+               "forest": ("tree_seeds", "m")}
 
 
 def model_to_dict(model: BoostedModel | ForestModel) -> dict:
@@ -561,10 +564,17 @@ def model_to_dict(model: BoostedModel | ForestModel) -> dict:
     }
 
 
+def _require(data: dict, keys: tuple[str, ...], what: str) -> None:
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ParameterError(f"{what} payload lacks {', '.join(missing)}")
+
+
 def _tree_from_dict(data: dict, n_features: int) -> Tree:
     """A ``Tree`` from its arrays, checked so that every walk from the root
     ends on a leaf: each child's index is after its parent's and inside the
     tree."""
+    _require(data, _TREE_ARRAYS, "tree")
     arrays = {
         name: np.asarray(data[name], dtype=float
                          if name in ("threshold", "gain", "value") else np.intp)
@@ -586,11 +596,19 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
 
 
 def model_from_dict(data: dict) -> BoostedModel | ForestModel:
+    """Rebuild a model from :func:`model_to_dict` output. Another version,
+    an unknown ``type``, a missing key or a malformed tree raises
+    :class:`ParameterError`."""
     if data.get("version") != MODEL_FORMAT_VERSION:
         raise ParameterError(f"unsupported model version {data.get('version')}")
+    kind = data.get("type")
+    if kind not in _MODEL_KEYS:
+        raise ParameterError(f"unknown model type {kind!r}")
+    _require(data, ("feature_names", "trees", *_MODEL_KEYS[kind]),
+             f"{kind} model")
     n_features = len(data["feature_names"])
     trees = [_tree_from_dict(t, n_features) for t in data["trees"]]
-    if data["type"] == "boosted":
+    if kind == "boosted":
         return BoostedModel(
             base_score=data["base_score"],
             learning_rate=data["learning_rate"],

@@ -288,8 +288,8 @@ def meta_nn_oracle(meta_train, meta_val, combo, seed, cfg):
     meta-validation RMSE, as a single-net loop. Returns the model at its
     best-validation weights and the number of epochs run."""
     members = combo.members
-    X = np.column_stack([meta_train.column(m) for m in members])
-    Xv = np.column_stack([meta_val.column(m) for m in members])
+    X = np.column_stack([meta_train.columns[m] for m in members])
+    Xv = np.column_stack([meta_val.columns[m] for m in members])
     rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
     hid = cfg.hidden
     model = MetaModel(

@@ -130,8 +130,8 @@ def test_target_and_windowing_leakage_suite():
     frame_full = ind.compute_features(series)
     frame_head = ind.compute_features(head)
     for name in frame_full.feature_names:
-        full = frame_full.column(name)[:m]
-        trunc = frame_head.column(name)
+        full = frame_full.columns[name][:m]
+        trunc = frame_head.columns[name]
         both = np.isfinite(full) & np.isfinite(trunc)
         if not (np.array_equal(np.isfinite(full), np.isfinite(trunc))
                 and np.array_equal(full[both], trunc[both])):

@@ -23,14 +23,12 @@ def test_parse_text_config():
         seed = 11
         recap.k = 20,30
         split.main = 0.6,0.2,0.2
-        paper_mode = true
         models.rnn.lr = 0.001
     """)
     assert cfg.synthetic_n == 2500
     assert cfg.seed == 11
     assert cfg.recap_ks == (20, 30)
     assert cfg.main_split == (0.6, 0.2, 0.2)
-    assert cfg.paper_mode is True
     assert cfg.rnn_lr == 0.001
 
 
@@ -57,7 +55,7 @@ def test_bad_values_rejected():
     with pytest.raises(SpecError):
         config.parse_config_text("data.n = many")
     with pytest.raises(SpecError):
-        config.parse_config_text("paper_mode = maybe")
+        config.parse_config_text("features.arima = maybe")
     with pytest.raises(SpecError):
         config.parse_config_text("just a line without equals")
 
@@ -175,13 +173,6 @@ def test_validate_csv_requires_path():
                for f in config.validate_config(cfg))
 
 
-def test_paper_mode_is_warning_not_error():
-    cfg = config.PipelineConfig(paper_mode=True)
-    findings = config.validate_config(cfg)
-    assert findings
-    assert all(f.severity == "warning" for f in findings)
-
-
 def test_cli_validate_ok(tmp_path, capsys):
     path = tmp_path / "ok.cfg"
     path.write_text("data.source = synthetic\ndata.n = 2000\n")
@@ -203,13 +194,6 @@ def test_cli_validate_rejects_values_later_stages_fail_on(tmp_path, capsys,
     path.write_text(line + "\n")
     assert cli.main(["--config", str(path), "validate"]) == cli.EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().out
-
-
-def test_cli_run_prints_config_warnings(monkeypatch, capsys):
-    # run used to record the paper-mode warning in report.json only
-    monkeypatch.setitem(cli._COMMANDS, "run", lambda config, args: 0)
-    assert cli.main(["--paper-mode", "run"]) == 0
-    assert "warning: paper_mode" in capsys.readouterr().err
 
 
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
@@ -348,8 +332,7 @@ def test_cli_seed_and_out_overrides(tmp_path):
     cfg.write_text("seed = 1\n")
     args = cli.build_parser().parse_args(
         ["--config", str(cfg), "--seed", "77", "--out", "elsewhere",
-         "--paper-mode", "validate"])
+         "validate"])
     built = cli._build_config(args)
     assert built.seed == 77
     assert built.out_dir == "elsewhere"
-    assert built.paper_mode is True

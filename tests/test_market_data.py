@@ -122,7 +122,7 @@ def test_clean_drops_and_counts():
     cleaned, counts = md.clean(frame)
     assert len(cleaned) == 2
     assert counts == {"a": 1, "b": 3}
-    assert np.isfinite(cleaned.column("a")).all()
+    assert np.isfinite(cleaned.columns["a"]).all()
 
 
 def test_lagged_names_and_window_order():

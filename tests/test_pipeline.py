@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -70,6 +72,20 @@ def test_metrics_table_layout(run):
     names = [line.split(",")[0] for line in lines[1:]]
     assert "xgboost" in names
     assert any(n.startswith("stacked(") for n in names)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f for f in dataclasses.fields(PipelineConfig)
+     if isinstance(f.default, bool)],
+    ids=lambda f: f"{f.metadata['key']}={str(not f.default).lower()}")
+def test_every_switch_runs(tmp_path, field):
+    cfg = PipelineConfig(out_dir=str(tmp_path),
+                         **{**SMALL, field.name: not field.default})
+    report = run_pipeline(cfg)
+    assert (tmp_path / "report.json").exists()
+    assert len(report.base_metrics) == 5
+    assert all(math.isfinite(m["rmse"]) for m in report.base_metrics.values())
 
 
 def test_invalid_config_rejected_before_compute():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fxstack import recap
-from fxstack.errors import LeakageError, ParameterError
-from fxstack.market_data import split_spec_from_fractions
+from fxstack.errors import ParameterError
+from fxstack.market_data import FeatureFrame, in_range, split_spec_from_fractions
 from planted import generate_planted_frame
 from fxstack.recurrent import RnnArch, TrainConfig
 from fxstack.trees import BoostParams, ForestParams, ImportanceVector
@@ -117,12 +117,18 @@ def test_run_recap_deterministic(planted):
     assert a.final_metrics.rmse == b.final_metrics.rmse
 
 
-def test_leakage_guard_rejects_overlap(planted):
-    spec = split_spec_from_fractions(planted.frame.index, (0.7, 0.15, 0.15))
-    overlapping = (spec.validation[0], spec.test[1])
-    with pytest.raises(LeakageError):
-        recap.run_recap(planted.frame, spec, _quick_config(),
-                        final_test_range=overlapping)
+def test_recap_never_reads_test_rows(planted):
+    frame = planted.frame
+    spec = split_spec_from_fractions(frame.index, (0.7, 0.15, 0.15))
+    expected = recap.run_recap(frame, spec, _quick_config()).to_dict()
+    # overwrite every column, label included, on the test rows only
+    rows = in_range(frame.index, *spec.test)
+    columns = {name: values.copy() for name, values in frame.columns.items()}
+    for values in columns.values():
+        values[rows] = values[rows][::-1] * 7 + 3
+    changed = FeatureFrame(index=frame.index, columns=columns,
+                           label_name=frame.label_name)
+    assert recap.run_recap(changed, spec, _quick_config()).to_dict() == expected
 
 
 def test_export_scores_csv(tmp_path, planted):

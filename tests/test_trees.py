@@ -430,8 +430,8 @@ def test_flat_tree_predict_matches_node_walk():
 
 
 def test_model_from_dict_rejects_malformed_payloads():
-    model = flat_format_fits()[0]
-    good = json.loads(json.dumps(trees.model_to_dict(model)))
+    fits = flat_format_fits()
+    good = json.loads(json.dumps(trees.model_to_dict(fits[0])))
     assert good["version"] == trees.MODEL_FORMAT_VERSION == 2
     trees.model_from_dict(good)
 
@@ -459,6 +459,14 @@ def test_model_from_dict_rejects_malformed_payloads():
     broken(lambda p, t: t["right"].__setitem__(0, len(t["feature"])))
     broken(lambda p, t: t["feature"].__setitem__(0, len(p["feature_names"])))
     broken(lambda p, t: t.update({k: [] for k in t}))
+    # a missing key or an unknown type is a ParameterError, not a KeyError
+    for key in ("type", "feature_names", "trees", "base_score"):
+        broken(lambda p, t, key=key: p.pop(key))
+    broken(lambda p, t: t.pop("value"))
+    broken(lambda p, t: p.update(type="gbm"))
+    good = json.loads(json.dumps(trees.model_to_dict(fits[2])))  # a forest
+    trees.model_from_dict(good)
+    broken(lambda p, t: p.pop("tree_seeds"))
 
 
 def test_bad_params_rejected():
