@@ -2,21 +2,24 @@
 
 The boosted learner follows the second-order (g, h) formulation: leaf
 weights are -G/(H + lambda) and split gains compare the one-split objective
-against no split. One grower serves every learner. It searches each node
-once, when the node is made; without ``max_leaves`` the tree grows level by
-level (XGBoost), and with it the waiting node of highest gain splits first
-until the tree has ``max_leaves`` leaves (LightGBM). The histogram splitter,
-that leaf budget and GOSS row sampling give the lighter variant; the forest
-grows level-wise with g = -2y, h = 2, under which the split gain reduces
-exactly to the variance (SSE) reduction used for impurity importance.
+against no split. One grower serves every learner. It grows a tree a
+generation at a time and searches each node once, when the node is made;
+without ``max_leaves`` a generation is a whole level (XGBoost), and with it
+the waiting node of highest gain splits first until the tree has
+``max_leaves`` leaves (LightGBM). The histogram splitter, that leaf budget
+and GOSS row sampling give the lighter variant; the forest grows level-wise
+with g = -2y, h = 2, under which the split gain reduces exactly to the
+variance (SSE) reduction used for impurity importance.
 
-A node's split search covers all candidate features in a few 2-D numpy
-operations: the exact splitter carries each node's rows sorted per feature,
-partitioned from its parent's (Chen & Guestrin, XGBoost, Alg. 1), and the
-histogram splitter builds the whole (features x bins) grid with one
-bincount (Ke et al., LightGBM). Within each feature the left sums still
-accumulate in ascending row order, so gains, trees and importances are
-bit-identical to a one-feature-at-a-time search (``tests/oracles.py``).
+One split search covers every node of a generation and every drawn feature
+in a few numpy operations per chunk of rows. The exact splitter carries each
+node's rows sorted per feature (the column block of Chen & Guestrin,
+XGBoost, 2016), and one stable argsort of child labels partitions all of a
+generation's parents into their children. The histogram splitter bins every
+node of the generation with one bincount per sum (Ke et al., LightGBM).
+Within each feature the left sums still accumulate in ascending row order,
+so gains, trees and importances are bit-identical to a one-node,
+one-feature-at-a-time search (``tests/oracles.py``).
 
 A grown tree is a ``Tree`` of parallel node arrays in pre-order, so
 prediction walks all rows down together and importance is one bincount.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,22 +166,44 @@ class ImportanceVector:
     scores: dict[str, float]
 
 
-class _Splitter:
-    """Per-fit split finder that searches all candidate features at once.
+# row entries searched at once: a generation's (node, feature) rows are
+# searched in chunks of about this many entries, so that the temporaries of
+# a large node stay in cache
+_CHUNK = 1 << 14
 
-    The exact splitter sorts each feature's rows once per fit and hands every
-    node its rows in ascending-x order as an (F, m) matrix, partitioned from
-    its parent's. The histogram splitter keeps feature-major bin codes (F, n)
-    and per-feature cut points padded with NaN to (F, bins - 1).
+
+class _Candidate(NamedTuple):
+    """A node to search: its rows in ascending order; for the exact splitter
+    the same rows sorted by x per feature and their x values, (F, m) each;
+    the features drawn for it, ascending; and its sums G and H."""
+
+    idx: np.ndarray
+    rows: np.ndarray | None
+    xs: np.ndarray | None
+    features: np.ndarray
+    G: float
+    H: float
+
+
+class _Splitter:
+    """Per-fit split finder that grows a tree a generation at a time.
+
+    The exact splitter sorts each feature's rows once per fit (by ``ranks``
+    when given, which order the rows as ``X`` does) and hands every node its
+    rows in ascending-x order as an (F, m) matrix, with their x values. The
+    histogram splitter keeps row-major bin codes (n, F) and per-feature cut
+    points padded with NaN to (F, bins - 1).
     """
 
-    def __init__(self, X: np.ndarray, params: BoostParams):
+    def __init__(self, X: np.ndarray, params: BoostParams,
+                 ranks: np.ndarray | None = None):
         self.X = X
         self.params = params
         self.n, self.F = X.shape
         if params.splitter == "exact":
             self.XT = np.ascontiguousarray(X.T)
-            self.sorted_rows = np.argsort(self.XT, axis=1, kind="stable")
+            self.sorted_rows = np.argsort(
+                self.XT if ranks is None else ranks, axis=1, kind="stable")
         else:
             cuts: list[np.ndarray] = []
             for f in range(self.F):
@@ -192,88 +218,204 @@ class _Splitter:
                     cuts.append(np.unique(qs))
             width = max((len(c) for c in cuts), default=0)
             self.cuts = np.full((self.F, width), np.nan)
-            self.codes = np.empty((self.F, self.n), dtype=np.intp)
+            self.codes = np.empty((self.n, self.F), dtype=np.intp)
             for f, c in enumerate(cuts):
                 self.cuts[f, :len(c)] = c
-                self.codes[f] = np.searchsorted(c, X[:, f], side="left")
+                self.codes[:, f] = np.searchsorted(c, X[:, f], side="left")
 
-    def sorted_rows_of(self, idx: np.ndarray) -> np.ndarray | None:
-        """The rows ``idx`` in ascending-x order per feature, (F, m); None
-        for the histogram splitter, which needs no sort order."""
+    def sorted_rows_of(
+        self, idx: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The rows ``idx`` in ascending-x order per feature and their x
+        values, (F, m) each; (None, None) for the histogram splitter, which
+        needs no sort order."""
         if self.params.splitter != "exact":
-            return None
+            return None, None
         in_node = np.zeros(self.n, dtype=bool)
         in_node[idx] = True
-        return self.sorted_rows[in_node[self.sorted_rows]].reshape(
+        rows = self.sorted_rows[in_node[self.sorted_rows]].reshape(
             self.F, int(in_node.sum()))
+        return rows, np.take_along_axis(self.XT, rows, axis=1)
 
-    def best_split(
+    def search(
         self,
         g: np.ndarray,
         h: np.ndarray,
-        idx: np.ndarray,
-        rows: np.ndarray | None,
-        features: np.ndarray,
-    ) -> tuple[float, int, float] | None:
-        """Best (gain, feature, threshold) over node rows, or None.
+        cands: list[_Candidate],
+        h_prefix: np.ndarray | None = None,
+    ) -> list[tuple[float, int, float] | None]:
+        """Best (gain, feature, threshold) of each candidate, or None.
 
-        ``idx`` holds the node's rows, ``rows`` the same rows sorted per
-        feature (exact splitter only). Each feature's left sums accumulate
-        in the same row order as a one-feature-at-a-time search, so gains
-        are bit-identical to it. Ties break toward the lowest feature index,
-        then lowest threshold; a feature whose best gain is not finite is
-        skipped.
+        All candidates are searched together, one row per (candidate, drawn
+        feature), in chunks of about ``_CHUNK`` entries. Each row's left sums
+        accumulate in the same order as a one-feature-at-a-time search, so
+        gains are bit-identical to it. ``h_prefix``, when given, holds the
+        prefix sums of a hessian that is the same for every row. Ties break
+        toward the lowest feature index, then lowest threshold; a feature
+        whose best gain is not finite is skipped.
         """
-        lam, gamma = self.params.lam, self.params.gamma
-        exact = rows is not None
-        k = len(features)
-        m = rows.shape[1] if exact else len(idx)
-        if k == 0 or m < 2 or (not exact and self.cuts.shape[1] == 0):
-            return None
-        G, H = float(g[idx].sum()), float(h[idx].sum())
-        if exact:
-            sel = rows[features]  # (k, m) row ids, ascending x per feature
-            xs = self.XT[features[:, None], sel]
-            gl = np.cumsum(g[sel], axis=1)[:, :-1]
-            hl = np.cumsum(h[sel], axis=1)[:, :-1]
-            valid = xs[:, :-1] < xs[:, 1:]
+        found: list[tuple[float, int, float] | None] = [None] * len(cands)
+        live = [i for i, c in enumerate(cands) if len(c.idx) >= 2]
+        if not live or (self.params.splitter != "exact"
+                        and self.cuts.shape[1] == 0):
+            return found
+        if self.params.splitter == "exact":
+            # widest first, so that a chunk's rows pad to similar widths
+            live.sort(key=lambda i: -len(cands[i].idx))
+            best, threshold = self._search_exact(
+                g, h, [cands[i] for i in live], h_prefix)
         else:
-            nbins = self.cuts.shape[1] + 1
-            # one bincount over all features: feature r owns bins
-            # [r * nbins, (r + 1) * nbins)
-            codes = (self.codes[features[:, None], idx]
-                     + (np.arange(k) * nbins)[:, None]).ravel()
+            best, threshold = self._search_histogram(
+                g, h, [cands[i] for i in live])
+        # best[j, f]: the best finite gain of live candidate j on feature f,
+        # -inf where there is none or f was not drawn; the first maximum
+        # of a candidate is its lowest feature index
+        at = np.argmax(best, axis=1)
+        top = best[np.arange(len(live)), at]
+        for j, (i, t, f) in enumerate(zip(live, top.tolist(), at.tolist())):
+            if t > -np.inf:
+                found[i] = (t, f, float(threshold[j, f]))
+        return found
+
+    def _search_exact(self, g, h, cands, h_prefix):
+        """Best finite gain and its threshold of each candidate (J) on each
+        feature (F), as (J, F) arrays; one row of the search per drawn
+        feature, the widest candidates first. Left sums are
+        prefix sums along the x-sorted rows. A chunk of rows of one width
+        is read in place; a chunk of mixed widths pads its rows to the
+        first (widest) one by repeating each row's last entry, whose x ties
+        and so is never a valid split."""
+        params = self.params
+        k = np.array([len(c.features) for c in cands])
+        m = np.array([len(c.idx) for c in cands])
+        row_m = np.repeat(m, k)
+        row_start = np.cumsum(row_m) - row_m
+        rows = np.concatenate([c.rows.ravel() for c in cands])
+        xs = np.concatenate([c.xs.ravel() for c in cands])
+        if len(rows) != row_m.sum():  # keep the drawn features' rows only
+            take = np.repeat(
+                np.repeat(np.cumsum(self.F * m) - self.F * m, k)
+                + np.concatenate([c.features for c in cands]) * row_m
+                - row_start, row_m) + np.arange(row_m.sum())
+            rows, xs = rows[take], xs[take]
+        G = np.repeat([c.G for c in cands], k)
+        H = np.repeat([c.H for c in cands], k)
+        parent = G * G / (H + params.lam)
+        g_rows = g[rows]
+        h_rows = h[rows] if h_prefix is None else None
+        # a split after an entry is valid if the next entry's x is larger
+        # and in the same row
+        valid = np.empty(len(xs), dtype=bool)
+        np.less(xs[:-1], xs[1:], out=valid[:-1])
+        valid[row_start + row_m - 1] = False
+        best = np.empty(len(row_m))
+        pos = np.empty(len(row_m), dtype=np.intp)
+        r0 = 0
+        while r0 < len(row_m):
+            width = int(row_m[r0])
+            r1 = min(len(row_m), r0 + max(1, _CHUNK // width))
+            # end the chunk at the rows narrower than it, or than half of
+            # it, unless that leaves it small
+            for narrowest in (width, width // 2 + 1):
+                wide = int(np.count_nonzero(row_m[r0:r1] >= narrowest))
+                if wide * width >= _CHUNK // 8:
+                    r1 = r0 + wide
+                    break
+            if row_m[r1 - 1] == width:
+                at = slice(row_start[r0], row_start[r0] + (r1 - r0) * width)
+                shape = (r1 - r0, width)
+            else:
+                at = row_start[r0:r1, None] + np.minimum(
+                    np.arange(width), row_m[r0:r1, None] - 1)
+                shape = at.shape
+            # 0.5 * (gl^2 / (hl + lam) + gr^2 / (hr + lam) - parent) - gamma,
+            # computed in place
+            gl = np.cumsum(g_rows[at].reshape(shape), axis=1)
+            hl = (np.cumsum(h_rows[at].reshape(shape), axis=1)
+                  if h_prefix is None else h_prefix[:width])
+            gr = np.subtract(G[r0:r1, None], gl)
+            hr = np.subtract(H[r0:r1, None], hl)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                gains = np.multiply(gl, gl, out=gl)
+                gains /= hl + params.lam
+                gr *= gr
+                hr += params.lam
+                gr /= hr
+                gains += gr
+                gains -= parent[r0:r1, None]
+                gains *= 0.5
+                if params.gamma:
+                    gains -= params.gamma
+            gains = np.where(valid[at].reshape(shape), gains, -np.inf)
+            # first maximum = lowest threshold
+            pos[r0:r1] = np.argmax(gains, axis=1)
+            best[r0:r1] = gains[np.arange(r1 - r0), pos[r0:r1]]
+            r0 = r1
+        at = row_start + np.minimum(pos, row_m - 2)
+        lo, hi = xs[at], xs[at + 1]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        at = (np.repeat(np.arange(len(cands)), k),
+              np.concatenate([c.features for c in cands]))
+        full_best = np.full((len(cands), self.F), -np.inf)
+        full_best[at] = np.where(np.isfinite(best), best, -np.inf)
+        full_threshold = np.empty((len(cands), self.F))
+        # adjacent floats: the midpoint rounds up
+        full_threshold[at] = np.where(mid < hi, mid, lo)
+        return full_best, full_threshold
+
+    def _search_histogram(self, g, h, cands):
+        """Best finite gain and its threshold of each candidate (J) on each
+        feature (F), as (J, F) arrays. Every feature of every candidate is
+        binned, in chunks of features, with one bincount per sum: in a chunk
+        of ``nf`` features, candidate j's feature f owns the bins
+        [(j * nf + f) * nbins, (j * nf + f + 1) * nbins)."""
+        params = self.params
+        nbins = self.cuts.shape[1] + 1
+        J = len(cands)
+        m = np.array([len(c.idx) for c in cands])
+        idx = np.concatenate([c.idx for c in cands])
+        g_rows, h_rows = g[idx], h[idx]
+        G = np.array([c.G for c in cands])[:, None, None]
+        H = np.array([c.H for c in cands])[:, None, None]
+        parent = G * G / (H + params.lam)
+        best = np.empty((J, self.F))
+        threshold = np.empty((J, self.F))
+        step = max(1, _CHUNK // len(idx))
+        for f0 in range(0, self.F, step):
+            nf = min(self.F, f0 + step) - f0
+            # (rows, features) codes; each bin sums its rows in row order
+            codes = (self.codes[idx, f0:f0 + nf]
+                     + (np.repeat(np.arange(0, J * nf, nf), m)[:, None]
+                        + np.arange(nf)) * nbins).ravel()
 
             def left_sums(weights):
-                hist = np.bincount(codes, weights=weights, minlength=k * nbins)
-                return np.cumsum(hist.reshape(k, nbins), axis=1)[:, :-1]
+                hist = np.bincount(
+                    codes, minlength=J * nf * nbins,
+                    weights=None if weights is None else weights.repeat(nf))
+                return hist.reshape(J, nf, nbins).cumsum(axis=2)[..., :-1]
 
-            gl = left_sums(np.tile(g[idx], k))
-            hl = left_sums(np.tile(h[idx], k))
-            left_n = left_sums(None)
-            valid = (left_n > 0) & (left_n < m)
-        gr, hr = G - gl, H - hl
-        parent = G * G / (H + lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (
-                gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
-            ) - gamma
-        gains = np.where(valid, gains, -np.inf)
-        at = np.argmax(gains, axis=1)  # first maximum = lowest threshold
-        row_best = gains[np.arange(k), at]
-        finite = np.isfinite(row_best)
-        if not finite.any():
-            return None
-        r = int(np.argmax(np.where(finite, row_best, -np.inf)))
-        i = int(at[r])
-        if exact:
-            lo, hi = xs[r, i], xs[r, i + 1]
-            threshold = (lo + hi) / 2.0
-            if not threshold < hi:  # adjacent floats: the midpoint rounds up
-                threshold = lo
-        else:
-            threshold = self.cuts[features[r], i]
-        return float(row_best[r]), int(features[r]), float(threshold)
+            gl, hl, left_n = left_sums(g_rows), left_sums(h_rows), left_sums(None)
+            gr, hr = G - gl, H - hl
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = 0.5 * (
+                    gl * gl / (hl + params.lam) + gr * gr / (hr + params.lam)
+                    - parent
+                ) - params.gamma
+            valid = (left_n > 0) & (left_n < m[:, None, None])
+            gains = np.where(valid, gains, -np.inf).reshape(J * nf, nbins - 1)
+            at = np.argmax(gains, axis=1)  # first maximum = lowest threshold
+            row_best = gains[np.arange(J * nf), at].reshape(J, nf)
+            best[:, f0:f0 + nf] = np.where(np.isfinite(row_best), row_best,
+                                           -np.inf)
+            threshold[:, f0:f0 + nf] = self.cuts[
+                np.arange(f0, f0 + nf), at.reshape(J, nf)]
+        for j, c in enumerate(cands):
+            if len(c.features) < self.F:
+                drawn = np.zeros(self.F, dtype=bool)
+                drawn[c.features] = True
+                best[j, ~drawn] = -np.inf
+        return best, threshold
 
     def grow(
         self,
@@ -286,48 +428,98 @@ class _Splitter:
         """One tree over the rows ``idx``, drawing ``m`` features per node
         from ``rng`` (all of them when ``m`` is None).
 
-        A node shallower than ``max_depth`` with two or more rows is searched
-        once, when it is made, and waits to split if its best gain is
-        positive. Without ``max_leaves`` the oldest waiting node splits next
-        (level-wise); with it, the first one of highest gain (leaf-wise),
-        until the tree has ``max_leaves`` leaves; the rest stay leaves.
+        The tree grows a generation at a time. Each generation's nodes are
+        made in order: a node's leaf weight is stored and, if the node is
+        shallower than ``max_depth`` and has two or more rows, its features
+        are drawn. Then one :meth:`search` covers all the drawn nodes, and a
+        node of positive best gain waits to split. Without ``max_leaves``
+        every waiting node splits next (level-wise); with it, the first one
+        of highest gain (leaf-wise), until the tree has ``max_leaves``
+        leaves; the rest stay leaves. The children of the nodes that split
+        are the next generation, partitioned from their parents' rows at
+        once.
         """
         params = self.params
         budget = np.inf if params.max_leaves is None else params.max_leaves
+        exact = params.splitter == "exact"
+        h_prefix = _constant_prefix(h[idx]) if exact else None
         # nodes in creation order: [feature, threshold, gain, value, left,
         # right]; renumbered into pre-order once the tree is grown
         nodes: list[list] = []
-        # (gain, feature, threshold, node id, rows, rows sorted per feature
-        # or None, depth) of each node that waits to split
+        # (gain, feature, threshold, node id, depth, candidate) of each node
+        # that waits to split
         frontier: list[tuple] = []
-
-        def make_node(node_idx, rows, depth):
-            value = leaf_weight(float(g[node_idx].sum()),
-                                float(h[node_idx].sum()), params.lam)
-            nodes.append([-1, 0.0, 0.0, value, -1, -1])
-            if depth >= params.max_depth or len(node_idx) < 2:
-                return
-            features = (np.arange(self.F) if m is None or m >= self.F
+        born = [(idx, *self.sorted_rows_of(idx))]
+        depth, n_leaves = 0, 1
+        while True:
+            cands, ids = [], []
+            for node_idx, rows, xs in born:
+                G, H = float(g[node_idx].sum()), float(h[node_idx].sum())
+                nodes.append([-1, 0.0, 0.0, leaf_weight(G, H, params.lam),
+                              -1, -1])
+                if depth < params.max_depth and len(node_idx) >= 2:
+                    features = (
+                        np.arange(self.F) if m is None or m >= self.F
                         else np.sort(rng.choice(self.F, size=m, replace=False)))
-            found = self.best_split(g, h, node_idx, rows, features)
-            if found is not None and found[0] > 0:
-                frontier.append((*found, len(nodes) - 1, node_idx, rows, depth))
+                    cands.append(_Candidate(node_idx, rows, xs, features, G, H))
+                    ids.append(len(nodes) - 1)
+            for cand, node, found in zip(
+                    cands, ids, self.search(g, h, cands, h_prefix)):
+                if found is not None and found[0] > 0:
+                    frontier.append((*found, node, depth, cand))
+            if not frontier or n_leaves >= budget:
+                return _preorder_tree(nodes)
+            if params.max_leaves is None:
+                popped, frontier = frontier, []
+            else:  # the first maximum: ties go to the node made first
+                popped = [frontier.pop(max(range(len(frontier)),
+                                           key=lambda k: frontier[k][0]))]
+            for k, (gain, f, threshold, node, _, _) in enumerate(popped):
+                nodes[node] = [f, threshold, gain, 0.0,
+                               len(nodes) + 2 * k, len(nodes) + 2 * k + 1]
+            n_leaves += len(popped)
+            depth = popped[0][4] + 1
+            born = self._partition(
+                popped, exact and depth < params.max_depth)
 
-        make_node(idx, self.sorted_rows_of(idx), 0)
-        n_leaves = 1
-        while frontier and n_leaves < budget:
-            # the first maximum: ties go to the node made first
-            i = 0 if params.max_leaves is None else max(
-                range(len(frontier)), key=lambda k: frontier[k][0])
-            gain, f, threshold, node, node_idx, rows, depth = frontier.pop(i)
-            nodes[node] = [f, threshold, gain, 0.0, len(nodes), len(nodes) + 1]
-            n_leaves += 1
-            goes_left = self.X[:, f] <= threshold
-            for side in (goes_left, ~goes_left):
-                child_rows = (None if rows is None
-                              else rows[side[rows]].reshape(self.F, -1))
-                make_node(node_idx[side[node_idx]], child_rows, depth + 1)
-        return _preorder_tree(nodes)
+    def _partition(self, popped: list[tuple], sort: bool) -> list[tuple]:
+        """(rows ascending, rows sorted per feature, x values) of the
+        children of the ``popped`` nodes, left then right of each, in order.
+        One stable argsort of child labels partitions all parents' rows at
+        once; the sorted rows are partitioned only when ``sort``."""
+        cands = [p[5] for p in popped]
+        sizes = np.array([len(c.idx) for c in cands])
+        idx = np.concatenate([c.idx for c in cands])
+        goes_right = ~(self.X[idx, np.repeat([p[1] for p in popped], sizes)]
+                       <= np.repeat([p[2] for p in popped], sizes))
+        # uint16 labels are radix-sorted
+        first = np.arange(0, 2 * len(popped), 2,
+                          dtype=np.uint16 if len(popped) <= 1 << 15
+                          else np.intp)
+        label = np.repeat(first, sizes) + goes_right
+        ends = np.cumsum(np.bincount(label, minlength=2 * len(popped)))
+        spans = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+        children = idx[np.argsort(label, kind="stable")]
+        if not sort:
+            return [(children[a:b], None, None) for a, b in spans]
+        side = np.zeros(self.n, dtype=bool)
+        side[idx] = goes_right
+        rows = np.concatenate([c.rows.ravel() for c in cands])
+        xs = np.concatenate([c.xs.ravel() for c in cands])
+        order = np.argsort(np.repeat(first, sizes * self.F) + side[rows],
+                           kind="stable")
+        rows, xs, F = rows[order], xs[order], self.F
+        return [(children[a:b], rows[F * a:F * b].reshape(F, b - a),
+                 xs[F * a:F * b].reshape(F, b - a)) for a, b in spans]
+
+
+def _constant_prefix(h: np.ndarray) -> np.ndarray | None:
+    """cumsum(h) when every entry of ``h`` is the same nonzero value, else
+    None. The hessian prefix sums of any rows of ``h`` are then the first
+    entries of it, the same for every feature and node."""
+    if h.size and h[0] != 0 and np.all(h == h[0]):
+        return np.cumsum(h)
+    return None
 
 
 def _preorder_tree(nodes: list[list]) -> Tree:
@@ -417,8 +609,8 @@ def newton_boost_fit(
         if params.goss is not None:
             a, b = params.goss
             subset, factors = _goss_subset(g, a, b, rng)
-            tree = splitter.grow(subset, g * _scatter(factors, subset, n),
-                                 h * _scatter(factors, subset, n))
+            amplify = _scatter(factors, subset, n)
+            tree = splitter.grow(subset, g * amplify, h * amplify)
         else:
             tree = splitter.grow(np.arange(n), g, h)
         model.trees.append(tree)
@@ -452,6 +644,7 @@ def fit_random_forest(
         n_trees=1, learning_rate=1.0, lam=0.0, gamma=0.0,
         max_depth=params.max_depth, splitter="exact",
     )
+    ranks = _dense_ranks(X)
     trees = []
     seeds = []
     for i in range(params.n_trees):
@@ -467,7 +660,7 @@ def fit_random_forest(
         # leaf weight the target mean
         g = -2.0 * yb
         h = np.full(n, 2.0)
-        splitter = _Splitter(Xb, tree_params)
+        splitter = _Splitter(Xb, tree_params, ranks=ranks[:, rows])
         trees.append(
             splitter.grow(np.arange(n), g, h, rng=rng, m=params.m)
         )
@@ -475,6 +668,18 @@ def fit_random_forest(
         trees=trees, tree_seeds=seeds, m=params.m,
         feature_names=list(feature_names),
     )
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense ranks of each column of ``X``, feature-major (F, n): equal
+    values share a rank (-0.0 and 0.0 too), so a stable argsort of a
+    column's ranks orders its rows as a stable argsort of its values does.
+    The ranks are uint16 when n < 65536, which numpy radix-sorts."""
+    n, F = X.shape
+    ranks = np.empty((F, n), dtype=np.uint16 if n < 1 << 16 else np.intp)
+    for f in range(F):
+        ranks[f] = np.unique(X[:, f], return_inverse=True)[1]
+    return ranks
 
 
 def predict(model: BoostedModel | ForestModel, X: np.ndarray) -> np.ndarray:
@@ -574,6 +779,9 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
     """A ``Tree`` from its arrays, checked so that every walk from the root
     ends on a leaf: each child's index is after its parent's and inside the
     tree."""
+    if not isinstance(data, dict):
+        raise ParameterError(
+            f"tree entry must be an object, got {type(data).__name__}")
     _require(data, _TREE_ARRAYS, "tree")
     arrays = {
         name: np.asarray(data[name], dtype=float
@@ -596,9 +804,13 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
 
 
 def model_from_dict(data: dict) -> BoostedModel | ForestModel:
-    """Rebuild a model from :func:`model_to_dict` output. Another version,
-    an unknown ``type``, a missing key or a malformed tree raises
-    :class:`ParameterError`."""
+    """Rebuild a model from :func:`model_to_dict` output. A payload that is
+    not an object, another version, an unknown ``type``, a missing key,
+    ``feature_names`` that are not a list of strings or a malformed tree
+    raises :class:`ParameterError`."""
+    if not isinstance(data, dict):
+        raise ParameterError(
+            f"model payload must be an object, got {type(data).__name__}")
     if data.get("version") != MODEL_FORMAT_VERSION:
         raise ParameterError(f"unsupported model version {data.get('version')}")
     kind = data.get("type")
@@ -606,8 +818,13 @@ def model_from_dict(data: dict) -> BoostedModel | ForestModel:
         raise ParameterError(f"unknown model type {kind!r}")
     _require(data, ("feature_names", "trees", *_MODEL_KEYS[kind]),
              f"{kind} model")
-    n_features = len(data["feature_names"])
-    trees = [_tree_from_dict(t, n_features) for t in data["trees"]]
+    names = data["feature_names"]
+    if not (isinstance(names, list)
+            and all(isinstance(name, str) for name in names)):
+        raise ParameterError("feature_names must be a list of strings")
+    if not isinstance(data["trees"], list):
+        raise ParameterError("trees must be a list")
+    trees = [_tree_from_dict(t, len(names)) for t in data["trees"]]
     if kind == "boosted":
         return BoostedModel(
             base_score=data["base_score"],

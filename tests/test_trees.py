@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxstack import trees
-from fxstack.errors import ParameterError
+from fxstack.errors import DegenerateFitError, ParameterError
 from oracles import best_split_oracle, grow_oracle, split_gain
 
 
@@ -232,7 +234,7 @@ def split_search_data(n=240, seed=11):
 
 
 @pytest.mark.parametrize("splitter", ["exact", "histogram"])
-def test_best_split_matches_per_feature_oracle(splitter):
+def test_best_split_matches_per_feature_oracle(monkeypatch, splitter):
     X, y = split_search_data()
     n, F = X.shape
     rng = np.random.default_rng(5)
@@ -257,21 +259,34 @@ def test_best_split_matches_per_feature_oracle(splitter):
          subset),
     ]
     found = 0
+    chunks = (trees._CHUNK, 7, 600)
     for params, gg, hh, rows in cases:
         finder = trees._Splitter(X, params)
+        pool = np.arange(n) if rows is None else rows
+        cands, wants = [], []
         for trial in range(25):
-            pool = np.arange(n) if rows is None else rows
             size = int(rng.integers(0, len(pool) + 1))
             idx = np.sort(rng.choice(pool, size=size, replace=False))
             features = np.sort(rng.choice(
                 F, size=int(rng.integers(1, F + 1)), replace=False))
             if trial == 0:
                 features = np.array([5])  # constant column alone: no split
-            got = finder.best_split(
-                gg, hh, idx, finder.sorted_rows_of(idx), features)
-            want = best_split_oracle(X, gg, hh, idx, features, params)
-            assert got == want, (params, trial)
+            cands.append(trees._Candidate(
+                idx, *finder.sorted_rows_of(idx), features,
+                float(gg[idx].sum()), float(hh[idx].sum())))
+            wants.append(best_split_oracle(X, gg, hh, idx, features, params))
+            # one node alone
+            got, = finder.search(gg, hh, cands[-1:])
+            assert got == wants[-1], (params, trial)
             found += got is not None
+        # all nodes in one search; with the prefix sums of a constant h,
+        # and with chunks that split a node's features and hold many nodes
+        h_prefix = trees._constant_prefix(hh[pool])
+        assert (h_prefix is None) == (hh is not h)
+        for chunk in chunks:
+            monkeypatch.setattr(trees, "_CHUNK", chunk)
+            assert finder.search(gg, hh, cands, h_prefix) == wants, (
+                params, chunk)
     assert found > 50
 
 
@@ -295,10 +310,11 @@ def test_grown_trees_match_per_feature_oracle(monkeypatch):
     ]
     vectorised = [trees.model_to_dict(fit()) for fit in fits]
 
-    def oracle_split(self, g, h, idx, rows, features):
-        return best_split_oracle(self.X, g, h, idx, features, self.params)
+    def oracle_search(self, g, h, cands, h_prefix=None):
+        return [best_split_oracle(self.X, g, h, c.idx, c.features,
+                                  self.params) for c in cands]
 
-    monkeypatch.setattr(trees._Splitter, "best_split", oracle_split)
+    monkeypatch.setattr(trees._Splitter, "search", oracle_search)
     for fit, got in zip(fits, vectorised):
         want = trees.model_to_dict(fit())
         assert json.dumps(got) == json.dumps(want)
@@ -348,21 +364,86 @@ def test_grower_matches_two_mode_oracle(monkeypatch, seed):
         assert json.dumps(new) == json.dumps(want), growth
 
 
+def _outcome(fit):
+    """The fit's trees as bytes, or the type of error it raised."""
+    try:
+        got = fit()
+    except DegenerateFitError as err:
+        return type(err)
+    return [[getattr(t, name).tobytes() for name in trees._TREE_ARRAYS]
+            for t in (got.trees if hasattr(got, "trees") else [got])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 70), F=st.integers(1, 6), seed=st.integers(0, 9999),
+       kind=st.sampled_from(["boost", "goss", "forest", "hessians"]),
+       splitter=st.sampled_from(["exact", "histogram"]),
+       max_depth=st.integers(0, 6), max_leaves=st.none() | st.integers(1, 12),
+       lam=st.sampled_from([0.0, 1.0]), oracle_leaf=st.booleans())
+def test_grower_matches_oracle_property(n, F, seed, kind, splitter, max_depth,
+                                        max_leaves, lam, oracle_leaf):
+    """On random data with ties, a constant column and both signs of zero,
+    the grower builds the trees of the one-node-at-a-time oracle: boosting
+    (exact splitting with GOSS has a hessian that is not constant), forests
+    drawing m < F features, and a bare grow with zero hessians at lam = 0."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, F)), 1)
+    X[:, rng.integers(F)] = 0.25
+    X[rng.random((n, F)) < 0.15] = 0.0
+    X[rng.random((n, F)) < 0.15] = -0.0
+    y = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+    params = trees.BoostParams(
+        n_trees=2, max_depth=max_depth, max_leaves=max_leaves, lam=lam,
+        splitter=splitter, bins=int(rng.integers(2, 10)),
+        goss=(0.3, 0.4) if kind == "goss" else None)
+    if kind == "forest":
+        # forests grow level-wise, and the leaf-wise oracle would draw
+        # each node's features in another order
+        max_leaves, oracle_leaf = None, False
+        m = int(rng.integers(1, F + 1))
+
+        def fit():
+            return trees.fit_random_forest(X, y, trees.ForestParams(
+                n_trees=2, max_depth=max_depth, m=m, seed=seed))
+    elif kind == "hessians":
+        g = rng.normal(size=n)
+        h = rng.random(n)
+        h[rng.random(n) < 0.4] = 0.0
+        idx = np.flatnonzero(rng.random(n) < 0.8)
+        params = trees.BoostParams(
+            max_depth=max_depth, max_leaves=max_leaves, lam=0.0,
+            splitter=splitter, bins=params.bins)
+
+        def fit():
+            return trees._Splitter(X, params).grow(idx, g, h)
+    else:
+        def fit():
+            return trees.newton_boost_fit(X, y, params, seed=seed)
+    growth = "leaf" if max_leaves is not None or oracle_leaf else "level"
+    got = _outcome(fit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees._Splitter, "grow",
+                      lambda self, idx, g, h, rng=None, m=None: grow_oracle(
+                          self, idx, g, h, growth, rng, m))
+        want = _outcome(fit)
+    assert got == want
+
+
 def test_each_node_is_searched_once(monkeypatch):
     """At max_depth=1 leaf-wise growth searches the root alone: its two
     children can never split. The two-mode grower searched them too.
     Level-wise growth searches the nodes it searched before."""
     X, y = random_data(400, 10, seed=3)
-    real = trees._Splitter.best_split
+    real = trees._Splitter.search
     calls = []
 
-    def counting(self, g, h, idx, rows, features):
-        calls.append(len(idx))
-        return real(self, g, h, idx, rows, features)
+    def counting(self, g, h, cands, h_prefix=None):
+        calls.extend(len(c.idx) for c in cands)
+        return real(self, g, h, cands, h_prefix)
 
     def searches(params, growth=None):
         with monkeypatch.context() as patch:
-            patch.setattr(trees._Splitter, "best_split", counting)
+            patch.setattr(trees._Splitter, "search", counting)
             if growth is not None:
                 patch.setattr(trees._Splitter, "grow",
                               lambda self, idx, g, h: grow_oracle(
@@ -467,6 +548,18 @@ def test_model_from_dict_rejects_malformed_payloads():
     good = json.loads(json.dumps(trees.model_to_dict(fits[2])))  # a forest
     trees.model_from_dict(good)
     broken(lambda p, t: p.pop("tree_seeds"))
+
+
+def test_model_from_dict_rejects_payloads_of_the_wrong_shape():
+    """A payload that is a list, a tree entry that is a number, or numeric
+    feature_names raise ParameterError, not AttributeError or TypeError."""
+    good = json.loads(json.dumps(trees.model_to_dict(flat_format_fits()[0])))
+    with pytest.raises(ParameterError):
+        trees.model_from_dict([good])
+    for change in ({"trees": [5]}, {"feature_names": 3},
+                   {"feature_names": [1, 2]}, {"trees": 5}):
+        with pytest.raises(ParameterError):
+            trees.model_from_dict({**good, **change})
 
 
 def test_bad_params_rejected():
