@@ -166,9 +166,9 @@ class ImportanceVector:
     scores: dict[str, float]
 
 
-# row entries searched at once: a generation's (node, feature) rows are
-# searched in chunks of about this many entries, so that the temporaries of
-# a large node stay in cache
+# row entries searched at once by the exact splitter: a generation's
+# (node, feature) rows are searched in chunks of about this many entries,
+# so that the temporaries of a large node stay in cache
 _CHUNK = 1 << 14
 
 
@@ -247,12 +247,13 @@ class _Splitter:
         """Best (gain, feature, threshold) of each candidate, or None.
 
         All candidates are searched together, one row per (candidate, drawn
-        feature), in chunks of about ``_CHUNK`` entries. Each row's left sums
-        accumulate in the same order as a one-feature-at-a-time search, so
-        gains are bit-identical to it. ``h_prefix``, when given, holds the
-        prefix sums of a hessian that is the same for every row. Ties break
-        toward the lowest feature index, then lowest threshold; a feature
-        whose best gain is not finite is skipped.
+        feature); the exact splitter takes the rows in chunks of about
+        ``_CHUNK`` entries. Each row's left sums accumulate in the same
+        order as a one-feature-at-a-time search, so gains are bit-identical
+        to it. ``h_prefix``, when given, holds the prefix sums of a hessian
+        that is the same for every row. Ties break toward the lowest feature
+        index, then lowest threshold; a feature whose best gain is not
+        finite is skipped.
         """
         found: list[tuple[float, int, float] | None] = [None] * len(cands)
         live = [i for i, c in enumerate(cands) if len(c.idx) >= 2]
@@ -367,55 +368,41 @@ class _Splitter:
     def _search_histogram(self, g, h, cands):
         """Best finite gain and its threshold of each candidate (J) on each
         feature (F), as (J, F) arrays. Every feature of every candidate is
-        binned, in chunks of features, with one bincount per sum: in a chunk
-        of ``nf`` features, candidate j's feature f owns the bins
-        [(j * nf + f) * nbins, (j * nf + f + 1) * nbins)."""
-        params = self.params
+        binned with one bincount per sum: candidate j's feature f owns the
+        bins [(j * F + f) * nbins, (j * F + f + 1) * nbins), and each bin
+        sums its rows in row order."""
+        params, F = self.params, self.F
         nbins = self.cuts.shape[1] + 1
-        J = len(cands)
-        m = np.array([len(c.idx) for c in cands])
+        m = [len(c.idx) for c in cands]
         idx = np.concatenate([c.idx for c in cands])
-        g_rows, h_rows = g[idx], h[idx]
+        first_bin = (np.repeat(np.arange(len(cands)) * F, m)[:, None]
+                     + np.arange(F)) * nbins
+        codes = (self.codes[idx] + first_bin).ravel()
+
+        def left_sums(weights):
+            hist = np.bincount(
+                codes, minlength=len(cands) * F * nbins,
+                weights=None if weights is None else weights[idx].repeat(F))
+            return hist.reshape(-1, F, nbins).cumsum(axis=2)[..., :-1]
+
+        gl, hl, left_n = left_sums(g), left_sums(h), left_sums(None)
         G = np.array([c.G for c in cands])[:, None, None]
         H = np.array([c.H for c in cands])[:, None, None]
-        parent = G * G / (H + params.lam)
-        best = np.empty((J, self.F))
-        threshold = np.empty((J, self.F))
-        step = max(1, _CHUNK // len(idx))
-        for f0 in range(0, self.F, step):
-            nf = min(self.F, f0 + step) - f0
-            # (rows, features) codes; each bin sums its rows in row order
-            codes = (self.codes[idx, f0:f0 + nf]
-                     + (np.repeat(np.arange(0, J * nf, nf), m)[:, None]
-                        + np.arange(nf)) * nbins).ravel()
-
-            def left_sums(weights):
-                hist = np.bincount(
-                    codes, minlength=J * nf * nbins,
-                    weights=None if weights is None else weights.repeat(nf))
-                return hist.reshape(J, nf, nbins).cumsum(axis=2)[..., :-1]
-
-            gl, hl, left_n = left_sums(g_rows), left_sums(h_rows), left_sums(None)
-            gr, hr = G - gl, H - hl
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = 0.5 * (
-                    gl * gl / (hl + params.lam) + gr * gr / (hr + params.lam)
-                    - parent
-                ) - params.gamma
-            valid = (left_n > 0) & (left_n < m[:, None, None])
-            gains = np.where(valid, gains, -np.inf).reshape(J * nf, nbins - 1)
-            at = np.argmax(gains, axis=1)  # first maximum = lowest threshold
-            row_best = gains[np.arange(J * nf), at].reshape(J, nf)
-            best[:, f0:f0 + nf] = np.where(np.isfinite(row_best), row_best,
-                                           -np.inf)
-            threshold[:, f0:f0 + nf] = self.cuts[
-                np.arange(f0, f0 + nf), at.reshape(J, nf)]
+        gr, hr = G - gl, H - hl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (
+                gl * gl / (hl + params.lam) + gr * gr / (hr + params.lam)
+                - G * G / (H + params.lam)
+            ) - params.gamma
+        valid = (left_n > 0) & (left_n < np.array(m)[:, None, None])
+        gains = np.where(valid, gains, -np.inf)
+        at = np.argmax(gains, axis=2)  # first maximum = lowest threshold
+        best = np.max(gains, axis=2)
         for j, c in enumerate(cands):
-            if len(c.features) < self.F:
-                drawn = np.zeros(self.F, dtype=bool)
-                drawn[c.features] = True
-                best[j, ~drawn] = -np.inf
-        return best, threshold
+            if len(c.features) < F:  # the features not drawn
+                best[j, np.setdiff1d(np.arange(F), c.features)] = -np.inf
+        return (np.where(np.isfinite(best), best, -np.inf),
+                self.cuts[np.arange(F), at])
 
     def grow(
         self,
