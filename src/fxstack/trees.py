@@ -174,12 +174,11 @@ _CHUNK = 1 << 14
 
 class _Candidate(NamedTuple):
     """A node to search: its rows in ascending order; for the exact splitter
-    the same rows sorted by x per feature and their x values, (F, m) each;
-    the features drawn for it, ascending; and its sums G and H."""
+    the same rows sorted by x per feature, (F, m); the features drawn for
+    it, ascending; and its sums G and H."""
 
     idx: np.ndarray
     rows: np.ndarray | None
-    xs: np.ndarray | None
     features: np.ndarray
     G: float
     H: float
@@ -190,8 +189,7 @@ class _Splitter:
 
     The exact splitter sorts each feature's rows once per fit (by ``ranks``
     when given, which order the rows as ``X`` does) and hands every node its
-    rows in ascending-x order as an (F, m) matrix, with their x values. The
-    histogram splitter keeps row-major bin codes (n, F) and per-feature cut
+    rows in ascending-x order as an (F, m) matrix. The histogram splitter keeps row-major bin codes (n, F) and per-feature cut
     points padded with NaN to (F, bins - 1).
     """
 
@@ -223,19 +221,15 @@ class _Splitter:
                 self.cuts[f, :len(c)] = c
                 self.codes[:, f] = np.searchsorted(c, X[:, f], side="left")
 
-    def sorted_rows_of(
-        self, idx: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The rows ``idx`` in ascending-x order per feature and their x
-        values, (F, m) each; (None, None) for the histogram splitter, which
-        needs no sort order."""
+    def sorted_rows_of(self, idx: np.ndarray) -> np.ndarray | None:
+        """The rows ``idx`` in ascending-x order per feature, (F, m); None
+        for the histogram splitter, which needs no sort order."""
         if self.params.splitter != "exact":
-            return None, None
+            return None
         in_node = np.zeros(self.n, dtype=bool)
         in_node[idx] = True
-        rows = self.sorted_rows[in_node[self.sorted_rows]].reshape(
+        return self.sorted_rows[in_node[self.sorted_rows]].reshape(
             self.F, int(in_node.sum()))
-        return rows, np.take_along_axis(self.XT, rows, axis=1)
 
     def search(
         self,
@@ -291,14 +285,11 @@ class _Splitter:
         m = np.array([len(c.idx) for c in cands])
         row_m = np.repeat(m, k)
         row_start = np.cumsum(row_m) - row_m
-        rows = np.concatenate([c.rows.ravel() for c in cands])
-        xs = np.concatenate([c.xs.ravel() for c in cands])
-        if len(rows) != row_m.sum():  # keep the drawn features' rows only
-            take = np.repeat(
-                np.repeat(np.cumsum(self.F * m) - self.F * m, k)
-                + np.concatenate([c.features for c in cands]) * row_m
-                - row_start, row_m) + np.arange(row_m.sum())
-            rows, xs = rows[take], xs[take]
+        feature = np.concatenate([c.features for c in cands])
+        rows = np.concatenate([
+            (c.rows if len(c.features) == self.F else c.rows[c.features])
+            .ravel() for c in cands])
+        xs = self.XT[np.repeat(feature, row_m), rows]
         G = np.repeat([c.G for c in cands], k)
         H = np.repeat([c.H for c in cands], k)
         parent = G * G / (H + params.lam)
@@ -356,8 +347,7 @@ class _Splitter:
         lo, hi = xs[at], xs[at + 1]
         with np.errstate(over="ignore"):
             mid = (lo + hi) / 2.0
-        at = (np.repeat(np.arange(len(cands)), k),
-              np.concatenate([c.features for c in cands]))
+        at = (np.repeat(np.arange(len(cands)), k), feature)
         full_best = np.full((len(cands), self.F), -np.inf)
         full_best[at] = np.where(np.isfinite(best), best, -np.inf)
         full_threshold = np.empty((len(cands), self.F))
@@ -436,11 +426,11 @@ class _Splitter:
         # (gain, feature, threshold, node id, depth, candidate) of each node
         # that waits to split
         frontier: list[tuple] = []
-        born = [(idx, *self.sorted_rows_of(idx))]
+        born = [(idx, self.sorted_rows_of(idx))]
         depth, n_leaves = 0, 1
         while True:
             cands, ids = [], []
-            for node_idx, rows, xs in born:
+            for node_idx, rows in born:
                 G, H = float(g[node_idx].sum()), float(h[node_idx].sum())
                 nodes.append([-1, 0.0, 0.0, leaf_weight(G, H, params.lam),
                               -1, -1])
@@ -448,7 +438,7 @@ class _Splitter:
                     features = (
                         np.arange(self.F) if m is None or m >= self.F
                         else np.sort(rng.choice(self.F, size=m, replace=False)))
-                    cands.append(_Candidate(node_idx, rows, xs, features, G, H))
+                    cands.append(_Candidate(node_idx, rows, features, G, H))
                     ids.append(len(nodes) - 1)
             for cand, node, found in zip(
                     cands, ids, self.search(g, h, cands, h_prefix)):
@@ -470,10 +460,10 @@ class _Splitter:
                 popped, exact and depth < params.max_depth)
 
     def _partition(self, popped: list[tuple], sort: bool) -> list[tuple]:
-        """(rows ascending, rows sorted per feature, x values) of the
-        children of the ``popped`` nodes, left then right of each, in order.
-        One stable argsort of child labels partitions all parents' rows at
-        once; the sorted rows are partitioned only when ``sort``."""
+        """(rows ascending, rows sorted per feature) of the children of the
+        ``popped`` nodes, left then right of each, in order. One stable
+        argsort of child labels partitions all parents' rows at once; the
+        sorted rows are partitioned only when ``sort``."""
         cands = [p[5] for p in popped]
         sizes = np.array([len(c.idx) for c in cands])
         idx = np.concatenate([c.idx for c in cands])
@@ -488,16 +478,15 @@ class _Splitter:
         spans = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
         children = idx[np.argsort(label, kind="stable")]
         if not sort:
-            return [(children[a:b], None, None) for a, b in spans]
+            return [(children[a:b], None) for a, b in spans]
         side = np.zeros(self.n, dtype=bool)
         side[idx] = goes_right
         rows = np.concatenate([c.rows.ravel() for c in cands])
-        xs = np.concatenate([c.xs.ravel() for c in cands])
-        order = np.argsort(np.repeat(first, sizes * self.F) + side[rows],
-                           kind="stable")
-        rows, xs, F = rows[order], xs[order], self.F
-        return [(children[a:b], rows[F * a:F * b].reshape(F, b - a),
-                 xs[F * a:F * b].reshape(F, b - a)) for a, b in spans]
+        rows = rows[np.argsort(np.repeat(first, sizes * self.F) + side[rows],
+                               kind="stable")]
+        F = self.F
+        return [(children[a:b], rows[F * a:F * b].reshape(F, b - a))
+                for a, b in spans]
 
 
 def _constant_prefix(h: np.ndarray) -> np.ndarray | None:

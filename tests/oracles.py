@@ -487,17 +487,16 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
             features = np.arange(splitter.F)
         else:
             features = np.sort(rng.choice(splitter.F, size=m, replace=False))
-        node_idx, rows, xs = entry[1], entry[2][0], entry[2][1]
+        node_idx = entry[1]
         G, H = float(g[node_idx].sum()), float(h[node_idx].sum())
         # a node with H + lambda <= 0 is degenerate before its gains divide
         # by it, as the grower finds when it makes the node
         trees.leaf_weight(G, H, params.lam)
         return splitter.search(g, h, [trees._Candidate(
-            node_idx, rows, xs, features, G, H)])[0]
+            node_idx, entry[2], features, G, H)])[0]
 
     # nodes: [feature, threshold, gain, value, left, right]; frontier
-    # entries: [node id, rows, (sorted rows, their x) or (None, None),
-    # depth, cached search]
+    # entries: [node id, rows, sorted rows or None, depth, cached search]
     nodes = [[-1, 0.0, 0.0, 0.0, -1, -1]]
     frontier = [[0, idx, splitter.sorted_rows_of(idx), 0, None]]
     n_leaves = 1
@@ -517,7 +516,7 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
                 break
             entry = max(candidates, key=lambda e: e[4][1][0])
             frontier = [e for e in frontier if e is not entry]
-        node, node_idx, (rows, xs), depth, cached = entry
+        node, node_idx, rows, depth, cached = entry
         if (
             depth >= params.max_depth
             or n_leaves >= max_leaves
@@ -534,12 +533,11 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
         nodes[node] = [f, threshold, gain, 0.0, len(nodes), len(nodes) + 1]
         n_leaves += 1
         for side in (goes_left, ~goes_left):
-            child = ((None, None) if rows is None else
-                     (rows[side[rows]].reshape(splitter.F, -1),
-                      xs[side[rows]].reshape(splitter.F, -1)))
+            child_rows = (None if rows is None
+                          else rows[side[rows]].reshape(splitter.F, -1))
             frontier.append(
-                [len(nodes), node_idx[side[node_idx]], child, depth + 1,
-                 None])
+                [len(nodes), node_idx[side[node_idx]], child_rows,
+                 depth + 1, None])
             nodes.append([-1, 0.0, 0.0, 0.0, -1, -1])
     for entry in frontier:  # unexpanded leaf-wise leftovers become leaves
         nodes[entry[0]][3] = leaf_value(entry[1])

@@ -272,7 +272,7 @@ def test_best_split_matches_per_feature_oracle(monkeypatch, splitter):
             if trial == 0:
                 features = np.array([5])  # constant column alone: no split
             cands.append(trees._Candidate(
-                idx, *finder.sorted_rows_of(idx), features,
+                idx, finder.sorted_rows_of(idx), features,
                 float(gg[idx].sum()), float(hh[idx].sum())))
             wants.append(best_split_oracle(X, gg, hh, idx, features, params))
             # one node alone
