@@ -275,11 +275,11 @@ class _Splitter:
     def _search_exact(self, g, h, cands, h_prefix):
         """Best finite gain and its threshold of each candidate (J) on each
         feature (F), as (J, F) arrays; one row of the search per drawn
-        feature, the widest candidates first. Left sums are
-        prefix sums along the x-sorted rows. A chunk of rows of one width
-        is read in place; a chunk of mixed widths pads its rows to the
-        first (widest) one by repeating each row's last entry, whose x ties
-        and so is never a valid split."""
+        feature, the widest candidates first. Left sums are prefix sums
+        along the x-sorted rows. A chunk of rows of one width is read in
+        place; a chunk of mixed widths pads its rows to the first (widest)
+        one by repeating each row's last entry, whose x ties and so is
+        never a valid split."""
         params = self.params
         k = np.array([len(c.features) for c in cands])
         m = np.array([len(c.idx) for c in cands])
