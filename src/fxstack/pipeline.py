@@ -3,7 +3,9 @@ recap -> base-model training -> stacking search -> artifact emission.
 
 Recap fits on the main train range and scores on validation. The base
 models fit on train+validation; their test-range predictions form the
-stacking window.
+stacking window. ``BASE_LEARNERS`` is the one table of base learners, in
+``stacking.MODEL_ORDER``: how each fits, predicts and saves its model. The
+train stage loops over it and the emit stage saves each model through it.
 
 Every stage failure aborts with the stage name and original cause; artifacts
 are only written after all compute succeeds, and a failed write cleans up
@@ -18,7 +20,9 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,35 +33,15 @@ from .errors import FxStackError, InsufficientDataError
 from .evaluation import Metrics, compute_metrics, format_results_table
 from .indicators import compute_features
 from .market_data import (
-    CandleSeries,
-    FeatureFrame,
-    SplitSpec,
-    clean,
-    compute_highest_high,
-    generate_synthetic_ohlc,
-    in_range,
-    load_ohlc_csv,
-    split_spec_from_fractions,
-    to_sequences,
-    to_windowed,
-)
+    CandleSeries, FeatureFrame, SplitSpec, clean, compute_highest_high,
+    generate_synthetic_ohlc, in_range, load_ohlc_csv,
+    split_spec_from_fractions, to_sequences, to_windowed)
 from .recap import RecapConfig, RecapResult, export_scores_csv, run_recap
-from .recurrent import (
-    RnnArch,
-    TrainConfig,
-    apply_scaler,
-    fit_scaler,
-    predict_rnn,
-    rnn_to_dict,
-    train_rnn,
-)
+from .recurrent import (RnnArch, TrainConfig, apply_scaler, fit_scaler,
+                        predict_rnn, rnn_to_dict, train_rnn)
 from .seeding import derive_seed
-from .stacking import (
-    MetaTrainConfig,
-    StackingReport,
-    build_meta_frame,
-    run_stacking_search,
-)
+from .stacking import (MODEL_ORDER, MetaTrainConfig, StackingReport,
+                       build_meta_frame, run_stacking_search)
 from .trees import BoostParams, ForestParams, newton_boost_fit, fit_random_forest
 from .trees import predict as predict_trees
 from .trees import save_model
@@ -137,87 +121,99 @@ def _features(
     return frame, orders, fallbacks
 
 
-def _train_base_models(
-    config: PipelineConfig,
-    frame: FeatureFrame,
-    spec: SplitSpec,
-    selected_base: list[str],
-):
-    """Fit the five base learners on train+validation rows of the selected
-    features and predict over the test (stacking) window."""
+class BaseLearner(NamedTuple):
+    """How the train stage fits, applies and saves one base learner:
+    ``fit(fit_frame, config, seed)`` returns the model, ``predict(model,
+    frame, config)`` one prediction per lookback window of ``frame``, and
+    ``save(model, path)`` writes ``models/<name>.json``. Each looks up this
+    module's functions when it runs, so a wrapper set on one sees the call.
+    """
+
+    fit: Callable[[FeatureFrame, PipelineConfig, int], object]
+    predict: Callable[[object, FeatureFrame, PipelineConfig], np.ndarray]
+    save: Callable[[object, str], None]
+
+
+def _tree_learner(fit) -> BaseLearner:
+    """A tree learner on flattened windows; ``fit(windowed, config, seed)``."""
+    return BaseLearner(
+        lambda frame, config, seed: fit(
+            to_windowed(frame, config.lookback), config, seed),
+        lambda model, frame, config: predict_trees(
+            model, to_windowed(frame, config.lookback).X),
+        lambda model, path: save_model(model, path))
+
+
+def _boosted(params) -> BaseLearner:
+    """A boosted tree learner with ``params(config)``."""
+    return _tree_learner(lambda windowed, config, seed: newton_boost_fit(
+        windowed.X, windowed.y, params(config),
+        feature_names=windowed.feature_names, seed=seed))
+
+
+def _rnn_learner(cell: str) -> BaseLearner:
+    """A recurrent learner whose model is (scaler, network). The scaler is
+    fit on all the fit rows; the last 15% of them stop training early."""
+
+    def fit(frame, config, seed):
+        sequences = to_sequences(frame, config.lookback)
+        scaler = fit_scaler(sequences)
+        scaled = apply_scaler(scaler, sequences)
+        n_stop = max(1, int(round(len(scaled.y) * 0.15)))
+        network, _ = train_rnn(
+            scaled.take(slice(None, -n_stop)),
+            scaled.take(slice(-n_stop, None)),
+            RnnArch(cell=cell, hidden_size=config.rnn_hidden),
+            TrainConfig(
+                batch_size=config.rnn_batch, learning_rate=config.rnn_lr,
+                max_epochs=config.rnn_epochs, patience=config.rnn_patience,
+                seed=seed))
+        return scaler, network
+
+    return BaseLearner(
+        fit,
+        lambda model, frame, config: predict_rnn(model[1], apply_scaler(
+            model[0], to_sequences(frame, config.lookback))),
+        lambda model, path: _write_json(path, rnn_to_dict(model[1])))
+
+
+# the base learners, keyed in ``MODEL_ORDER``
+BASE_LEARNERS: dict[str, BaseLearner] = dict(zip(MODEL_ORDER, (
+    _boosted(lambda c: BoostParams(
+        n_trees=c.xgb_n_trees, max_depth=c.xgb_max_depth,
+        learning_rate=c.xgb_learning_rate, lam=c.xgb_reg_lambda)),
+    _boosted(lambda c: BoostParams(
+        n_trees=c.lgbm_n_trees, max_leaves=c.lgbm_max_leaves,
+        max_depth=c.xgb_max_depth + 2, splitter="histogram",
+        bins=c.lgbm_bins, learning_rate=c.lgbm_learning_rate,
+        goss=(0.2, 0.1))),
+    _tree_learner(lambda windowed, c, seed: fit_random_forest(
+        windowed.X, windowed.y, ForestParams(
+            n_trees=c.forest_n_trees, max_depth=c.forest_max_depth,
+            m=min(c.forest_m, windowed.X.shape[1]), seed=seed),
+        feature_names=windowed.feature_names)),
+    _rnn_learner("lstm"),
+    _rnn_learner("gru"),
+), strict=True))
+
+
+def _train_base_models(config: PipelineConfig, frame: FeatureFrame,
+                       spec: SplitSpec, selected_base: list[str]):
+    """Fit each base learner on train+validation rows of the selected
+    features, with seed ``derive_seed(config.seed, "base", name)``, and
+    predict over the test (stacking) window, whose windows are returned
+    for their labels and stamps."""
     narrowed = frame.select(selected_base)
     fit_frame = narrowed.take(
         in_range(narrowed.index, spec.train[0], spec.validation[1]))
     test_frame = narrowed.take(in_range(narrowed.index, *spec.test))
-
-    windowed_fit = to_windowed(fit_frame, config.lookback)
-    windowed_test = to_windowed(test_frame, config.lookback)
-    n_features = windowed_fit.X.shape[1]
-
     models: dict[str, object] = {}
     predictions: dict[str, np.ndarray] = {}
-
-    xgb = newton_boost_fit(
-        windowed_fit.X, windowed_fit.y,
-        BoostParams(
-            n_trees=config.xgb_n_trees, max_depth=config.xgb_max_depth,
-            learning_rate=config.xgb_learning_rate, lam=config.xgb_reg_lambda,
-        ),
-        feature_names=windowed_fit.feature_names,
-        seed=derive_seed(config.seed, "base", "xgboost"),
-    )
-    models["xgboost"] = xgb
-    predictions["xgboost"] = predict_trees(xgb, windowed_test.X)
-
-    lgbm = newton_boost_fit(
-        windowed_fit.X, windowed_fit.y,
-        BoostParams(
-            n_trees=config.lgbm_n_trees, max_leaves=config.lgbm_max_leaves,
-            max_depth=config.xgb_max_depth + 2,
-            splitter="histogram", bins=config.lgbm_bins,
-            learning_rate=config.lgbm_learning_rate, goss=(0.2, 0.1),
-        ),
-        feature_names=windowed_fit.feature_names,
-        seed=derive_seed(config.seed, "base", "lightgbm"),
-    )
-    models["lightgbm"] = lgbm
-    predictions["lightgbm"] = predict_trees(lgbm, windowed_test.X)
-
-    forest = fit_random_forest(
-        windowed_fit.X, windowed_fit.y,
-        ForestParams(
-            n_trees=config.forest_n_trees, max_depth=config.forest_max_depth,
-            m=min(config.forest_m, n_features),
-            seed=derive_seed(config.seed, "base", "random_forest"),
-        ),
-        feature_names=windowed_fit.feature_names,
-    )
-    models["random_forest"] = forest
-    predictions["random_forest"] = predict_trees(forest, windowed_test.X)
-
-    # recurrent models: carve an early-stop split off the end of the fit rows
-    seq_fit = to_sequences(fit_frame, config.lookback)
-    seq_test = to_sequences(test_frame, config.lookback)
-    n_rows = seq_fit.X.shape[0]
-    n_stop = max(1, int(round(n_rows * 0.15)))
-    scaler = fit_scaler(seq_fit)
-    fit_scaled = apply_scaler(scaler, seq_fit)
-    test_scaled = apply_scaler(scaler, seq_test)
-    core = fit_scaled.take(slice(None, n_rows - n_stop))
-    early = fit_scaled.take(slice(n_rows - n_stop, None))
-    for cell in ("lstm", "gru"):
-        cfg = TrainConfig(
-            batch_size=config.rnn_batch, learning_rate=config.rnn_lr,
-            max_epochs=config.rnn_epochs, patience=config.rnn_patience,
-            seed=derive_seed(config.seed, "base", cell),
-        )
-        model, _ = train_rnn(
-            core, early, RnnArch(cell=cell, hidden_size=config.rnn_hidden), cfg
-        )
-        models[cell] = model
-        predictions[cell] = predict_rnn(model, test_scaled)
-
-    return models, predictions, windowed_test
+    for name, learner in BASE_LEARNERS.items():
+        models[name] = learner.fit(
+            fit_frame, config, derive_seed(config.seed, "base", name))
+        predictions[name] = learner.predict(models[name], test_frame, config)
+    return models, predictions, to_sequences(test_frame, config.lookback)
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunReport:
@@ -274,17 +270,17 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
     )
     selected_base = recap_results[selected_k].selected_base
 
-    models, predictions, windowed_test = staged(
+    models, predictions, test_windows = staged(
         "train", _train_base_models, config, clean_frame, spec, selected_base
     )
     base_metrics = {
-        name: compute_metrics(pred, windowed_test.y)
+        name: compute_metrics(pred, test_windows.y)
         for name, pred in predictions.items()
     }
 
     def _stack() -> StackingReport:
         meta = build_meta_frame(
-            predictions, windowed_test.y, windowed_test.row_timestamps
+            predictions, test_windows.y, test_windows.row_timestamps
         )
         meta_spec = split_spec_from_fractions(meta.index, config.meta_split)
         return run_stacking_search(
@@ -385,11 +381,9 @@ def _emit_artifacts(
         "stacking_report.csv":
             lambda p: _write_text(p, stacking_report.to_csv()),
     }
-    for name, model in models.items():
+    for name in models:
         writers[os.path.join("models", f"{name}.json")] = (
-            (lambda p, m=model: _write_json(p, rnn_to_dict(m)))
-            if name in ("lstm", "gru")
-            else (lambda p, m=model: save_model(m, p)))
+            lambda p, name=name: BASE_LEARNERS[name].save(models[name], p))
     # last, so that it lists every artifact above
     writers["report.json"] = lambda p: _write_json(p, report.to_dict(),
                                                    indent=2)

@@ -6,6 +6,11 @@ trained on each model's top-k selection and its held-out RMSE recorded. The
 fused score per feature is the sum over models of its min-max normalized
 importance divided by that model's RMSE; the final top-k lagged columns
 (collapsed to base features) feed the final sequence model.
+
+``IMPORTANCE_MODELS`` is the one table of the three tree models, in the
+order their scores are fused: each entry's name, importance kind and fit,
+with the budget and seed of :class:`RecapConfig`. The sequence model stops
+early on the held-out range it is scored on.
 """
 
 from __future__ import annotations
@@ -19,24 +24,11 @@ import numpy as np
 from .errors import ParameterError
 from .evaluation import Metrics, compute_metrics
 from .market_data import FeatureFrame, SplitSpec, split_by_dates, to_sequences, to_windowed
-from .recurrent import (
-    MinMaxScaler,
-    RnnArch,
-    TrainConfig,
-    apply_scaler,
-    fit_scaler,
-    predict_rnn,
-    train_rnn,
-)
+from .recurrent import (MinMaxScaler, RnnArch, TrainConfig, apply_scaler,
+                        fit_scaler, predict_rnn, train_rnn)
 from .seeding import derive_seed
-from .trees import (
-    BoostParams,
-    ForestParams,
-    ImportanceVector,
-    fit_random_forest,
-    importance,
-    newton_boost_fit,
-)
+from .trees import (BoostParams, ForestParams, ImportanceVector,
+                    fit_random_forest, importance, newton_boost_fit)
 
 _LAGGED_NAME = re.compile(r"^(?P<base>.+?)\(t(?:-(?P<lag>\d+))?\)$")
 
@@ -134,28 +126,43 @@ class RecapConfig:
     seed: int = 0
     with_baseline: bool = False
 
-    # importance kind per tree model, in Eq-order (boost, forest, histogram)
-    MODEL_KINDS = (
-        ("xgboost", "gain"),
-        ("random_forest", "impurity_decrease"),
-        ("lightgbm", "split_count"),
-    )
+
+# the tree models in Eq-order (boost, forest, histogram): name, importance
+# kind, and fit(windowed, config) with the model's budget and seed
+IMPORTANCE_MODELS = (
+    ("xgboost", "gain", lambda windowed, config: newton_boost_fit(
+        windowed.X, windowed.y, config.boost_params,
+        feature_names=windowed.feature_names,
+        seed=derive_seed(config.seed, "recap-xgb"))),
+    ("random_forest", "impurity_decrease",
+     lambda windowed, config: fit_random_forest(
+         windowed.X, windowed.y,
+         dataclasses.replace(config.forest_params,
+                             seed=derive_seed(config.seed, "recap-rf")),
+         feature_names=windowed.feature_names)),
+    ("lightgbm", "split_count", lambda windowed, config: newton_boost_fit(
+        windowed.X, windowed.y, config.hist_params,
+        feature_names=windowed.feature_names,
+        seed=derive_seed(config.seed, "recap-lgbm"))),
+)
 
 
 def _train_sequence_model(
     frame_train: FeatureFrame,
     frame_heldout: FeatureFrame,
     base_features: list[str],
-    lookback: int,
-    arch: RnnArch,
+    config: RecapConfig,
     cfg: TrainConfig,
 ) -> Metrics:
+    """Held-out metrics of ``config.rnn_arch`` on ``base_features``: it
+    stops early on the held-out range and is scored on it."""
+    lookback = config.lookback
     train_seq = to_sequences(frame_train.select(base_features), lookback)
     held_seq = to_sequences(frame_heldout.select(base_features), lookback)
     scaler = fit_scaler(train_seq)
     train_scaled = apply_scaler(scaler, train_seq)
     held_scaled = apply_scaler(scaler, held_seq)
-    model, _ = train_rnn(train_scaled, held_scaled, arch, cfg)
+    model, _ = train_rnn(train_scaled, held_scaled, config.rnn_arch, cfg)
     pred = predict_rnn(model, held_scaled)
     return compute_metrics(pred, held_seq.y)
 
@@ -173,56 +180,30 @@ def run_recap(
     """
     train_frame, heldout_frame, _ = split_by_dates(frame, spec)
     windowed = to_windowed(train_frame, config.lookback)
-
-    fitters = {
-        "xgboost": lambda: newton_boost_fit(
-            windowed.X, windowed.y, config.boost_params,
-            feature_names=windowed.feature_names,
-            seed=derive_seed(config.seed, "recap-xgb")),
-        "lightgbm": lambda: newton_boost_fit(
-            windowed.X, windowed.y, config.hist_params,
-            feature_names=windowed.feature_names,
-            seed=derive_seed(config.seed, "recap-lgbm")),
-        "random_forest": lambda: fit_random_forest(
-            windowed.X, windowed.y,
-            dataclasses.replace(config.forest_params,
-                                seed=derive_seed(config.seed, "recap-rf")),
-            feature_names=windowed.feature_names),
-    }
-    raw: dict[str, ImportanceVector] = {}
-    rmses: dict[str, float] = {}
-    per_model_selected: dict[str, list[str]] = {}
     rnn_cfg = dataclasses.replace(
         config.rnn_cfg, seed=derive_seed(config.seed, "recap-rnn")
     )
-    for model_name, kind in RecapConfig.MODEL_KINDS:
-        model = fitters[model_name]()
-        raw[model_name] = importance(model, kind)
-        lagged = top_k_columns(raw[model_name].scores, config.k)
-        per_model_selected[model_name] = lagged
-        base = collapse_to_base(lagged)
-        metrics = _train_sequence_model(
-            train_frame, heldout_frame, base, config.lookback,
-            config.rnn_arch, rnn_cfg,
-        )
-        rmses[model_name] = metrics.rmse
+
+    def sequence_metrics(base_features: list[str]) -> Metrics:
+        return _train_sequence_model(train_frame, heldout_frame,
+                                     base_features, config, rnn_cfg)
+
+    raw: dict[str, ImportanceVector] = {}
+    rmses: dict[str, float] = {}
+    per_model_selected: dict[str, list[str]] = {}
+    for name, kind, fit in IMPORTANCE_MODELS:
+        raw[name] = importance(fit(windowed, config), kind)
+        per_model_selected[name] = top_k_columns(raw[name].scores, config.k)
+        rmses[name] = sequence_metrics(
+            collapse_to_base(per_model_selected[name])).rmse
     normalized = {name: normalize_scores(v) for name, v in raw.items()}
-    ordered = [name for name, _ in RecapConfig.MODEL_KINDS]
-    final_scores = recap_scores(
-        [normalized[m] for m in ordered], [rmses[m] for m in ordered]
-    )
+    final_scores = recap_scores(list(normalized.values()),
+                                list(rmses.values()))
     selected_lagged = top_k_columns(final_scores, config.k)
     selected_base = collapse_to_base(selected_lagged)
-    final_metrics = _train_sequence_model(
-        train_frame, heldout_frame, selected_base, config.lookback,
-        config.rnn_arch, rnn_cfg,
-    )
-    baseline = None
-    if config.with_baseline:
-        baseline = _train_sequence_model(
-            train_frame, heldout_frame, train_frame.feature_names,
-            config.lookback, config.rnn_arch, rnn_cfg,
-        )
+    final_metrics = sequence_metrics(selected_base)
+    baseline = (sequence_metrics(train_frame.feature_names)
+                if config.with_baseline else None)
     return RecapResult(
         k=config.k,
         normalized=normalized,

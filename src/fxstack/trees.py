@@ -289,7 +289,7 @@ class _Splitter:
         rows = np.concatenate([
             (c.rows if len(c.features) == self.F else c.rows[c.features])
             .ravel() for c in cands])
-        xs = self.XT[np.repeat(feature, row_m), rows]
+        xs = self.XT.ravel()[np.repeat(feature * self.n, row_m) + rows]
         G = np.repeat([c.G for c in cands], k)
         H = np.repeat([c.H for c in cands], k)
         parent = G * G / (H + params.lam)
@@ -751,6 +751,23 @@ def _require(data: dict, keys: tuple[str, ...], what: str) -> None:
         raise ParameterError(f"{what} payload lacks {', '.join(missing)}")
 
 
+def _numbers(values, what: str, integer: bool = False) -> np.ndarray:
+    """``values``, a list of finite JSON numbers (integers when ``integer``),
+    as a float or intp array; anything else raises :class:`ParameterError`."""
+    kind = int if integer else (int, float)
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, kind) for v in values):
+        raise ParameterError(f"{what} must be a list of "
+                             f"{'integers' if integer else 'numbers'}")
+    try:
+        array = np.array(values, dtype=np.intp if integer else float)
+    except OverflowError as exc:
+        raise ParameterError(f"{what} holds a number out of range") from exc
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{what} must be finite")
+    return array
+
+
 def _tree_from_dict(data: dict, n_features: int) -> Tree:
     """A ``Tree`` from its arrays, checked so that every walk from the root
     ends on a leaf: each child's index is after its parent's and inside the
@@ -759,11 +776,9 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
         raise ParameterError(
             f"tree entry must be an object, got {type(data).__name__}")
     _require(data, _TREE_ARRAYS, "tree")
-    arrays = {
-        name: np.asarray(data[name], dtype=float
-                         if name in ("threshold", "gain", "value") else np.intp)
-        for name in _TREE_ARRAYS
-    }
+    arrays = {name: _numbers(data[name], f"tree {name}",
+                             integer=name in ("feature", "left", "right"))
+              for name in _TREE_ARRAYS}
     n = arrays["feature"].size
     if n == 0 or any(a.shape != (n,) for a in arrays.values()):
         raise ParameterError("tree arrays must be nonempty and of equal length")
@@ -782,15 +797,15 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
 def model_from_dict(data: dict) -> BoostedModel | ForestModel:
     """Rebuild a model from :func:`model_to_dict` output. A payload that is
     not an object, another version, an unknown ``type``, a missing key,
-    ``feature_names`` that are not a list of strings or a malformed tree
-    raises :class:`ParameterError`."""
+    ``feature_names`` that are not a list of strings, a value of the wrong
+    type or range, or a malformed tree raises :class:`ParameterError`."""
     if not isinstance(data, dict):
         raise ParameterError(
             f"model payload must be an object, got {type(data).__name__}")
     if data.get("version") != MODEL_FORMAT_VERSION:
         raise ParameterError(f"unsupported model version {data.get('version')}")
     kind = data.get("type")
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ParameterError(f"unknown model type {kind!r}")
     _require(data, ("feature_names", "trees", *_MODEL_KEYS[kind]),
              f"{kind} model")
@@ -802,18 +817,20 @@ def model_from_dict(data: dict) -> BoostedModel | ForestModel:
         raise ParameterError("trees must be a list")
     trees = [_tree_from_dict(t, len(names)) for t in data["trees"]]
     if kind == "boosted":
-        return BoostedModel(
-            base_score=data["base_score"],
-            learning_rate=data["learning_rate"],
-            trees=trees,
-            feature_names=list(data["feature_names"]),
-        )
+        base_score, learning_rate = _numbers(
+            [data["base_score"], data["learning_rate"]],
+            "base_score and learning_rate").tolist()
+        if not 0.0 < learning_rate <= 1.0:
+            raise ParameterError("learning_rate must be in (0, 1]")
+        return BoostedModel(base_score=base_score, learning_rate=learning_rate,
+                            trees=trees, feature_names=list(names))
+    m = data["m"]
+    if not trees or (m is not None and not (
+            isinstance(m, int) and not isinstance(m, bool) and m >= 1)):
+        raise ParameterError("a forest needs a tree and m None or >= 1")
     return ForestModel(
-        trees=trees,
-        tree_seeds=list(data["tree_seeds"]),
-        m=data["m"],
-        feature_names=list(data["feature_names"]),
-    )
+        trees=trees, m=m, feature_names=list(names),
+        tree_seeds=_numbers(data["tree_seeds"], "tree_seeds", True).tolist())
 
 
 def save_model(model: BoostedModel | ForestModel, path) -> None:

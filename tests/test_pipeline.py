@@ -5,10 +5,12 @@ import os
 
 import pytest
 
+from fxstack import trees
 from fxstack.config import PipelineConfig
 from fxstack.errors import SchemaError, SpecError
 from fxstack.pipeline import StageError, run_pipeline
-from fxstack.recurrent import rnn_from_dict
+from fxstack.recurrent import rnn_from_dict, rnn_to_dict
+from fxstack.stacking import MODEL_ORDER
 
 SMALL = dict(
     synthetic_n=1200, recap_ks=(6,), xgb_n_trees=8, lgbm_n_trees=8,
@@ -44,6 +46,16 @@ def test_rnn_artifacts_load(run, cell):
     assert model.arch.cell == cell
     assert model.arch.hidden_size == SMALL["rnn_hidden"]
     assert model.weights.W.shape[0] == {"gru": 3, "lstm": 4}[cell]
+
+
+@pytest.mark.parametrize("name", MODEL_ORDER)
+def test_model_artifacts_round_trip(run, name):
+    """Each model file loads with its loader and writes the same bytes."""
+    _, _, out = run
+    text = (out / "models" / f"{name}.json").read_text()
+    load, dump = ((rnn_from_dict, rnn_to_dict) if name in ("lstm", "gru")
+                  else (trees.model_from_dict, trees.model_to_dict))
+    assert json.dumps(dump(load(json.loads(text))), sort_keys=True) == text
 
 
 def test_report_contents(run):

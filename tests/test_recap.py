@@ -102,7 +102,7 @@ def test_run_recap_structure(planted):
     assert len(result.selected_lagged) == 6
     assert result.selected_base == recap.collapse_to_base(result.selected_lagged)
     # final scores fuse the three normalized vectors exactly
-    ordered = [m for m, _ in recap.RecapConfig.MODEL_KINDS]
+    ordered = [m for m, _, _ in recap.IMPORTANCE_MODELS]
     expected = recap.recap_scores(
         [result.normalized[m] for m in ordered],
         [result.model_rmses[m] for m in ordered])

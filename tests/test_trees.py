@@ -562,6 +562,78 @@ def test_model_from_dict_rejects_payloads_of_the_wrong_shape():
             trees.model_from_dict({**good, **change})
 
 
+def test_model_from_dict_rejects_values_of_the_wrong_type():
+    """Each of these used to raise ValueError, TypeError or OverflowError, or
+    to load and then fail inside predict."""
+    fits = flat_format_fits()
+    boosted, forest = (json.loads(json.dumps(trees.model_to_dict(fits[i])))
+                       for i in (0, 2))
+    for good, change in (
+            (boosted, {"base_score": "x"}), (boosted, {"learning_rate": None}),
+            (boosted, {"learning_rate": True}),
+            (boosted, {"learning_rate": 2.0}),
+            (boosted, {"base_score": float("nan")}),
+            (forest, {"tree_seeds": 5}), (forest, {"m": "x"}),
+            (forest, {"trees": []})):
+        with pytest.raises(ParameterError):
+            trees.model_from_dict({**good, **change})
+    for field, value in (("threshold", ["a"]), ("feature", [None]),
+                         ("left", [10**30]), ("value", [10**400]),
+                         ("feature", [0.5]), ("gain", [True])):
+        tree = {**boosted["trees"][0], field: value}
+        with pytest.raises(ParameterError):
+            trees.model_from_dict({**boosted, "trees": [tree]})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_model_from_dict_property(data):
+    """A good payload with one random JSON value put at a random key, tree,
+    tree field or entry of a tree field either raises ParameterError or
+    loads into a model that predicts on a fixed X without an error."""
+    fits = _property_payloads()
+    payload = json.loads(data.draw(st.sampled_from(fits)))
+    value = data.draw(_JSON_VALUES)
+    tree = data.draw(st.sampled_from(payload["trees"]))
+    field = data.draw(st.sampled_from(trees._TREE_ARRAYS))
+    where = data.draw(st.sampled_from(["key", "tree", "field", "entry"]))
+    if where == "key":
+        payload[data.draw(st.sampled_from(sorted(payload)))] = value
+    elif where == "tree":
+        payload["trees"][data.draw(
+            st.integers(0, len(payload["trees"]) - 1))] = value
+    elif where == "field":
+        tree[field] = value
+    else:
+        tree[field][data.draw(st.integers(0, len(tree[field]) - 1))] = value
+    try:
+        model = trees.model_from_dict(payload)
+    except ParameterError:
+        return
+    X = np.resize(np.linspace(-3.0, 3.0, 11), (9, len(model.feature_names)))
+    trees.predict(model, X)
+
+
+_PAYLOADS: list[str] = []
+
+
+def _property_payloads() -> list[str]:
+    """The JSON of a boosted and of a forest model, made once."""
+    if not _PAYLOADS:
+        fits = flat_format_fits()
+        _PAYLOADS.extend(json.dumps(trees.model_to_dict(fits[i]))
+                         for i in (0, 2))
+    return _PAYLOADS
+
+
 def test_bad_params_rejected():
     with pytest.raises(ParameterError):
         trees.BoostParams(learning_rate=0.0)
