@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -622,16 +623,11 @@ def test_model_from_dict_property(data):
     trees.predict(model, X)
 
 
-_PAYLOADS: list[str] = []
-
-
-def _property_payloads() -> list[str]:
-    """The JSON of a boosted and of a forest model, made once."""
-    if not _PAYLOADS:
-        fits = flat_format_fits()
-        _PAYLOADS.extend(json.dumps(trees.model_to_dict(fits[i]))
-                         for i in (0, 2))
-    return _PAYLOADS
+@functools.cache
+def _property_payloads() -> tuple[str, ...]:
+    """The JSON of a boosted and of a forest model."""
+    fits = flat_format_fits()
+    return tuple(json.dumps(trees.model_to_dict(fits[i])) for i in (0, 2))
 
 
 def test_bad_params_rejected():
