@@ -98,15 +98,11 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
 def _cmd_features(config: PipelineConfig, args) -> int:
     import os
 
-    from .market_data import clean, compute_highest_high
-    from .pipeline import _features, _ingest
+    from .pipeline import _features, _ingest, _label_and_clean
 
     series, _ = _ingest(config)
     frame, orders, fallbacks = _features(config, series)
-    frame = frame.with_label(
-        "highest_high", compute_highest_high(series, config.horizon)
-    )
-    cleaned, counts = clean(frame)
+    cleaned, _ = _label_and_clean(config, series, frame)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "features.csv")
     cleaned.to_csv(path)

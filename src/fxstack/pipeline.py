@@ -216,6 +216,14 @@ def _train_base_models(config: PipelineConfig, frame: FeatureFrame,
     return models, predictions, to_sequences(test_frame, config.lookback)
 
 
+def _label_and_clean(config: PipelineConfig, series: CandleSeries,
+                     frame: FeatureFrame) -> tuple[FeatureFrame, dict]:
+    """``frame`` labelled with the highest high over ``config.horizon``
+    bars, then cleaned; returns the clean frame and the cleaning counts."""
+    return clean(frame.with_label(
+        "highest_high", compute_highest_high(series, config.horizon)))
+
+
 def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunReport:
     check_config(config)
     out_dir = config.out_dir if out_dir is None else out_dir
@@ -235,13 +243,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
     frame, arima_orders, arima_refit_fallbacks = staged(
         "features", _features, config, series)
 
-    def _label_and_clean():
-        labeled = frame.with_label(
-            "highest_high", compute_highest_high(series, config.horizon)
-        )
-        return clean(labeled)
-
-    clean_frame, cleaning_counts = staged("clean", _label_and_clean)
+    clean_frame, cleaning_counts = staged(
+        "clean", _label_and_clean, config, series, frame)
 
     spec = staged(
         "split", split_spec_from_fractions, clean_frame.index, config.main_split
@@ -362,18 +365,11 @@ def _emit_artifacts(
     written: list[str],
 ) -> None:
     os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
+    selected = stacking_report.selected
     table_rows = [(name, base_metrics[name]) for name in sorted(base_metrics)]
     table_rows.append((
-        f"stacked({stacking_report.selected.combo_id}:"
-        f"{'+'.join(stacking_report.selected.members)})",
-        Metrics(
-            mse=stacking_report.selected.test_rmse ** 2,
-            rmse=stacking_report.selected.test_rmse,
-            mae=stacking_report.selected.test_mae,
-            mape=None,
-            n=0,
-        ),
-    ))
+        f"stacked({selected.combo_id}:{'+'.join(selected.members)})",
+        selected.test))
     writers = {
         "recap_scores.csv": lambda p: export_scores_csv(recap_result, p),
         "metrics_table.csv":

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError, TrainingError
 from .market_data import SequenceDataset
 from .seeding import derive_seed
+from .trees import _numbers
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -268,14 +269,12 @@ def train_minibatch(
     n_rows: int,
     cfg,
     rngs: list[np.random.Generator],
-    owners: list[slice] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minibatch Adam with early stopping for K = ``len(rngs)`` independent
     models trained side by side on the same ``n_rows`` training rows.
 
-    Every array in ``params`` (updated in place) has a leading model axis;
-    ``owners[i]`` is the slice of the K models that axis of ``params[i]``
-    runs over (all K when ``owners`` is None). ``loss_and_grads(rows)`` takes
+    Every array in ``params`` (updated in place) has a leading model axis of
+    length K, entry k belonging to model k. ``loss_and_grads(rows)`` takes
     a (K, batch) array whose row k is model k's minibatch and returns the K
     mean losses and one gradient per array, shaped like it; ``val_rmse()``
     returns the K validation scores of the current parameters. ``cfg`` has
@@ -294,8 +293,6 @@ def train_minibatch(
     at the weights before their steps, and the scores.
     """
     K = len(rngs)
-    if owners is None:
-        owners = [slice(None)] * len(params)
     opt = Adam(params, cfg.learning_rate)
     best = [p.copy() for p in params]
     best_val = np.full(K, np.inf)
@@ -325,10 +322,9 @@ def train_minibatch(
         epochs_run = epoch + 1
         improved = val < best_val
         best_val[improved] = val[improved]
-        for p, saved, own in zip(params, best, owners):
-            mask = improved[own]
-            np.copyto(saved, p, where=mask.reshape(
-                mask.shape + (1,) * (p.ndim - 1)))
+        for p, saved in zip(params, best):
+            np.copyto(saved, p, where=improved.reshape(
+                (K,) + (1,) * (p.ndim - 1)))
         bad_epochs[improved] = 0
         bad_epochs[running & ~improved] += 1
         stopping = running & (bad_epochs > cfg.patience)
@@ -336,9 +332,8 @@ def train_minibatch(
             running &= ~stopping
             if not running.any():
                 break
-            opt.freeze(np.concatenate([
-                np.repeat(~running[own], p.size // len(p))
-                for p, own in zip(params, owners)]))
+            opt.freeze(np.concatenate([np.repeat(~running, p.size // K)
+                                       for p in params]))
     for p, saved in zip(params, best):
         p[...] = saved
     return losses[:epochs_run], scores[:epochs_run]
@@ -519,8 +514,9 @@ def rnn_to_dict(model: RnnRegressor) -> dict:
 
 def rnn_from_dict(data: dict) -> RnnRegressor:
     """Rebuild a model from :func:`rnn_to_dict` output. Another version, a
-    missing key, a non-numeric value or an array shape that does not fit the
-    cell's gate count and ``hidden_size`` raises :class:`ParameterError`."""
+    missing key, a value that is not a finite JSON number (a bool, a string,
+    null, NaN or an infinity) or an array shape that does not fit the cell's
+    gate count and ``hidden_size`` raises :class:`ParameterError`."""
     if not isinstance(data, dict):
         raise ParameterError("rnn payload must be a JSON object")
     if data.get("version") != RNN_FORMAT_VERSION:
@@ -532,13 +528,12 @@ def rnn_from_dict(data: dict) -> RnnRegressor:
     if not isinstance(hidden, int) or isinstance(hidden, bool):
         raise ParameterError(f"rnn hidden_size must be an integer, got {hidden!r}")
     arch = RnnArch(cell=data["cell"], hidden_size=hidden)
-    try:
-        W, U, b, head_w = (np.array(data[k], dtype=float)
-                           for k in ("W", "U", "b", "head_w"))
-        head_b, label_min, label_max = (
-            float(data[k]) for k in ("head_b", "label_min", "label_max"))
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"rnn payload value is not numeric: {exc}") from exc
+    W, U, b, head_w = (_numbers(data[k], f"rnn {k}", ndim=ndim)
+                       for k, ndim in (("W", 3), ("U", 3), ("b", 2),
+                                       ("head_w", 1)))
+    head_b, label_min, label_max = _numbers(
+        [data[k] for k in ("head_b", "label_min", "label_max")],
+        "rnn head_b, label_min and label_max").tolist()
     if W.ndim != 3 or W.shape[2] < 1:
         raise ParameterError(f"rnn W has shape {W.shape}, needs "
                              "(gates, hidden_size, features >= 1)")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evaluation import compute_metrics
+from .evaluation import Metrics, compute_metrics
 from .market_data import FeatureFrame, SplitSpec, split_by_dates
 from .recurrent import MinMaxScaler, train_minibatch
 from .seeding import derive_seed
@@ -135,11 +135,13 @@ def train_meta_nn(
     Net k sees the prediction columns of ``combos[k]``; inputs and label are
     min-max scaled on meta-train. A generator seeded from ``seeds[k]`` draws
     the net's initial weights and then each epoch's row order. The nets step
-    together on (nets, rows, hidden) arrays. Only the first layer, whose
-    width is the member count, is multiplied once per run of consecutive
-    combinations of equal size. Each slice of a stacked product has the shape
-    and memory layout of a single net's 2-D product, so every net ends with
-    the weights a fit of its own would give.
+    together on (nets, rows, hidden) arrays. The first layers are one
+    zero-filled (nets, 5, hidden) array, net k's in its first member-count
+    rows; the rows past that get a zero gradient, so Adam never moves them.
+    Each run of consecutive combinations of equal size multiplies on its
+    view of that array. Each slice of a stacked product has the shape and
+    memory layout of a single net's 2-D product, so every net ends with the
+    weights a fit of its own would give.
     """
     if len(seeds) != len(combos):
         raise ParameterError(
@@ -157,10 +159,11 @@ def train_meta_nn(
     columns = [[MODEL_ORDER.index(m) for m in c.members] for c in combos]
     rngs = [np.random.default_rng(derive_seed(seed, "meta-nn", *c.members))
             for c, seed in zip(combos, seeds)]
-    W1_init, W2 = [], np.empty((n_nets, hid))
+    W1 = np.zeros((n_nets, len(MODEL_ORDER), hid))
+    W2 = np.empty((n_nets, hid))
     for k, (rng, cols) in enumerate(zip(rngs, columns)):
-        W1_init.append(rng.uniform(-1, 1, size=(len(cols), hid))
-                       * np.sqrt(6.0 / (len(cols) + hid)))
+        W1[k, :len(cols)] = (rng.uniform(-1, 1, size=(len(cols), hid))
+                             * np.sqrt(6.0 / (len(cols) + hid)))
         W2[k] = rng.uniform(-1, 1, size=hid) * np.sqrt(6.0 / (hid + 1))
     b1, b2 = np.zeros((n_nets, hid)), np.zeros((n_nets, 1))
     # runs of equal-size combinations: (their nets, (nets, width) columns)
@@ -170,7 +173,11 @@ def train_meta_nn(
         run = list(run)
         groups.append((slice(run[0], run[-1] + 1),
                        np.array([columns[k] for k in run])))
-    W1 = [np.stack(W1_init[nets]) for nets, _ in groups]
+    # each run's views of the first layers and of their gradient, whose
+    # rows past a net's width stay zero
+    g_W1 = np.zeros_like(W1)
+    W1_runs = [W1[nets, :cols.shape[1]] for nets, cols in groups]
+    g_runs = [g_W1[nets, :cols.shape[1]] for nets, cols in groups]
     Xv = [np.ascontiguousarray(Sv[:, cols].transpose(1, 0, 2))
           for _, cols in groups]
 
@@ -178,7 +185,7 @@ def train_meta_nn(
         """The hidden layer, in a new (nets, rows, hidden) buffer, and the
         residuals against ``y``."""
         hidden = np.empty((n_nets, y.shape[-1], hid))
-        for (nets, _), x, w in zip(groups, inputs, W1):
+        for (nets, _), x, w in zip(groups, inputs, W1_runs):
             np.matmul(x, w, out=hidden[nets])
         hidden += b1[:, None, :]
         np.maximum(hidden, 0.0, out=hidden)
@@ -197,36 +204,36 @@ def train_meta_nn(
         active = hidden > 0
         dhidden = np.multiply(dpred[:, :, None], W2[:, None, :], out=hidden)
         dhidden *= active
-        grads = [x.transpose(0, 2, 1) @ dhidden[nets]
-                 for (nets, _), x in zip(groups, xb)]
-        grads += [dhidden.sum(axis=1), g_W2, dpred.sum(axis=1)]
-        return np.mean(resid**2, axis=1), grads
+        for (nets, _), x, g in zip(groups, xb, g_runs):
+            np.matmul(x.transpose(0, 2, 1), dhidden[nets], out=g)
+        return np.mean(resid**2, axis=1), [
+            g_W1, dhidden.sum(axis=1), g_W2, dpred.sum(axis=1)]
 
     def val_rmse() -> np.ndarray:
         _, resid = forward(Xv, yvs)
         return np.sqrt(np.mean(resid**2, axis=1))
 
-    train_minibatch(W1 + [b1, W2, b2], loss_and_grads, val_rmse, len(ys),
-                    cfg, rngs, owners=[nets for nets, _ in groups]
-                    + [slice(None)] * 3)
-    W1_nets = [w for group in W1 for w in group]
+    train_minibatch([W1, b1, W2, b2], loss_and_grads, val_rmse, len(ys),
+                    cfg, rngs)
     return [
         MetaModel(members=c.members,
                   in_scaler=MinMaxScaler(mins=in_scaler.mins[cols],
                                          maxs=in_scaler.maxs[cols]),
                   label_scaler=label_scaler,
-                  W1=W1_nets[k], b1=b1[k], W2=W2[k], b2=b2[k])
+                  W1=W1[k, :len(cols)], b1=b1[k], W2=W2[k], b2=b2[k])
         for k, (c, cols) in enumerate(zip(combos, columns))
     ]
 
 
 @dataclass(frozen=True)
 class CombinationResult:
+    """One combination's meta-model scored on meta-validation (``val``,
+    which selects) and on meta-test (``test``, which only reports)."""
+
     combo_id: int
     members: tuple[str, ...]
-    val_rmse: float
-    test_rmse: float
-    test_mae: float
+    val: Metrics
+    test: Metrics
 
 
 @dataclass(frozen=True)
@@ -246,9 +253,9 @@ class StackingReport:
                 {
                     "id": r.combo_id,
                     "members": list(r.members),
-                    "val_rmse": r.val_rmse,
-                    "test_rmse": r.test_rmse,
-                    "test_mae": r.test_mae,
+                    "val_rmse": r.val.rmse,
+                    "test_rmse": r.test.rmse,
+                    "test_mae": r.test.mae,
                 }
                 for r in self.rows
             ],
@@ -259,7 +266,7 @@ class StackingReport:
         out.write("id,rmse,mae,combination\n")
         for r in self.rows:
             out.write(
-                f"{r.combo_id},{r.test_rmse:.10g},{r.test_mae:.10g},"
+                f"{r.combo_id},{r.test.rmse:.10g},{r.test.mae:.10g},"
                 f"{'+'.join(r.members)}\n"
             )
         return out.getvalue()
@@ -271,8 +278,9 @@ def run_stacking_search(
     seed: int,
     cfg: MetaTrainConfig = MetaTrainConfig(),
 ) -> StackingReport:
-    """Train all 31 meta models and select the one with the minimum
-    meta-validation RMSE (ties go to the lower combination id)."""
+    """Train all 31 meta models, score each on meta-validation and
+    meta-test, and select the one with the minimum meta-validation RMSE
+    (ties go to the lower combination id)."""
     meta_train, meta_val, meta_test = split_meta(frame, meta_spec)
     combos = enumerate_combinations()
     models = train_meta_nn(
@@ -281,17 +289,12 @@ def run_stacking_search(
          for combo_id in range(len(combos))],
         cfg=cfg,
     )
-    rows: list[CombinationResult] = []
-    for combo_id, (combo, model) in enumerate(zip(combos, models)):
-        val_metrics = compute_metrics(model.predict(meta_val), meta_val.label)
-        test_metrics = compute_metrics(model.predict(meta_test),
-                                       meta_test.label)
-        rows.append(CombinationResult(
-            combo_id=combo_id,
-            members=combo.members,
-            val_rmse=val_metrics.rmse,
-            test_rmse=test_metrics.rmse,
-            test_mae=test_metrics.mae,
-        ))
-    selected = min(rows, key=lambda r: (r.val_rmse, r.combo_id))
+    rows = [
+        CombinationResult(
+            combo_id=combo_id, members=combo.members,
+            val=compute_metrics(model.predict(meta_val), meta_val.label),
+            test=compute_metrics(model.predict(meta_test), meta_test.label))
+        for combo_id, (combo, model) in enumerate(zip(combos, models))
+    ]
+    selected = min(rows, key=lambda r: (r.val.rmse, r.combo_id))
     return StackingReport(rows=rows, selected_id=selected.combo_id)

@@ -751,18 +751,26 @@ def _require(data: dict, keys: tuple[str, ...], what: str) -> None:
         raise ParameterError(f"{what} payload lacks {', '.join(missing)}")
 
 
-def _numbers(values, what: str, integer: bool = False) -> np.ndarray:
-    """``values``, a list of finite JSON numbers (integers when ``integer``),
-    as a float or intp array; anything else raises :class:`ParameterError`."""
+def _numbers(values, what: str, integer: bool = False,
+             ndim: int = 1) -> np.ndarray:
+    """``values``, ``ndim`` levels of nested lists of finite JSON numbers
+    (integers when ``integer``), as a float or intp array; anything else,
+    ragged lists included, raises :class:`ParameterError`."""
     kind = int if integer else (int, float)
-    if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, kind) for v in values):
-        raise ParameterError(f"{what} must be a list of "
-                             f"{'integers' if integer else 'numbers'}")
+
+    def valid(v, depth: int) -> bool:
+        if depth:
+            return isinstance(v, list) and all(valid(u, depth - 1) for u in v)
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if not valid(values, ndim):
+        raise ParameterError(f"{what} must be a list{' of lists' * (ndim - 1)}"
+                             f" of {'integers' if integer else 'numbers'}")
     try:
         array = np.array(values, dtype=np.intp if integer else float)
-    except OverflowError as exc:
-        raise ParameterError(f"{what} holds a number out of range") from exc
+    except (OverflowError, ValueError) as exc:
+        raise ParameterError(
+            f"{what} holds a number out of range or ragged lists") from exc
     if not np.isfinite(array).all():
         raise ParameterError(f"{what} must be finite")
     return array

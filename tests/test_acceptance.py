@@ -287,8 +287,8 @@ def test_stacking_structure():
     frame = stacking.build_meta_frame(preds, labels, ts)
     spec = md.split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     result = stacking.run_stacking_search(frame, spec, seed=0)
-    singles = [r.val_rmse for r in result.rows if len(r.members) == 1]
-    optimal = result.selected.val_rmse <= min(singles)
+    singles = [r.val.rmse for r in result.rows if len(r.members) == 1]
+    optimal = result.selected.val.rmse <= min(singles)
     elapsed = time.perf_counter() - start
     report("stacking-structure",
            shape_ok and optimal and len(result.rows) == 31 and elapsed < 300.0,

@@ -80,5 +80,5 @@ def test_traced_features_reconciles(tmp_path):
     traced = _traced("features", str(config), tmp_path)
     assert traced["reconcile"]["ok"], traced["reconcile"]
     names = {s["name"] for s in traced["spans"]}
-    assert {"market_data.load_csv", "arima.rolling",
-            "market_data.features_csv"} <= names
+    assert {"market_data.load_csv", "arima.rolling", "market_data.label",
+            "market_data.clean", "market_data.features_csv"} <= names

@@ -86,6 +86,22 @@ def test_metrics_table_layout(run):
     assert any(n.startswith("stacked(") for n in names)
 
 
+def test_metrics_table_stacked_row(run):
+    """The stacked row scores the selected meta-model on meta-test, with the
+    same metrics as the stacking report, its MAPE included."""
+    _, report, out = run
+    selected = report.stacking["rows"][report.stacking["selected_id"]]
+    lines = (out / "metrics_table.csv").read_text().strip().splitlines()
+    (row,) = [line.split(",") for line in lines if line.startswith("stacked(")]
+    assert row[0] == (f"stacked({selected['id']}:"
+                      f"{'+'.join(selected['members'])})")
+    assert float(row[1]) == pytest.approx(selected["test_rmse"] * 1e3,
+                                          rel=1e-9)
+    assert float(row[2]) == pytest.approx(selected["test_mae"] * 1e3,
+                                          rel=1e-9)
+    assert row[3] and math.isfinite(float(row[3]))
+
+
 @pytest.mark.parametrize(
     "field",
     [f for f in dataclasses.fields(PipelineConfig)

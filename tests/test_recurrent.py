@@ -174,6 +174,12 @@ def test_rnn_from_dict_rejects_malformed_payloads():
         rnn.RnnArch(cell="gru", hidden_size=4), 3, seed=0))
     lstm_w = rnn._build_model(
         rnn.RnnArch(cell="lstm", hidden_size=4), 3, seed=0).weights
+
+    def with_w_entry(value):
+        W = json.loads(json.dumps(good["W"]))
+        W[1][2][0] = value
+        return {**good, "W": W}
+
     bad = {
         "version 1": {**good, "version": 1},
         "no version": {k: v for k, v in good.items() if k != "version"},
@@ -199,6 +205,14 @@ def test_rnn_from_dict_rejects_malformed_payloads():
                                    good["W"][2]]},
         "text weight": {**good, "head_w": ["a"] * 4},
         "head_b list": {**good, "head_b": [0.0]},
+        "head_b text": {**good, "head_b": "0.5"},
+        "label_min bool": {**good, "label_min": True},
+        "head_b NaN": {**good, "head_b": math.nan},
+        "label_max infinite": {**good, "label_max": math.inf},
+        "W entry text": with_w_entry("1.0"),
+        "W entry bool": with_w_entry(True),
+        "W entry null": with_w_entry(None),
+        "W entry NaN": with_w_entry(math.nan),
         "not a dict": [good],
     }
     for name, payload in bad.items():

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -172,6 +173,30 @@ def test_meta_nn_needs_one_seed_per_combination():
                                [0])
 
 
+@pytest.mark.parametrize("constant", ["member", "label"])
+def test_search_scores_constant_columns(constant):
+    """A constant prediction column, or a constant label, takes the
+    constant-column path of the min-max scalers in ``train_meta_nn`` and
+    ``MetaModel.predict``: no warning, and every row scores finitely."""
+    frame = make_frame(300, seed=12)
+    preds = {m: frame.columns[m] for m in stacking.MODEL_ORDER}
+    labels = frame.label
+    if constant == "member":
+        preds["lstm"] = np.full(len(labels), 1.25)
+    else:
+        labels = np.full(len(labels), 1.25)
+    frame = stacking.build_meta_frame(preds, labels, frame.index)
+    spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
+    cfg = stacking.MetaTrainConfig(hidden=8, max_epochs=20, patience=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = stacking.run_stacking_search(frame, spec, seed=1, cfg=cfg)
+    assert len(report.rows) == 31
+    for r in report.rows:
+        for m in (r.val, r.test):
+            assert np.isfinite([m.mse, m.rmse, m.mae, m.mape]).all(), r
+
+
 @pytest.fixture(scope="module")
 def search_report():
     frame = make_frame(500, seed=7)
@@ -187,7 +212,7 @@ def test_search_reports_all_31_rows(search_report):
 
 def test_selected_beats_every_singleton(search_report):
     singles = [r for r in search_report.rows if len(r.members) == 1]
-    assert search_report.selected.val_rmse <= min(r.val_rmse for r in singles)
+    assert search_report.selected.val.rmse <= min(r.val.rmse for r in singles)
 
 
 def test_selected_subset_contains_an_informative_model(search_report):
