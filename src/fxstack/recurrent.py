@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError, TrainingError
 from .market_data import SequenceDataset
 from .seeding import derive_seed
-from .trees import _numbers
+from .trees import _numbers, _require
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -521,9 +521,7 @@ def rnn_from_dict(data: dict) -> RnnRegressor:
         raise ParameterError("rnn payload must be a JSON object")
     if data.get("version") != RNN_FORMAT_VERSION:
         raise ParameterError(f"unsupported rnn version {data.get('version')!r}")
-    missing = [k for k in _RNN_KEYS if k not in data]
-    if missing:
-        raise ParameterError(f"rnn payload lacks {', '.join(missing)}")
+    _require(data, _RNN_KEYS, "rnn")
     hidden = data["hidden_size"]
     if not isinstance(hidden, int) or isinstance(hidden, bool):
         raise ParameterError(f"rnn hidden_size must be an integer, got {hidden!r}")

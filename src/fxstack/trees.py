@@ -92,7 +92,6 @@ class BoostParams:
     n_trees: int = 100
     learning_rate: float = 0.3
     lam: float = 1.0
-    gamma: float = 0.0
     max_depth: int = 6
     max_leaves: int | None = None
     splitter: str = "exact"  # "exact" | "histogram"
@@ -104,8 +103,8 @@ class BoostParams:
             raise ParameterError("n_trees must be >= 0")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ParameterError("learning_rate must be in (0, 1]")
-        if self.lam < 0 or self.gamma < 0:
-            raise ParameterError("lambda and gamma must be >= 0")
+        if self.lam < 0:
+            raise ParameterError("lambda must be >= 0")
         if self.max_depth < 0:
             raise ParameterError("max_depth must be >= 0")
         if self.max_leaves is not None and self.max_leaves < 1:
@@ -115,6 +114,8 @@ class BoostParams:
         if self.splitter == "histogram" and self.bins < 2:
             raise ParameterError("histogram bins must be >= 2")
         if self.goss is not None:
+            if self.splitter != "histogram":
+                raise ParameterError("goss needs the histogram splitter")
             a, b = self.goss
             if not (a > 0 and b > 0 and a + b <= 1.0):
                 raise ParameterError("goss requires a, b > 0 and a + b <= 1")
@@ -126,7 +127,6 @@ class ForestParams:
     max_depth: int = 12
     m: int | None = None  # features drawn per split; None = all
     seed: int = 0
-    bootstrap: bool = True
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -188,9 +188,10 @@ class _Splitter:
     """Per-fit split finder that grows a tree a generation at a time.
 
     The exact splitter sorts each feature's rows once per fit (by ``ranks``
-    when given, which order the rows as ``X`` does) and hands every node its
-    rows in ascending-x order as an (F, m) matrix. The histogram splitter keeps row-major bin codes (n, F) and per-feature cut
-    points padded with NaN to (F, bins - 1).
+    when given, which order the rows as ``X`` does) and hands every node
+    its rows in ascending-x order as an (F, m) matrix. The histogram
+    splitter keeps row-major bin codes (n, F) and per-feature cut points
+    padded with NaN to (F, bins - 1).
     """
 
     def __init__(self, X: np.ndarray, params: BoostParams,
@@ -221,16 +222,6 @@ class _Splitter:
                 self.cuts[f, :len(c)] = c
                 self.codes[:, f] = np.searchsorted(c, X[:, f], side="left")
 
-    def sorted_rows_of(self, idx: np.ndarray) -> np.ndarray | None:
-        """The rows ``idx`` in ascending-x order per feature, (F, m); None
-        for the histogram splitter, which needs no sort order."""
-        if self.params.splitter != "exact":
-            return None
-        in_node = np.zeros(self.n, dtype=bool)
-        in_node[idx] = True
-        return self.sorted_rows[in_node[self.sorted_rows]].reshape(
-            self.F, int(in_node.sum()))
-
     def search(
         self,
         g: np.ndarray,
@@ -244,10 +235,10 @@ class _Splitter:
         feature); the exact splitter takes the rows in chunks of about
         ``_CHUNK`` entries. Each row's left sums accumulate in the same
         order as a one-feature-at-a-time search, so gains are bit-identical
-        to it. ``h_prefix``, when given, holds the prefix sums of a hessian
-        that is the same for every row. Ties break toward the lowest feature
-        index, then lowest threshold; a feature whose best gain is not
-        finite is skipped.
+        to it. ``h_prefix`` holds the prefix sums of the exact splitter's
+        hessian, one value for every row. Ties break toward the lowest
+        feature index, then lowest threshold; a feature whose best gain is
+        not finite is skipped.
         """
         found: list[tuple[float, int, float] | None] = [None] * len(cands)
         live = [i for i, c in enumerate(cands) if len(c.idx) >= 2]
@@ -258,7 +249,7 @@ class _Splitter:
             # widest first, so that a chunk's rows pad to similar widths
             live.sort(key=lambda i: -len(cands[i].idx))
             best, threshold = self._search_exact(
-                g, h, [cands[i] for i in live], h_prefix)
+                g, [cands[i] for i in live], h_prefix)
         else:
             best, threshold = self._search_histogram(
                 g, h, [cands[i] for i in live])
@@ -272,7 +263,7 @@ class _Splitter:
                 found[i] = (t, f, float(threshold[j, f]))
         return found
 
-    def _search_exact(self, g, h, cands, h_prefix):
+    def _search_exact(self, g, cands, h_prefix):
         """Best finite gain and its threshold of each candidate (J) on each
         feature (F), as (J, F) arrays; one row of the search per drawn
         feature, the widest candidates first. Left sums are prefix sums
@@ -294,7 +285,6 @@ class _Splitter:
         H = np.repeat([c.H for c in cands], k)
         parent = G * G / (H + params.lam)
         g_rows = g[rows]
-        h_rows = h[rows] if h_prefix is None else None
         # a split after an entry is valid if the next entry's x is larger
         # and in the same row
         valid = np.empty(len(xs), dtype=bool)
@@ -320,11 +310,9 @@ class _Splitter:
                 at = row_start[r0:r1, None] + np.minimum(
                     np.arange(width), row_m[r0:r1, None] - 1)
                 shape = at.shape
-            # 0.5 * (gl^2 / (hl + lam) + gr^2 / (hr + lam) - parent) - gamma,
-            # computed in place
+            # 0.5 * (gl^2 / (hl + lam) + gr^2 / (hr + lam) - parent) in place
             gl = np.cumsum(g_rows[at].reshape(shape), axis=1)
-            hl = (np.cumsum(h_rows[at].reshape(shape), axis=1)
-                  if h_prefix is None else h_prefix[:width])
+            hl = h_prefix[:width]
             gr = np.subtract(G[r0:r1, None], gl)
             hr = np.subtract(H[r0:r1, None], hl)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -336,8 +324,6 @@ class _Splitter:
                 gains += gr
                 gains -= parent[r0:r1, None]
                 gains *= 0.5
-                if params.gamma:
-                    gains -= params.gamma
             gains = np.where(valid[at].reshape(shape), gains, -np.inf)
             # first maximum = lowest threshold
             pos[r0:r1] = np.argmax(gains, axis=1)
@@ -383,14 +369,11 @@ class _Splitter:
             gains = 0.5 * (
                 gl * gl / (hl + params.lam) + gr * gr / (hr + params.lam)
                 - G * G / (H + params.lam)
-            ) - params.gamma
+            )
         valid = (left_n > 0) & (left_n < np.array(m)[:, None, None])
         gains = np.where(valid, gains, -np.inf)
         at = np.argmax(gains, axis=2)  # first maximum = lowest threshold
         best = np.max(gains, axis=2)
-        for j, c in enumerate(cands):
-            if len(c.features) < F:  # the features not drawn
-                best[j, np.setdiff1d(np.arange(F), c.features)] = -np.inf
         return (np.where(np.isfinite(best), best, -np.inf),
                 self.cuts[np.arange(F), at])
 
@@ -403,7 +386,8 @@ class _Splitter:
         m: int | None = None,
     ) -> Tree:
         """One tree over the rows ``idx``, drawing ``m`` features per node
-        from ``rng`` (all of them when ``m`` is None).
+        from ``rng`` (all of them when ``m`` is None). Only the exact
+        splitter draws features, and it grows over all rows.
 
         The tree grows a generation at a time. Each generation's nodes are
         made in order: a node's leaf weight is stored and, if the node is
@@ -419,14 +403,18 @@ class _Splitter:
         params = self.params
         budget = np.inf if params.max_leaves is None else params.max_leaves
         exact = params.splitter == "exact"
-        h_prefix = _constant_prefix(h[idx]) if exact else None
+        if exact and len(idx) != self.n:
+            raise ParameterError("the exact splitter grows over all rows")
+        if not exact and m is not None:
+            raise ParameterError("the histogram splitter draws no features")
+        h_prefix = _constant_prefix(h) if exact else None
         # nodes in creation order: [feature, threshold, gain, value, left,
         # right]; renumbered into pre-order once the tree is grown
         nodes: list[list] = []
         # (gain, feature, threshold, node id, depth, candidate) of each node
         # that waits to split
         frontier: list[tuple] = []
-        born = [(idx, self.sorted_rows_of(idx))]
+        born = [(idx, self.sorted_rows if exact else None)]
         depth, n_leaves = 0, 1
         while True:
             cands, ids = [], []
@@ -489,13 +477,13 @@ class _Splitter:
                 for a, b in spans]
 
 
-def _constant_prefix(h: np.ndarray) -> np.ndarray | None:
-    """cumsum(h) when every entry of ``h`` is the same nonzero value, else
-    None. The hessian prefix sums of any rows of ``h`` are then the first
-    entries of it, the same for every feature and node."""
-    if h.size and h[0] != 0 and np.all(h == h[0]):
-        return np.cumsum(h)
-    return None
+def _constant_prefix(h: np.ndarray) -> np.ndarray:
+    """cumsum(h), whose first entries are the hessian prefix sums of any rows
+    of ``h``, the same for every feature and node. Every entry of ``h`` must
+    be the same nonzero value, else :class:`ParameterError`."""
+    if not (h.size and h[0] != 0 and np.all(h == h[0])):
+        raise ParameterError("exact splitting needs one nonzero hessian value")
+    return np.cumsum(h)
 
 
 def _preorder_tree(nodes: list[list]) -> Tree:
@@ -562,20 +550,15 @@ def newton_boost_fit(
     ``objective_history[t]`` records the squared-error training objective plus
     the 0.5*lambda*sum(w^2) penalty after round t+1.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n, F = X.shape
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(F)]
-    if len(feature_names) != F:
-        raise ParameterError("feature_names length mismatch")
+    X, y, feature_names = _fit_inputs(X, y, feature_names)
+    n = len(y)
     base = float(y.mean())
     pred = np.full(n, base)
     model = BoostedModel(
         base_score=base,
         learning_rate=params.learning_rate,
         trees=[],
-        feature_names=list(feature_names),
+        feature_names=feature_names,
     )
     rng = np.random.default_rng(derive_seed(seed, "goss"))
     splitter = _Splitter(X, params)
@@ -598,6 +581,23 @@ def newton_boost_fit(
     return model
 
 
+def _fit_inputs(
+    X, y, feature_names: list[str] | None,
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``X`` as a float matrix, ``y`` as one float per row of it, and one
+    feature name per column (x0, x1, ... when None); a length that does not
+    match raises :class:`ParameterError`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if feature_names is None:
+        feature_names = [f"x{i}" for i in range(X.shape[1])]
+    if len(feature_names) != X.shape[1]:
+        raise ParameterError("feature_names length mismatch")
+    if y.shape != X.shape[:1]:
+        raise ParameterError("y must hold one value per row of X")
+    return X, y, list(feature_names)
+
+
 def _scatter(factors: np.ndarray, subset: np.ndarray, n: int) -> np.ndarray:
     out = np.ones(n)
     out[subset] = factors
@@ -611,13 +611,10 @@ def fit_random_forest(
     feature_names: list[str] | None = None,
 ) -> ForestModel:
     """Bagged variance-reduction trees; prediction is the mean over trees."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n, F = X.shape
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(F)]
+    X, y, feature_names = _fit_inputs(X, y, feature_names)
+    n = len(y)
     tree_params = BoostParams(
-        n_trees=1, learning_rate=1.0, lam=0.0, gamma=0.0,
+        n_trees=1, learning_rate=1.0, lam=0.0,
         max_depth=params.max_depth, splitter="exact",
     )
     ranks = _dense_ranks(X)
@@ -627,10 +624,7 @@ def fit_random_forest(
         tree_seed = derive_seed(params.seed, "forest-tree", i)
         seeds.append(tree_seed)
         rng = np.random.default_rng(tree_seed)
-        if params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
+        rows = rng.integers(0, n, size=n)
         Xb, yb = X[rows], y[rows]
         # g = -2y, h = 2 makes the Newton gain the SSE reduction and the
         # leaf weight the target mean
@@ -640,10 +634,8 @@ def fit_random_forest(
         trees.append(
             splitter.grow(np.arange(n), g, h, rng=rng, m=params.m)
         )
-    return ForestModel(
-        trees=trees, tree_seeds=seeds, m=params.m,
-        feature_names=list(feature_names),
-    )
+    return ForestModel(trees=trees, tree_seeds=seeds, m=params.m,
+                       feature_names=feature_names)
 
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:

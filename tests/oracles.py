@@ -404,7 +404,7 @@ def best_split_oracle(X, g, h, idx, features, params):
     lowest feature index, then the lowest threshold; a feature whose best
     gain is not finite is skipped.
     """
-    lam, gamma = params.lam, params.gamma
+    lam = params.lam
     G, H = float(g[idx].sum()), float(h[idx].sum())
     in_node = np.zeros(X.shape[0], dtype=bool)
     in_node[idx] = True
@@ -446,7 +446,7 @@ def best_split_oracle(X, g, h, idx, features, params):
         with np.errstate(divide="ignore", invalid="ignore"):
             gains = 0.5 * (
                 gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent
-            ) - gamma
+            )
         gains = np.where(valid, gains, -np.inf)
         i = int(np.argmax(gains))
         gain = float(gains[i])
@@ -466,6 +466,16 @@ def split_gain(G_L, H_L, G_R, H_R, lam, gamma):
     ) - gamma
 
 
+def sorted_rows(X, idx):
+    """The rows ``idx`` of ``X`` in ascending-x order per feature, (F, m):
+    a stable sort, so ties keep row order, as the exact splitter hands a
+    node its rows."""
+    order = np.argsort(X, axis=0, kind="stable").T
+    in_node = np.zeros(X.shape[0], dtype=bool)
+    in_node[idx] = True
+    return order[in_node[order]].reshape(X.shape[1], len(idx))
+
+
 def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
     """``splitter.grow`` as it was with two growth modes, ``growth`` being
     ``"level"`` or ``"leaf"``, one node at a time. Level-wise growth pops
@@ -476,6 +486,8 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
     sorted rows are taken from its parent's with a row mask."""
     params = splitter.params
     max_leaves = np.inf if params.max_leaves is None else params.max_leaves
+    exact = params.splitter == "exact"
+    h_prefix = trees._constant_prefix(h) if exact else None
 
     def leaf_value(node_idx):
         G = float(g[node_idx].sum())
@@ -493,12 +505,13 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
         # by it, as the grower finds when it makes the node
         trees.leaf_weight(G, H, params.lam)
         return splitter.search(g, h, [trees._Candidate(
-            node_idx, entry[2], features, G, H)])[0]
+            node_idx, entry[2], features, G, H)], h_prefix)[0]
 
     # nodes: [feature, threshold, gain, value, left, right]; frontier
     # entries: [node id, rows, sorted rows or None, depth, cached search]
     nodes = [[-1, 0.0, 0.0, 0.0, -1, -1]]
-    frontier = [[0, idx, splitter.sorted_rows_of(idx), 0, None]]
+    frontier = [[0, idx, sorted_rows(splitter.X, idx) if exact else None,
+                 0, None]]
     n_leaves = 1
     while frontier:
         if growth == "level":

@@ -169,7 +169,7 @@ def test_boosting_math():
     X = rng.normal(size=(500, 20))
     y = rng.normal(size=500)
     model = trees.newton_boost_fit(
-        X, y, BoostParams(n_trees=100, learning_rate=0.3, gamma=0.0), seed=0)
+        X, y, BoostParams(n_trees=100, learning_rate=0.3), seed=0)
     monotone = bool(np.all(np.diff(model.objective_history) <= 1e-9))
 
     Xs = rng.normal(size=(20, 3))

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fxstack import recurrent as rnn
 from fxstack.errors import ParameterError, TrainingError
@@ -90,6 +93,34 @@ def test_scaler_constant_column_and_no_clipping():
                             row_timestamps=data.row_timestamps)
     out = rnn.apply_scaler(scaler, probe)
     assert out.X[:, :, 0].max() > 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scaler_property(data):
+    """On random (rows, lookback, F) windows with some constant columns,
+    fitting and applying the scaler warns of nothing, puts the fit rows in
+    [0, 1] and every constant column at 0.5, and its inverse gives back
+    each varying column."""
+    rows, lookback, F = (data.draw(st.integers(1, n)) for n in (6, 4, 4))
+    values = st.floats(-1e6, 1e6)
+    X = data.draw(arrays(np.float64, (rows, lookback, F), elements=values))
+    for f in range(F):
+        if data.draw(st.booleans()):
+            X[:, :, f] = data.draw(values)
+    windows = SequenceDataset(feature_names=[f"f{i}" for i in range(F)],
+                              X=X, y=np.zeros(rows),
+                              row_timestamps=np.arange(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaler = rnn.fit_scaler(windows)
+        scaled = rnn.apply_scaler(scaler, windows).X
+        back = scaler.inverse_transform(scaled)
+    assert np.all((scaled >= 0.0) & (scaled <= 1.0))
+    varying = np.ptp(X.reshape(-1, F), axis=0) > 0
+    assert np.all(scaled[:, :, ~varying] == 0.5)
+    np.testing.assert_allclose(back[:, :, varying], X[:, :, varying], rtol=0,
+                               atol=1e-12 * (1.0 + np.abs(X).max()))
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])

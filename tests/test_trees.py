@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fxstack import trees
 from fxstack.errors import DegenerateFitError, ParameterError
-from oracles import best_split_oracle, grow_oracle, split_gain
+from oracles import best_split_oracle, grow_oracle, sorted_rows, split_gain
 
 
 def random_data(n=500, f=20, seed=0):
@@ -41,8 +41,7 @@ def test_gradients_squared_loss():
 def test_objective_history_non_increasing():
     X, y = random_data(500, 20, seed=1)
     model = trees.newton_boost_fit(
-        X, y, trees.BoostParams(n_trees=100, learning_rate=0.3, gamma=0.0),
-        seed=0)
+        X, y, trees.BoostParams(n_trees=100, learning_rate=0.3), seed=0)
     hist = np.array(model.objective_history)
     assert len(hist) == 100
     assert np.all(np.diff(hist) <= 1e-9)
@@ -146,8 +145,10 @@ def test_forest_variance_reduction_leaf_is_mean():
     X = rng.normal(size=(100, 1))
     y = rng.normal(size=100)
     model = trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=1, max_depth=1, seed=0,
-                                 bootstrap=False))
+        X, y, trees.ForestParams(n_trees=1, max_depth=1, seed=0))
+    # the tree's bootstrap sample: the first draw of its generator
+    rows = np.random.default_rng(model.tree_seeds[0]).integers(0, 100, 100)
+    X, y = X[rows], y[rows]
     tree = model.trees[0]
     assert list(tree.leaves()) == [tree.left[0], tree.right[0]]
     goes_left = X[:, tree.feature[0]] <= tree.threshold[0]
@@ -216,8 +217,10 @@ def test_adjacent_float_split_separates_rows():
     assert tree.threshold[0] == a
     np.testing.assert_array_equal(tree.value[tree.leaves()], [-0.5, 0.5])
     np.testing.assert_array_equal(trees.predict(boosted, X), y)
+    # ten copies of each row, so that the bootstrap sample holds a and b
+    X, y = np.repeat(X, 10, axis=0), np.repeat(y, 10)
     forest = trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=1, max_depth=2, bootstrap=False))
+        X, y, trees.ForestParams(n_trees=1, max_depth=2))
     np.testing.assert_array_equal(trees.predict(forest, X), y)
 
 
@@ -249,41 +252,52 @@ def test_best_split_matches_per_feature_oracle(monkeypatch, splitter):
     flat_g[::7] = 0.0
     flat_h[::7] = 0.0
     flat_h[3::11] = 0.0
+    # the exact splitter takes a hessian of one value over all rows and
+    # draws features; the histogram splitter takes any hessian (GOSS's
+    # over a row subset) and searches every feature
+    exact = splitter == "exact"
     cases = [
         (trees.BoostParams(splitter=splitter, bins=16), g, h, None),
         (trees.BoostParams(splitter=splitter, lam=0.0, bins=16),
-         flat_g, flat_h, None),
+         flat_g, h if exact else flat_h, None),
         (trees.BoostParams(splitter=splitter, bins=256), g, h, None),
-        (trees.BoostParams(splitter=splitter, lam=0.0, gamma=0.5, bins=8),
-         g, h, None),
+        (trees.BoostParams(splitter=splitter, lam=0.0, bins=8), g, h, None),
+    ] + ([] if exact else [
         (trees.BoostParams(splitter=splitter, bins=16), goss_g, goss_h,
          subset),
-    ]
+    ])
     found = 0
     chunks = (trees._CHUNK, 7, 600)
     for params, gg, hh, rows in cases:
         finder = trees._Splitter(X, params)
         pool = np.arange(n) if rows is None else rows
+        # the prefix sums of a constant h; a hessian that varies has none
+        if hh is h:
+            h_prefix = trees._constant_prefix(hh[pool])
+        else:
+            h_prefix = None
+            with pytest.raises(ParameterError):
+                trees._constant_prefix(hh[pool])
         cands, wants = [], []
         for trial in range(25):
             size = int(rng.integers(0, len(pool) + 1))
             idx = np.sort(rng.choice(pool, size=size, replace=False))
             features = np.sort(rng.choice(
                 F, size=int(rng.integers(1, F + 1)), replace=False))
-            if trial == 0:
+            if not exact:
+                features = np.arange(F)
+            elif trial == 0:
                 features = np.array([5])  # constant column alone: no split
             cands.append(trees._Candidate(
-                idx, finder.sorted_rows_of(idx), features,
+                idx, sorted_rows(X, idx) if exact else None, features,
                 float(gg[idx].sum()), float(hh[idx].sum())))
             wants.append(best_split_oracle(X, gg, hh, idx, features, params))
             # one node alone
-            got, = finder.search(gg, hh, cands[-1:])
+            got, = finder.search(gg, hh, cands[-1:], h_prefix)
             assert got == wants[-1], (params, trial)
             found += got is not None
-        # all nodes in one search; with the prefix sums of a constant h,
-        # and with chunks that split a node's features and hold many nodes
-        h_prefix = trees._constant_prefix(hh[pool])
-        assert (h_prefix is None) == (hh is not h)
+        # all nodes in one search, and with chunks that split a node's
+        # features and hold many nodes
         for chunk in chunks:
             monkeypatch.setattr(trees, "_CHUNK", chunk)
             assert finder.search(gg, hh, cands, h_prefix) == wants, (
@@ -304,7 +318,7 @@ def test_grown_trees_match_per_feature_oracle(monkeypatch):
                 splitter="histogram", bins=16, goss=(0.2, 0.3)), seed=1),
         lambda: trees.newton_boost_fit(
             X, y, trees.BoostParams(
-                n_trees=2, max_depth=6, lam=0.0, gamma=0.1,
+                n_trees=2, max_depth=6, lam=0.0, splitter="histogram",
                 goss=(0.3, 0.3)), seed=2),
         lambda: trees.fit_random_forest(
             X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4, seed=3)),
@@ -333,11 +347,11 @@ GROWER_CASES = [  # (the growth mode of the oracle, fit)
         seed=s)),
     # leaf-wise growth without a budget splits the nodes level-wise does
     ("leaf", lambda X, y, s: trees.newton_boost_fit(
-        X, y, trees.BoostParams(n_trees=2, max_depth=6, lam=0.0, gamma=0.1,
-                                goss=(0.3, 0.3)), seed=s)),
+        X, y, trees.BoostParams(n_trees=2, max_depth=6, lam=0.0), seed=s)),
     ("level", lambda X, y, s: trees.newton_boost_fit(
-        X, y, trees.BoostParams(n_trees=2, max_depth=6, lam=0.0, gamma=0.1,
-                                goss=(0.3, 0.3)), seed=s)),
+        X, y, trees.BoostParams(n_trees=2, max_depth=6, lam=0.0,
+                                splitter="histogram", goss=(0.3, 0.3)),
+        seed=s)),
     ("leaf", lambda X, y, s: trees.newton_boost_fit(
         X, y, trees.BoostParams(n_trees=2, max_depth=4, max_leaves=1),
         seed=s)),
@@ -384,9 +398,12 @@ def _outcome(fit):
 def test_grower_matches_oracle_property(n, F, seed, kind, splitter, max_depth,
                                         max_leaves, lam, oracle_leaf):
     """On random data with ties, a constant column and both signs of zero,
-    the grower builds the trees of the one-node-at-a-time oracle: boosting
-    (exact splitting with GOSS has a hessian that is not constant), forests
-    drawing m < F features, and a bare grow with zero hessians at lam = 0."""
+    the grower builds the trees of the one-node-at-a-time oracle: boosting,
+    forests drawing m < F features, and a bare grow over a row subset with
+    zero hessians at lam = 0. GOSS and the bare grow take hessians that are
+    not constant, which only the histogram splitter takes."""
+    if kind in ("goss", "hessians"):
+        splitter = "histogram"
     rng = np.random.default_rng(seed)
     X = np.round(rng.normal(size=(n, F)), 1)
     X[:, rng.integers(F)] = 0.25
@@ -641,3 +658,34 @@ def test_bad_params_rejected():
         trees.BoostParams(max_depth=-1)
     with pytest.raises(ParameterError):
         trees.ForestParams(max_depth=-1)
+    with pytest.raises(ParameterError):  # GOSS needs the histogram splitter
+        trees.BoostParams(splitter="exact", goss=(0.2, 0.1))
+    X, y = random_data(50, 3, seed=0)
+    forest = trees.ForestParams(n_trees=2, max_depth=2)
+    with pytest.raises(ParameterError):  # it used to drop the third column
+        trees.fit_random_forest(X, y, forest, feature_names=["a", "b"])
+    for bad_y in (y[:40], np.append(y, y[:10])):
+        with pytest.raises(ParameterError):
+            trees.fit_random_forest(X, bad_y, forest)
+        with pytest.raises(ParameterError):
+            trees.newton_boost_fit(X, bad_y, trees.BoostParams(n_trees=2))
+
+
+def test_grow_rejects_what_its_splitter_does_not_take():
+    """The exact splitter grows over all rows with one hessian value, and
+    the histogram splitter draws no features; anything else would grow a
+    wrong tree, so it raises."""
+    X, y = random_data(60, 4, seed=2)
+    g, h = trees.gradients_squared_loss(y, np.zeros(60))
+    exact = trees._Splitter(X, trees.BoostParams())
+    histogram = trees._Splitter(X, trees.BoostParams(splitter="histogram"))
+    rng = np.random.default_rng(0)
+    assert exact.grow(np.arange(60), g, h, rng=rng, m=2).splits().size
+    assert histogram.grow(np.arange(30), g, h * np.linspace(1, 2, 60)
+                          ).splits().size
+    with pytest.raises(ParameterError):
+        exact.grow(np.arange(30), g, h)
+    with pytest.raises(ParameterError):
+        exact.grow(np.arange(60), g, h * np.linspace(1, 2, 60))
+    with pytest.raises(ParameterError):
+        histogram.grow(np.arange(60), g, h, rng=rng, m=2)
