@@ -1,11 +1,13 @@
 """Importance-recap feature selection.
 
-Three tree models score each lagged feature column (boosted gain, forest
-impurity decrease, histogram-boosted split count). A sequence model is then
-trained on each model's top-k selection and its held-out RMSE recorded. The
-fused score per feature is the sum over models of its min-max normalized
-importance divided by that model's RMSE; the final top-k lagged columns
-(collapsed to base features) feed the final sequence model.
+Three tree models score the lagged feature columns of the train range
+(boosted gain, forest impurity decrease, histogram-boosted split count),
+each as a float array in the windowed ``feature_names`` order. A sequence
+model (a GRU by default) is trained on each model's top-k columns, collapsed
+to base features, and its held-out RMSE weights that model. The fused score
+per column is the sum over models of its min-max normalized importance
+divided by that model's RMSE; the final top-k lagged columns (collapsed to
+base features) feed the final sequence model.
 
 ``IMPORTANCE_MODELS`` is the one table of the three tree models, in the
 order their scores are fused: each entry's name, importance kind and fit,
@@ -27,45 +29,32 @@ from .market_data import FeatureFrame, SplitSpec, split_by_dates, to_sequences, 
 from .recurrent import (MinMaxScaler, RnnArch, TrainConfig, apply_scaler,
                         fit_scaler, predict_rnn, train_rnn)
 from .seeding import derive_seed
-from .trees import (BoostParams, ForestParams, ImportanceVector,
-                    fit_random_forest, importance, newton_boost_fit)
+from .trees import (BoostParams, ForestParams, fit_random_forest, importance,
+                    newton_boost_fit)
 
 _LAGGED_NAME = re.compile(r"^(?P<base>.+?)\(t(?:-(?P<lag>\d+))?\)$")
 
 
-def normalize_scores(v: ImportanceVector) -> ImportanceVector:
-    """Min-max scale scores into [0, 1]; an all-equal vector maps to 0.5."""
-    if not v.scores:
-        raise ParameterError("importance vector is empty")
-    values = np.array(list(v.scores.values()), dtype=float)
-    scaled = MinMaxScaler.fit(values).transform(values)
-    return ImportanceVector(kind=v.kind, scores=dict(zip(v.scores, scaled)))
-
-
 def recap_scores(
-    norm_scores: list[ImportanceVector], rmses: list[float]
-) -> dict[str, float]:
-    """Fused score: final(f) = sum over models of norm_m(f) / rmse_m."""
+    norm_scores: list[np.ndarray], rmses: list[float]
+) -> np.ndarray:
+    """Fused score: final(f) = sum over models of norm_m(f) / rmse_m, added
+    model by model in the order given."""
     if len(norm_scores) != len(rmses):
         raise ParameterError("need one RMSE per importance vector")
     if any(r <= 0 for r in rmses):
         raise ParameterError("RMSEs must be > 0")
-    universe = set(norm_scores[0].scores)
-    for v in norm_scores[1:]:
-        if set(v.scores) != universe:
-            raise ParameterError("importance vectors cover different features")
-    final: dict[str, float] = {name: 0.0 for name in universe}
-    for v, rmse in zip(norm_scores, rmses):
-        for name, s in v.scores.items():
-            final[name] += s / rmse
+    final = np.zeros(len(norm_scores[0]))
+    for norm, rmse in zip(norm_scores, rmses):
+        final += norm / rmse
     return final
 
 
-def top_k_columns(scores: dict[str, float], k: int) -> list[str]:
-    """Highest-scoring k column names; ties break lexicographically by name."""
+def top_k_columns(names: list[str], scores, k: int) -> list[str]:
+    """The k names of highest score; ties break lexicographically by name."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(zip(names, scores), key=lambda item: (-item[1], item[0]))
     return [name for name, _ in ranked[:k]]
 
 
@@ -83,7 +72,7 @@ def collapse_to_base(selected: list[str]) -> list[str]:
 @dataclass(frozen=True)
 class RecapResult:
     k: int
-    normalized: dict[str, ImportanceVector]
+    normalized: dict[str, np.ndarray]
     model_rmses: dict[str, float]
     per_model_selected: dict[str, list[str]]
     final_scores: dict[str, float]
@@ -147,26 +136,6 @@ IMPORTANCE_MODELS = (
 )
 
 
-def _train_sequence_model(
-    frame_train: FeatureFrame,
-    frame_heldout: FeatureFrame,
-    base_features: list[str],
-    config: RecapConfig,
-    cfg: TrainConfig,
-) -> Metrics:
-    """Held-out metrics of ``config.rnn_arch`` on ``base_features``: it
-    stops early on the held-out range and is scored on it."""
-    lookback = config.lookback
-    train_seq = to_sequences(frame_train.select(base_features), lookback)
-    held_seq = to_sequences(frame_heldout.select(base_features), lookback)
-    scaler = fit_scaler(train_seq)
-    train_scaled = apply_scaler(scaler, train_seq)
-    held_scaled = apply_scaler(scaler, held_seq)
-    model, _ = train_rnn(train_scaled, held_scaled, config.rnn_arch, cfg)
-    pred = predict_rnn(model, held_scaled)
-    return compute_metrics(pred, held_seq.y)
-
-
 def run_recap(
     frame: FeatureFrame,
     spec: SplitSpec,
@@ -185,21 +154,31 @@ def run_recap(
     )
 
     def sequence_metrics(base_features: list[str]) -> Metrics:
-        return _train_sequence_model(train_frame, heldout_frame,
-                                     base_features, config, rnn_cfg)
+        """Held-out metrics of ``config.rnn_arch`` on ``base_features``: it
+        stops early on the held-out range and is scored on it."""
+        lookback = config.lookback
+        train_seq = to_sequences(train_frame.select(base_features), lookback)
+        held_seq = to_sequences(heldout_frame.select(base_features), lookback)
+        scaler = fit_scaler(train_seq)
+        train_scaled = apply_scaler(scaler, train_seq)
+        held_scaled = apply_scaler(scaler, held_seq)
+        model, _ = train_rnn(train_scaled, held_scaled, config.rnn_arch,
+                             rnn_cfg)
+        return compute_metrics(predict_rnn(model, held_scaled), held_seq.y)
 
-    raw: dict[str, ImportanceVector] = {}
+    names = windowed.feature_names
+    normalized: dict[str, np.ndarray] = {}
     rmses: dict[str, float] = {}
     per_model_selected: dict[str, list[str]] = {}
     for name, kind, fit in IMPORTANCE_MODELS:
-        raw[name] = importance(fit(windowed, config), kind)
-        per_model_selected[name] = top_k_columns(raw[name].scores, config.k)
+        scores = importance(fit(windowed, config), kind)
+        per_model_selected[name] = top_k_columns(names, scores, config.k)
         rmses[name] = sequence_metrics(
             collapse_to_base(per_model_selected[name])).rmse
-    normalized = {name: normalize_scores(v) for name, v in raw.items()}
-    final_scores = recap_scores(list(normalized.values()),
-                                list(rmses.values()))
-    selected_lagged = top_k_columns(final_scores, config.k)
+        normalized[name] = MinMaxScaler.fit(scores).transform(scores)
+    fused = recap_scores(list(normalized.values()), list(rmses.values()))
+    final_scores = dict(zip(names, fused.tolist()))
+    selected_lagged = top_k_columns(names, fused, config.k)
     selected_base = collapse_to_base(selected_lagged)
     final_metrics = sequence_metrics(selected_base)
     baseline = (sequence_metrics(train_frame.feature_names)
@@ -220,6 +199,7 @@ def run_recap(
 def export_scores_csv(result: RecapResult, path) -> None:
     with open(path, "w") as fh:
         fh.write("feature,score\n")
-        for name in sorted(result.final_scores,
-                           key=lambda n: (-result.final_scores[n], n)):
-            fh.write(f"{name},{result.final_scores[name]:.12g}\n")
+        scores = result.final_scores
+        for name in top_k_columns(list(scores), list(scores.values()),
+                                  len(scores)):
+            fh.write(f"{name},{scores[name]:.12g}\n")

@@ -31,17 +31,6 @@ from .seeding import derive_seed
 MODEL_ORDER = ("xgboost", "lightgbm", "random_forest", "lstm", "gru")
 
 
-@dataclass(frozen=True)
-class Combination:
-    members: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not (1 <= len(self.members) <= len(MODEL_ORDER)):
-            raise ParameterError("combination must have 1..5 members")
-        if any(m not in MODEL_ORDER for m in self.members):
-            raise ParameterError(f"unknown members in {self.members}")
-
-
 def build_meta_frame(
     base_predictions: dict[str, np.ndarray],
     labels: np.ndarray,
@@ -72,13 +61,11 @@ def build_meta_frame(
     return FeatureFrame(index=timestamps, columns=columns, label_name="label")
 
 
-def enumerate_combinations() -> list[Combination]:
-    """All 31 nonempty subsets, ordered by size then member order."""
-    combos = []
-    for size in range(1, len(MODEL_ORDER) + 1):
-        for members in itertools.combinations(MODEL_ORDER, size):
-            combos.append(Combination(members=members))
-    return combos
+def enumerate_combinations() -> list[tuple[str, ...]]:
+    """The members of all 31 nonempty subsets, ordered by size then member
+    order."""
+    return [members for size in range(1, len(MODEL_ORDER) + 1)
+            for members in itertools.combinations(MODEL_ORDER, size)]
 
 
 def split_meta(
@@ -124,7 +111,7 @@ class MetaTrainConfig:
 def train_meta_nn(
     meta_train: FeatureFrame,
     meta_val: FeatureFrame,
-    combos: list[Combination],
+    combos: list[tuple[str, ...]],
     seeds: list[int],
     cfg: MetaTrainConfig = MetaTrainConfig(),
 ) -> list[MetaModel]:
@@ -156,8 +143,8 @@ def train_meta_nn(
     ys = label_scaler.transform(meta_train.label)
     yvs = label_scaler.transform(meta_val.label)
 
-    columns = [[MODEL_ORDER.index(m) for m in c.members] for c in combos]
-    rngs = [np.random.default_rng(derive_seed(seed, "meta-nn", *c.members))
+    columns = [[MODEL_ORDER.index(m) for m in c] for c in combos]
+    rngs = [np.random.default_rng(derive_seed(seed, "meta-nn", *c))
             for c, seed in zip(combos, seeds)]
     W1 = np.zeros((n_nets, len(MODEL_ORDER), hid))
     W2 = np.empty((n_nets, hid))
@@ -216,7 +203,7 @@ def train_meta_nn(
     train_minibatch([W1, b1, W2, b2], loss_and_grads, val_rmse, len(ys),
                     cfg, rngs)
     return [
-        MetaModel(members=c.members,
+        MetaModel(members=c,
                   in_scaler=MinMaxScaler(mins=in_scaler.mins[cols],
                                          maxs=in_scaler.maxs[cols]),
                   label_scaler=label_scaler,
@@ -291,7 +278,7 @@ def run_stacking_search(
     )
     rows = [
         CombinationResult(
-            combo_id=combo_id, members=combo.members,
+            combo_id=combo_id, members=combo,
             val=compute_metrics(model.predict(meta_val), meta_val.label),
             test=compute_metrics(model.predict(meta_test), meta_test.label))
         for combo_id, (combo, model) in enumerate(zip(combos, models))

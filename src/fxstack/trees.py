@@ -158,14 +158,6 @@ class ForestModel:
     feature_names: list[str]
 
 
-@dataclass(frozen=True)
-class ImportanceVector:
-    """Per-feature scores: gain, split_count, or impurity_decrease."""
-
-    kind: str
-    scores: dict[str, float]
-
-
 # row entries searched at once by the exact splitter: a generation's
 # (node, feature) rows are searched in chunks of about this many entries,
 # so that the temporaries of a large node stay in cache
@@ -668,8 +660,8 @@ def predict(model: BoostedModel | ForestModel, X: np.ndarray) -> np.ndarray:
     return out / len(model.trees)
 
 
-def importance(model: BoostedModel | ForestModel, kind: str) -> ImportanceVector:
-    """Per-feature importance.
+def importance(model: BoostedModel | ForestModel, kind: str) -> np.ndarray:
+    """Per-feature importance, a float array in ``model.feature_names`` order.
 
     Boosted models support ``gain`` (mean split gain per feature, 0 for a
     feature never split on) and ``split_count``. Forests support
@@ -694,17 +686,13 @@ def importance(model: BoostedModel | ForestModel, kind: str) -> ImportanceVector
     totals = np.bincount(feature[split], weights=gain[split],
                          minlength=n_features)
     if kind == "split_count":
-        values = counts.astype(float)
-    elif kind == "gain":
-        values = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
-    else:  # impurity_decrease: summed SSE reduction
-        values = totals
-    scores = dict(zip(model.feature_names, values.tolist()))
-    if kind == "impurity_decrease":
-        total = sum(scores.values())
-        if total > 0:
-            scores = {k: v / total for k, v in scores.items()}
-    return ImportanceVector(kind=kind, scores=scores)
+        return counts.astype(float)
+    if kind == "gain":
+        return np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
+    # impurity_decrease: summed SSE reduction over its total, taken with
+    # Python's sum as always (np.sum adds pairwise and changes the last bits)
+    total = sum(totals.tolist())
+    return totals / total if total > 0 else totals
 
 
 # --- serialization -----------------------------------------------------------

@@ -282,12 +282,12 @@ def adam_step_oracle(params, grads, m, v, t, learning_rate,
         p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def meta_nn_oracle(meta_train, meta_val, combo, seed, cfg):
-    """One combination's meta network fitted on its own: minibatch Adam
-    (array by array, :func:`adam_step_oracle`) with early stopping on the
-    meta-validation RMSE, as a single-net loop. Returns the model at its
-    best-validation weights and the number of epochs run."""
-    members = combo.members
+def meta_nn_oracle(meta_train, meta_val, members, seed, cfg):
+    """One combination's meta network, on the tuple of model names
+    ``members``, fitted on its own: minibatch Adam (array by array,
+    :func:`adam_step_oracle`) with early stopping on the meta-validation
+    RMSE, as a single-net loop. Returns the model at its best-validation
+    weights and the number of epochs run."""
     X = np.column_stack([meta_train.columns[m] for m in members])
     Xv = np.column_stack([meta_val.columns[m] for m in members])
     rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
@@ -455,7 +455,7 @@ def best_split_oracle(X, g, h, idx, features, params):
     return best
 
 
-def split_gain(G_L, H_L, G_R, H_R, lam, gamma):
+def split_gain(G_L, H_L, G_R, H_R, lam):
     """Objective reduction of one split versus keeping the parent leaf."""
     if H_L + lam <= 0 or H_R + lam <= 0:
         raise DegenerateFitError("H + lambda must be > 0 on both sides")
@@ -463,7 +463,32 @@ def split_gain(G_L, H_L, G_R, H_R, lam, gamma):
         G_L * G_L / (H_L + lam)
         + G_R * G_R / (H_R + lam)
         - (G_L + G_R) ** 2 / (H_L + H_R + lam)
-    ) - gamma
+    )
+
+
+def importance_oracle(model, kind):
+    """Per-feature importance of ``kind`` as a list in
+    ``model.feature_names`` order: each tree's split nodes are walked in
+    pre-order from the root through ``left`` and ``right``, and their counts
+    and gains summed as Python numbers."""
+    counts = [0] * len(model.feature_names)
+    totals = [0.0] * len(model.feature_names)
+    for tree in model.trees:
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            f = int(tree.feature[node])
+            if f < 0:
+                continue
+            counts[f] += 1
+            totals[f] += float(tree.gain[node])
+            stack += [int(tree.right[node]), int(tree.left[node])]
+    if kind == "split_count":
+        return [float(c) for c in counts]
+    if kind == "gain":
+        return [t / c if c else 0.0 for t, c in zip(totals, counts)]
+    total = sum(totals)
+    return [t / total for t in totals] if total > 0 else totals
 
 
 def sorted_rows(X, idx):

@@ -162,8 +162,8 @@ def test_boosting_math():
     non-increasing over 100 rounds; single unlimited tree interpolates."""
     hand = (
         trees.leaf_weight(4.0, 3.0, 1.0) == -1.0
-        and split_gain(2.0, 1.0, -2.0, 1.0, 0.0, 0.0) == 4.0
-        and abs(split_gain(1.0, 1.0, 1.0, 1.0, 1.0, 0.0) + 1 / 6) < 1e-15
+        and split_gain(2.0, 1.0, -2.0, 1.0, 0.0) == 4.0
+        and abs(split_gain(1.0, 1.0, 1.0, 1.0, 1.0) + 1 / 6) < 1e-15
     )
     rng = np.random.default_rng(77)
     X = rng.normal(size=(500, 20))
@@ -248,21 +248,19 @@ def test_recap_arithmetic():
     invariant under common positive rescaling of the RMSEs."""
     rng = np.random.default_rng(5)
     names = [f"f{i}" for i in range(30)]
-    norm = [
-        trees.ImportanceVector(kind="gain", scores={
-            n: float(rng.uniform()) for n in names})
-        for _ in range(3)
-    ]
+    norm = [np.array([float(rng.uniform()) for _ in names])
+            for _ in range(3)]
     rmses = [0.4, 0.9, 0.15]
     fused = recap.recap_scores(norm, rmses)
     exact = all(
-        fused[n] == norm[0].scores[n] / rmses[0]
-        + norm[1].scores[n] / rmses[1] + norm[2].scores[n] / rmses[2]
-        for n in names)
-    base_top = recap.top_k_columns(fused, 10)
+        fused[i] == norm[0][i] / rmses[0]
+        + norm[1][i] / rmses[1] + norm[2][i] / rmses[2]
+        for i in range(len(names)))
+    base_top = recap.top_k_columns(names, fused, 10)
     invariant = all(
         recap.top_k_columns(
-            recap.recap_scores(norm, [r * c for r in rmses]), 10) == base_top
+            names, recap.recap_scores(norm, [r * c for r in rmses]),
+            10) == base_top
         for c in (1e-3, 0.5, 7.0, 1e3))
     report("recap-arithmetic", exact and invariant,
            f"exact={exact} rescale-invariant={invariant}")
@@ -273,7 +271,7 @@ def test_stacking_structure():
     singleton; 31-way search on a 5k-row window < 5 min."""
     start = time.perf_counter()
     combos = stacking.enumerate_combinations()
-    sizes = Counter(len(c.members) for c in combos)
+    sizes = Counter(len(c) for c in combos)
     shape_ok = len(combos) == 31 and sizes == {1: 5, 2: 10, 3: 10, 4: 5, 5: 1}
 
     rng = np.random.default_rng(9)

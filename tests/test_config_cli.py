@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -242,6 +243,44 @@ def test_cli_run_prints_recap_base_and_stacking_sections(tmp_path, capsys):
         assert line.split()[:2] == [str(row["id"]), "+".join(row["members"])]
         assert line.endswith(f"test {row['test_rmse']:.6g}")
     assert f"artifacts in: {out}" in lines
+
+
+def _hundred_bars(tmp_path, seed, indicators):
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(f"data.n = 100\nfeatures.arima = false\n"
+                   f"features.indicators = {str(indicators).lower()}\n"
+                   f"seed = {seed}\nout_dir = {tmp_path / 'out'}\n")
+    return cli.main(["--config", str(cfg), "run"])
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_cli_run_on_the_100_bar_minimum(tmp_path, seed):
+    """The smallest synthetic run, on the price columns alone: every split
+    and early-stopping slice is a few rows, and the run still writes every
+    artifact with finite metrics."""
+    assert _hundred_bars(tmp_path, seed, indicators=False) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    listed = {"recap_scores.csv", "metrics_table.csv", "stacking_report.csv",
+              *(f"models/{m}.json" for m in
+                ("xgboost", "lightgbm", "random_forest", "lstm", "gru"))}
+    assert set(report["artifacts"]) == listed
+    for rel in (*listed, "report.json", "timings.json"):
+        assert (out / rel).exists(), rel
+    metrics = [*report["base_metrics"].values(),
+               *(r["final_metrics"] for r in report["recap"].values())]
+    values = [v for m in metrics for k, v in m.items() if k != "n"]
+    values += [r[k] for r in report["stacking"]["rows"]
+               for k in ("val_rmse", "test_rmse", "test_mae")]
+    assert values and all(math.isfinite(v) for v in values)
+
+
+def test_cli_100_bars_with_indicators_exit_3(tmp_path, capsys):
+    # the indicator warm-up takes most of the 100 bars, so the recap
+    # held-out range is shorter than its lookback
+    assert _hundred_bars(tmp_path, 1, indicators=True) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "stage 'recap' failed: 1 rows < lookback 5" in err
 
 
 def test_cli_bad_csv_exit_3(tmp_path):

@@ -5,68 +5,68 @@ from hypothesis import strategies as st
 
 from fxstack import recap
 from fxstack.errors import ParameterError
-from fxstack.market_data import FeatureFrame, in_range, split_spec_from_fractions
+from fxstack.market_data import (FeatureFrame, in_range, split_by_dates,
+                                 split_spec_from_fractions, to_windowed)
 from planted import generate_planted_frame
-from fxstack.recurrent import RnnArch, TrainConfig
-from fxstack.trees import BoostParams, ForestParams, ImportanceVector
+from fxstack.recurrent import MinMaxScaler, RnnArch, TrainConfig
+from fxstack.trees import BoostParams, ForestParams
 
 
-def vec(kind="gain", **scores):
-    return ImportanceVector(kind=kind, scores=scores)
+def vec(*scores):
+    return np.array(scores)
 
 
 def test_normalize_minmax():
-    out = recap.normalize_scores(vec(a=2.0, b=6.0, c=4.0)).scores
-    assert out == {"a": 0.0, "b": 1.0, "c": 0.5}
+    v = vec(2.0, 6.0, 4.0)
+    assert MinMaxScaler.fit(v).transform(v).tolist() == [0.0, 1.0, 0.5]
 
 
 def test_normalize_all_equal_maps_to_half():
-    out = recap.normalize_scores(vec(a=3.0, b=3.0)).scores
-    assert out == {"a": 0.5, "b": 0.5}
+    v = vec(3.0, 3.0)
+    assert MinMaxScaler.fit(v).transform(v).tolist() == [0.5, 0.5]
 
 
 def test_recap_scores_independent_recomputation():
     norm = [
-        vec(a=1.0, b=0.0, c=0.5),
-        vec(a=0.2, b=1.0, c=0.0),
-        vec(a=0.0, b=0.5, c=1.0),
+        vec(1.0, 0.0, 0.5),
+        vec(0.2, 1.0, 0.0),
+        vec(0.0, 0.5, 1.0),
     ]
     rmses = [0.5, 0.25, 1.0]
     got = recap.recap_scores(norm, rmses)
-    for name in ("a", "b", "c"):
-        expected = sum(v.scores[name] / r for v, r in zip(norm, rmses))
-        assert got[name] == expected  # exact, not approximate
+    for i in range(3):
+        expected = sum(v[i] / r for v, r in zip(norm, rmses))
+        assert got[i] == expected  # exact, not approximate
 
 
 @settings(max_examples=50)
 @given(scale=st.floats(min_value=1e-3, max_value=1e3))
 def test_topk_invariant_under_common_rmse_rescale(scale):
+    names = ["a", "b", "c", "d"]
     norm = [
-        vec(a=1.0, b=0.3, c=0.5, d=0.1),
-        vec(a=0.2, b=0.9, c=0.0, d=0.4),
-        vec(a=0.1, b=0.5, c=1.0, d=0.0),
+        vec(1.0, 0.3, 0.5, 0.1),
+        vec(0.2, 0.9, 0.0, 0.4),
+        vec(0.1, 0.5, 1.0, 0.0),
     ]
     rmses = [0.5, 0.25, 1.0]
-    base = recap.top_k_columns(recap.recap_scores(norm, rmses), 2)
+    base = recap.top_k_columns(names, recap.recap_scores(norm, rmses), 2)
     scaled = recap.top_k_columns(
-        recap.recap_scores(norm, [r * scale for r in rmses]), 2)
+        names, recap.recap_scores(norm, [r * scale for r in rmses]), 2)
     assert base == scaled
 
 
 def test_recap_scores_validation():
     with pytest.raises(ParameterError):
-        recap.recap_scores([vec(a=1.0)], [0.5, 0.5])
+        recap.recap_scores([vec(1.0)], [0.5, 0.5])
     with pytest.raises(ParameterError):
-        recap.recap_scores([vec(a=1.0), vec(b=1.0)], [0.5, 0.5])
-    with pytest.raises(ParameterError):
-        recap.recap_scores([vec(a=1.0)], [0.0])
+        recap.recap_scores([vec(1.0)], [0.0])
 
 
 def test_top_k_ties_break_lexicographically():
-    scores = {"b": 1.0, "a": 1.0, "c": 2.0, "d": 0.5}
-    assert recap.top_k_columns(scores, 3) == ["c", "a", "b"]
+    names, scores = ["b", "a", "c", "d"], vec(1.0, 1.0, 2.0, 0.5)
+    assert recap.top_k_columns(names, scores, 3) == ["c", "a", "b"]
     with pytest.raises(ParameterError):
-        recap.top_k_columns(scores, 0)
+        recap.top_k_columns(names, scores, 0)
 
 
 def test_collapse_to_base():
@@ -101,12 +101,15 @@ def test_run_recap_structure(planted):
     assert all(r > 0 for r in result.model_rmses.values())
     assert len(result.selected_lagged) == 6
     assert result.selected_base == recap.collapse_to_base(result.selected_lagged)
-    # final scores fuse the three normalized vectors exactly
+    # final scores fuse the three normalized vectors exactly, per column of
+    # the windowed train range
     ordered = [m for m, _, _ in recap.IMPORTANCE_MODELS]
     expected = recap.recap_scores(
         [result.normalized[m] for m in ordered],
         [result.model_rmses[m] for m in ordered])
-    assert result.final_scores == expected
+    train = split_by_dates(planted.frame, spec)[0]
+    names = to_windowed(train, _quick_config().lookback).feature_names
+    assert result.final_scores == dict(zip(names, expected.tolist()))
 
 
 def test_run_recap_deterministic(planted):

@@ -27,19 +27,11 @@ def make_frame(n=600, seed=0, noise=0.05):
 def test_enumerate_combinations_structure():
     combos = stacking.enumerate_combinations()
     assert len(combos) == 31
-    sizes = Counter(len(c.members) for c in combos)
+    sizes = Counter(len(c) for c in combos)
     assert sizes == {1: 5, 2: 10, 3: 10, 4: 5, 5: 1}
-    assert combos[0].members == ("xgboost",)
-    assert combos[-1].members == stacking.MODEL_ORDER
-    assert len({c.members for c in combos}) == 31
-
-
-def test_combination_validation_and_label():
-    with pytest.raises(ParameterError):
-        stacking.Combination(members=())
-    with pytest.raises(ParameterError):
-        stacking.Combination(members=("prophet",))
-    assert stacking.Combination(("lstm", "gru")).members == ("lstm", "gru")
+    assert combos[0] == ("xgboost",)
+    assert combos[-1] == stacking.MODEL_ORDER
+    assert len(set(combos)) == 31
 
 
 def test_build_meta_frame_validation():
@@ -85,7 +77,7 @@ def test_meta_nn_learns_near_identity():
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, test = stacking.split_meta(frame, spec)
     (model,) = stacking.train_meta_nn(
-        train, val, [stacking.Combination(("xgboost",))], [1])
+        train, val, [("xgboost",)], [1])
     resid = model.predict(test) - test.label
     assert np.sqrt(np.mean(resid ** 2)) < 0.1 * np.std(test.label)
 
@@ -94,7 +86,7 @@ def test_meta_nn_deterministic():
     frame = make_frame(300, seed=4)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, _ = stacking.split_meta(frame, spec)
-    combo = stacking.Combination(("xgboost", "gru"))
+    combo = ("xgboost", "gru")
     (m1,) = stacking.train_meta_nn(train, val, [combo], [9])
     (m2,) = stacking.train_meta_nn(train, val, [combo], [9])
     np.testing.assert_array_equal(m1.W1, m2.W1)
@@ -108,8 +100,7 @@ def test_meta_nn_divergence_raises_training_error():
     train, val, _ = stacking.split_meta(frame, spec)
     cfg = stacking.MetaTrainConfig(learning_rate=1e300)
     with pytest.raises(TrainingError, match="epoch 0"):
-        stacking.train_meta_nn(train, val, [stacking.Combination(("gru",))],
-                               [0], cfg=cfg)
+        stacking.train_meta_nn(train, val, [("gru",)], [0], cfg=cfg)
 
 
 # on make_frame(300, seed=11) meta-train has 180 rows: patience 3 stops the
@@ -143,7 +134,7 @@ def test_stacked_fit_matches_per_net_oracle(case):
     for model, combo, seed in zip(models, combos, seeds):
         ref, epochs = meta_nn_oracle(train, val, combo, seed, cfg)
         epochs_run.append(epochs)
-        assert model.members == combo.members
+        assert model.members == combo
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(model, name),
                                           getattr(ref, name))
@@ -168,9 +159,7 @@ def test_search_report_matches_oracle_models(monkeypatch):
 def test_meta_nn_needs_one_seed_per_combination():
     _, _, (train, val, _) = _oracle_split()
     with pytest.raises(ParameterError, match="2 combinations but 1 seeds"):
-        stacking.train_meta_nn(train, val, [stacking.Combination(("gru",)),
-                                            stacking.Combination(("lstm",))],
-                               [0])
+        stacking.train_meta_nn(train, val, [("gru",), ("lstm",)], [0])
 
 
 @pytest.mark.parametrize("constant", ["member", "label"])

@@ -1,5 +1,6 @@
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from fxstack import trees
 from fxstack.errors import DegenerateFitError, ParameterError
-from oracles import best_split_oracle, grow_oracle, sorted_rows, split_gain
+from oracles import (best_split_oracle, grow_oracle, importance_oracle,
+                     sorted_rows, split_gain)
 
 
 def random_data(n=500, f=20, seed=0):
@@ -22,12 +24,12 @@ def test_leaf_weight_hand_value():
 
 
 def test_split_gain_hand_values():
-    # G_L=2,H_L=1 | G_R=-2,H_R=1, lambda=0, gamma=0:
+    # G_L=2,H_L=1 | G_R=-2,H_R=1, lambda=0:
     # 1/2 * (4/1 + 4/1 - 0/2) = 4
-    assert split_gain(2.0, 1.0, -2.0, 1.0, 0.0, 0.0) == pytest.approx(4.0)
+    assert split_gain(2.0, 1.0, -2.0, 1.0, 0.0) == pytest.approx(4.0)
     # G_L=1,H_L=1 | G_R=1,H_R=1, lambda=1:
     # 1/2 * (1/2 + 1/2 - 4/3) = -1/6
-    assert split_gain(1.0, 1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(-1 / 6)
+    assert split_gain(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(-1 / 6)
 
 
 def test_gradients_squared_loss():
@@ -114,8 +116,8 @@ def test_boosting_importance_finds_planted_feature():
     y = 3.0 * X[:, 3] + rng.normal(size=2000) * 0.1
     model = trees.newton_boost_fit(
         X, y, trees.BoostParams(n_trees=20, max_depth=4), seed=0)
-    scores = trees.importance(model, "gain").scores
-    assert max(scores, key=scores.get) == "x3"
+    scores = trees.importance(model, "gain")
+    assert model.feature_names[int(np.argmax(scores))] == "x3"
 
 
 def test_forest_importance_finds_planted_feature():
@@ -124,10 +126,9 @@ def test_forest_importance_finds_planted_feature():
     y = 3.0 * X[:, 3] + rng.normal(size=2000) * 0.1
     model = trees.fit_random_forest(
         X, y, trees.ForestParams(n_trees=10, max_depth=6, seed=0))
-    vec = trees.importance(model, "impurity_decrease")
-    scores = vec.scores
-    assert max(scores, key=scores.get) == "x3"
-    assert sum(scores.values()) == pytest.approx(1.0)
+    scores = trees.importance(model, "impurity_decrease")
+    assert model.feature_names[int(np.argmax(scores))] == "x3"
+    assert sum(scores.tolist()) == pytest.approx(1.0)
 
 
 def test_forest_prediction_is_mean_of_trees():
@@ -166,8 +167,50 @@ def test_importance_kind_compatibility():
         trees.importance(boosted, "impurity_decrease")
     with pytest.raises(ParameterError):
         trees.importance(forest, "gain")
-    assert trees.importance(boosted, "split_count")
-    assert trees.importance(forest, "split_count")
+    assert trees.importance(boosted, "split_count").shape == (3,)
+    assert trees.importance(forest, "split_count").shape == (3,)
+
+
+IMPORTANCE_FITS = {
+    "exact": (("gain", "split_count"), lambda X, y: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=6, max_depth=3), seed=1)),
+    "histogram-goss": (("gain", "split_count"),
+                       lambda X, y: trees.newton_boost_fit(
+        X, y, trees.BoostParams(n_trees=6, max_depth=4, max_leaves=7,
+                                splitter="histogram", bins=16,
+                                goss=(0.2, 0.1)), seed=2)),
+    "forest": (("impurity_decrease", "split_count"),
+               lambda X, y: trees.fit_random_forest(
+        X, y, trees.ForestParams(n_trees=5, max_depth=4, m=4, seed=3))),
+}
+
+
+@pytest.mark.parametrize("case", IMPORTANCE_FITS)
+def test_importance_matches_per_split_oracle(case):
+    """Every kind equals the pre-order per-split sums bit for bit, also on
+    features never split on; a constant label grows no split, and every
+    kind then gives zeros without a warning."""
+    kinds, fit = IMPORTANCE_FITS[case]
+    # seed 4: the forest's impurity total by Python's sum differs in its
+    # last bits from np.sum's pairwise one
+    X, y = random_data(300, 12, seed=4)
+    X[:, 9:] = 1.5  # constant columns, which no split can use
+    model = fit(X, y)
+    counts = trees.importance(model, "split_count")
+    assert counts.max() > 0 and counts.min() == 0
+    for kind in kinds:
+        got = trees.importance(model, kind)
+        assert got.dtype == float and got.shape == (12,)
+        assert got.tolist() == importance_oracle(model, kind)
+    # 0.5 keeps every gradient sum exact: a label such as 0.7 leaves the
+    # forest rounding-noise gains of about 1e-14, which it splits on
+    flat = fit(X, np.full(300, 0.5))
+    assert all(len(t.splits()) == 0 for t in flat.trees)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in kinds:
+            assert trees.importance(flat, kind).tolist() == [0.0] * 12
+            assert importance_oracle(flat, kind) == [0.0] * 12
 
 
 def test_serialization_roundtrip():
