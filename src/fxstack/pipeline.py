@@ -152,29 +152,30 @@ def _boosted(params) -> BaseLearner:
 
 
 def _rnn_learner(cell: str) -> BaseLearner:
-    """A recurrent learner whose model is (scaler, network). The scaler is
-    fit on all the fit rows; the last 15% of them stop training early."""
+    """A recurrent learner whose input scaler is fit on all the fit rows;
+    the last 15% of them stop training early."""
 
     def fit(frame, config, seed):
         sequences = to_sequences(frame, config.lookback)
         scaler = fit_scaler(sequences)
         scaled = apply_scaler(scaler, sequences)
         n_stop = max(1, int(round(len(scaled.y) * 0.15)))
-        network, _ = train_rnn(
+        model, _ = train_rnn(
             scaled.take(slice(None, -n_stop)),
             scaled.take(slice(-n_stop, None)),
             RnnArch(cell=cell, hidden_size=config.rnn_hidden),
             TrainConfig(
                 batch_size=config.rnn_batch, learning_rate=config.rnn_lr,
                 max_epochs=config.rnn_epochs, patience=config.rnn_patience,
-                seed=seed))
-        return scaler, network
+                seed=seed),
+            scaler)
+        return model
 
     return BaseLearner(
         fit,
-        lambda model, frame, config: predict_rnn(model[1], apply_scaler(
-            model[0], to_sequences(frame, config.lookback))),
-        lambda model, path: _write_json(path, rnn_to_dict(model[1])))
+        lambda model, frame, config: predict_rnn(
+            model, to_sequences(frame, config.lookback)),
+        lambda model, path: _write_json(path, rnn_to_dict(model)))
 
 
 # the base learners, keyed in ``MODEL_ORDER``

@@ -160,11 +160,10 @@ def run_recap(
         train_seq = to_sequences(train_frame.select(base_features), lookback)
         held_seq = to_sequences(heldout_frame.select(base_features), lookback)
         scaler = fit_scaler(train_seq)
-        train_scaled = apply_scaler(scaler, train_seq)
-        held_scaled = apply_scaler(scaler, held_seq)
-        model, _ = train_rnn(train_scaled, held_scaled, config.rnn_arch,
-                             rnn_cfg)
-        return compute_metrics(predict_rnn(model, held_scaled), held_seq.y)
+        model, _ = train_rnn(apply_scaler(scaler, train_seq),
+                             apply_scaler(scaler, held_seq), config.rnn_arch,
+                             rnn_cfg, scaler)
+        return compute_metrics(predict_rnn(model, held_seq), held_seq.y)
 
     names = windowed.feature_names
     normalized: dict[str, np.ndarray] = {}

@@ -33,44 +33,13 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-@dataclass
-class CellWeights:
-    """One recurrent cell's weights, stacked by gate: ``W`` (G, H, F),
-    ``U`` (G, H, H) and ``b`` (G, H). The GRU has G = 3 (gates z, r, h), the
-    LSTM G = 4 (gates i, f, o, c). Each ``W[g]`` and ``U[g]`` is a contiguous
-    block, so every gate keeps its own matrix products."""
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[2]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, gates: int, input_size: int,
-             hidden_size: int) -> "CellWeights":
-        return cls(W=_glorot(rng, (gates, hidden_size, input_size)),
-                   U=_glorot(rng, (gates, hidden_size, hidden_size)),
-                   b=np.zeros((gates, hidden_size)))
-
-    def zeros_like(self) -> "CellWeights":
-        return CellWeights(np.zeros_like(self.W), np.zeros_like(self.U),
-                           np.zeros_like(self.b))
-
-
-def _gru_forward(w: CellWeights, X: np.ndarray):
+def _gru_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
     """Batched forward over X (batch, time, features); returns (h_T, caches)."""
     batch, steps, _ = X.shape
-    W_z, W_r, W_h = w.W
-    U_z, U_r, U_h = w.U
-    b_z, b_r, b_h = w.b
-    h = np.zeros((batch, w.hidden_size))
+    W_z, W_r, W_h = W
+    U_z, U_r, U_h = U
+    b_z, b_r, b_h = b
+    h = np.zeros((batch, W.shape[1]))
     caches = []
     for t in range(steps):
         x = X[:, t, :]
@@ -84,10 +53,12 @@ def _gru_forward(w: CellWeights, X: np.ndarray):
     return h, caches
 
 
-def _gru_backward(w: CellWeights, caches, dh: np.ndarray) -> CellWeights:
-    U_z, U_r, U_h = w.U
-    grads = w.zeros_like()
-    per_gate = tuple(zip(grads.W, grads.U, grads.b))
+def _gru_backward(W: np.ndarray, U: np.ndarray, b: np.ndarray, caches,
+                  dh: np.ndarray) -> list[np.ndarray]:
+    """Gradients of ``W``, ``U`` and ``b`` given ``dh``, the gradient of h_T."""
+    U_z, U_r, U_h = U
+    grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
+    per_gate = tuple(zip(*grads))
     for x, h_prev, z, r, uh, h_tilde in reversed(caches):
         dz = dh * (h_prev - h_tilde)
         dht = dh * (1.0 - z)
@@ -107,13 +78,13 @@ def _gru_backward(w: CellWeights, caches, dh: np.ndarray) -> CellWeights:
     return grads
 
 
-def _lstm_forward(w: CellWeights, X: np.ndarray):
+def _lstm_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
     batch, steps, _ = X.shape
-    W_i, W_f, W_o, W_c = w.W
-    U_i, U_f, U_o, U_c = w.U
-    b_i, b_f, b_o, b_c = w.b
-    h = np.zeros((batch, w.hidden_size))
-    c = np.zeros((batch, w.hidden_size))
+    W_i, W_f, W_o, W_c = W
+    U_i, U_f, U_o, U_c = U
+    b_i, b_f, b_o, b_c = b
+    h = np.zeros((batch, W.shape[1]))
+    c = np.zeros((batch, W.shape[1]))
     caches = []
     for t in range(steps):
         x = X[:, t, :]
@@ -128,10 +99,11 @@ def _lstm_forward(w: CellWeights, X: np.ndarray):
     return h, caches
 
 
-def _lstm_backward(w: CellWeights, caches, dh: np.ndarray) -> CellWeights:
-    U_i, U_f, U_o, U_c = w.U
-    grads = w.zeros_like()
-    per_gate = tuple(zip(grads.W, grads.U, grads.b))
+def _lstm_backward(W: np.ndarray, U: np.ndarray, b: np.ndarray, caches,
+                   dh: np.ndarray) -> list[np.ndarray]:
+    U_i, U_f, U_o, U_c = U
+    grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
+    per_gate = tuple(zip(*grads))
     dc = np.zeros_like(dh)
     for x, h_prev, c_prev, i, f, o, c_tilde, c_new in reversed(caches):
         tc = np.tanh(c_new)
@@ -371,24 +343,31 @@ class TrainConfig:
 
 @dataclass
 class RnnRegressor:
-    """A trained cell plus linear scalar head and the label scaling learned
-    from the training split (features are scaled by the caller's scaler)."""
+    """A recurrent cell with a linear scalar head, and the two min-max
+    scalers learned from the training split: ``in_scaler`` per input
+    feature, ``label_scaler`` for the label.
+
+    The cell's weights are stacked by gate: ``W`` (G, H, F), ``U`` (G, H, H)
+    and ``b`` (G, H). The GRU has G = 3 (gates z, r, h), the LSTM G = 4
+    (gates i, f, o, c). Each ``W[g]`` and ``U[g]`` is a contiguous block, so
+    every gate keeps its own matrix products."""
 
     arch: RnnArch
-    weights: CellWeights
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
     head_w: np.ndarray
     head_b: np.ndarray  # shape (1,)
-    label_scaler: MinMaxScaler = MinMaxScaler(mins=np.float64(0.0),
-                                              maxs=np.float64(1.0))
+    in_scaler: MinMaxScaler
+    label_scaler: MinMaxScaler
 
     def _forward(self, X: np.ndarray):
         _, forward, _ = _CELLS[self.arch.cell]
-        return forward(self.weights, X)
+        return forward(self.W, self.U, self.b, X)
 
     def params(self) -> list[np.ndarray]:
         """The trainable arrays, in gradient order."""
-        w = self.weights
-        return [w.W, w.U, w.b, self.head_w, self.head_b]
+        return [self.W, self.U, self.b, self.head_w, self.head_b]
 
 
 @dataclass(frozen=True)
@@ -414,19 +393,21 @@ def _loss_and_grads(model: RnnRegressor, X: np.ndarray, y: np.ndarray):
     g_head_b = np.array([dpred.sum()])
     dh = np.outer(dpred, model.head_w)
     _, _, backward = _CELLS[model.arch.cell]
-    g = backward(model.weights, caches, dh)
-    return loss, [g.W, g.U, g.b, g_head_w, g_head_b]
+    return loss, [*backward(model.W, model.U, model.b, caches, dh),
+                  g_head_w, g_head_b]
 
 
-def _build_model(arch: RnnArch, input_size: int, seed: int) -> RnnRegressor:
+def _build_model(arch: RnnArch, in_scaler: MinMaxScaler,
+                 label_scaler: MinMaxScaler, seed: int) -> RnnRegressor:
+    """Glorot cell and head weights, one input per ``in_scaler`` column."""
     rng = np.random.default_rng(derive_seed(seed, "rnn-init", arch.cell))
     gates, _, _ = _CELLS[arch.cell]
+    H, F = arch.hidden_size, len(in_scaler.mins)
     return RnnRegressor(
-        arch=arch,
-        weights=CellWeights.init(rng, gates, input_size, arch.hidden_size),
-        head_w=_glorot(rng, (arch.hidden_size, 1))[:, 0],
-        head_b=np.zeros(1),
-    )
+        arch=arch, W=_glorot(rng, (gates, H, F)),
+        U=_glorot(rng, (gates, H, H)), b=np.zeros((gates, H)),
+        head_w=_glorot(rng, (H, 1))[:, 0], head_b=np.zeros(1),
+        in_scaler=in_scaler, label_scaler=label_scaler)
 
 
 def _predict_scaled(model: RnnRegressor, X: np.ndarray) -> np.ndarray:
@@ -439,23 +420,24 @@ def train_rnn(
     val: SequenceDataset,
     arch: RnnArch,
     cfg: TrainConfig,
+    in_scaler: MinMaxScaler,
 ) -> tuple[RnnRegressor, list[EpochRecord]]:
     """Minimize MSE by full BPTT over the lookback window.
 
-    Inputs must already be scaled with the training-split scaler. The label
-    is min-max scaled internally from the training split and predictions are
-    returned in label units. Trains with :func:`train_minibatch` and returns
-    the best-validation weights plus one :class:`EpochRecord` per epoch run.
+    Inputs must already be scaled with ``in_scaler``, which the model keeps
+    so that :func:`predict_rnn` takes raw windows. The label is min-max
+    scaled internally from the training split and predictions are returned
+    in label units. Trains with :func:`train_minibatch` and returns the
+    best-validation weights plus one :class:`EpochRecord` per epoch run.
     The training RMSE comes from the minibatch losses, so no epoch runs a
     forward pass over the whole training split.
     """
     if train.X.ndim != 3 or val.X.ndim != 3:
         raise ParameterError("expected sequence datasets (rows x lookback x F)")
-    if train.X.shape[2] != val.X.shape[2]:
-        raise ParameterError("train/val feature counts differ")
-    model = _build_model(arch, train.X.shape[2], cfg.seed)
+    if not train.X.shape[2] == val.X.shape[2] == len(in_scaler.mins):
+        raise ParameterError("train/val/in_scaler feature counts differ")
     label_scaler = MinMaxScaler.fit(train.y)
-    model.label_scaler = label_scaler
+    model = _build_model(arch, in_scaler, label_scaler, cfg.seed)
     y_train = label_scaler.transform(train.y)
     y_val = label_scaler.transform(val.y)
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
@@ -483,30 +465,33 @@ def train_rnn(
 
 
 def predict_rnn(model: RnnRegressor, data: SequenceDataset) -> np.ndarray:
-    """One scalar per sequence row, in label units."""
-    if data.X.ndim != 3 or data.X.shape[2] != model.weights.input_size:
+    """One scalar per window of raw features, in label units; the windows
+    go through ``model.in_scaler`` first."""
+    if data.X.ndim != 3 or data.X.shape[2] != model.W.shape[2]:
         raise ParameterError("dataset shape does not match model input size")
-    return model.label_scaler.inverse_transform(_predict_scaled(model, data.X))
+    return model.label_scaler.inverse_transform(
+        _predict_scaled(model, model.in_scaler.transform(data.X)))
 
 
 # --- serialization -----------------------------------------------------------
 
-RNN_FORMAT_VERSION = 2
+RNN_FORMAT_VERSION = 3
 _RNN_KEYS = ("cell", "hidden_size", "W", "U", "b", "head_w", "head_b",
-             "label_min", "label_max")
+             "in_min", "in_max", "label_min", "label_max")
 
 
 def rnn_to_dict(model: RnnRegressor) -> dict:
-    w = model.weights
     return {
         "version": RNN_FORMAT_VERSION,
         "cell": model.arch.cell,
         "hidden_size": model.arch.hidden_size,
-        "W": w.W.tolist(),
-        "U": w.U.tolist(),
-        "b": w.b.tolist(),
+        "W": model.W.tolist(),
+        "U": model.U.tolist(),
+        "b": model.b.tolist(),
         "head_w": model.head_w.tolist(),
         "head_b": float(model.head_b[0]),
+        "in_min": model.in_scaler.mins.tolist(),
+        "in_max": model.in_scaler.maxs.tolist(),
         "label_min": float(model.label_scaler.mins),
         "label_max": float(model.label_scaler.maxs),
     }
@@ -516,7 +501,8 @@ def rnn_from_dict(data: dict) -> RnnRegressor:
     """Rebuild a model from :func:`rnn_to_dict` output. Another version, a
     missing key, a value that is not a finite JSON number (a bool, a string,
     null, NaN or an infinity) or an array shape that does not fit the cell's
-    gate count and ``hidden_size`` raises :class:`ParameterError`."""
+    gate count, ``hidden_size`` and feature count raises
+    :class:`ParameterError`."""
     if not isinstance(data, dict):
         raise ParameterError("rnn payload must be a JSON object")
     if data.get("version") != RNN_FORMAT_VERSION:
@@ -526,9 +512,10 @@ def rnn_from_dict(data: dict) -> RnnRegressor:
     if not isinstance(hidden, int) or isinstance(hidden, bool):
         raise ParameterError(f"rnn hidden_size must be an integer, got {hidden!r}")
     arch = RnnArch(cell=data["cell"], hidden_size=hidden)
-    W, U, b, head_w = (_numbers(data[k], f"rnn {k}", ndim=ndim)
-                       for k, ndim in (("W", 3), ("U", 3), ("b", 2),
-                                       ("head_w", 1)))
+    W, U, b, head_w, in_min, in_max = (
+        _numbers(data[k], f"rnn {k}", ndim=ndim)
+        for k, ndim in (("W", 3), ("U", 3), ("b", 2), ("head_w", 1),
+                        ("in_min", 1), ("in_max", 1)))
     head_b, label_min, label_max = _numbers(
         [data[k] for k in ("head_b", "label_min", "label_max")],
         "rnn head_b, label_min and label_max").tolist()
@@ -536,20 +523,21 @@ def rnn_from_dict(data: dict) -> RnnRegressor:
         raise ParameterError(f"rnn W has shape {W.shape}, needs "
                              "(gates, hidden_size, features >= 1)")
     gates, _, _ = _CELLS[arch.cell]
+    features = W.shape[2]
     for name, array, shape in (
-            ("W", W, (gates, hidden, W.shape[2])),
+            ("W", W, (gates, hidden, features)),
             ("U", U, (gates, hidden, hidden)),
             ("b", b, (gates, hidden)),
-            ("head_w", head_w, (hidden,))):
+            ("head_w", head_w, (hidden,)),
+            ("in_min", in_min, (features,)),
+            ("in_max", in_max, (features,))):
         if array.shape != shape:
             raise ParameterError(
                 f"rnn {name} has shape {array.shape}, a {arch.cell} with "
-                f"hidden_size {hidden} needs {shape}")
+                f"hidden_size {hidden} and {features} features needs {shape}")
     return RnnRegressor(
-        arch=arch,
-        weights=CellWeights(W=W, U=U, b=b),
-        head_w=head_w,
-        head_b=np.array([head_b]),
+        arch=arch, W=W, U=U, b=b, head_w=head_w, head_b=np.array([head_b]),
+        in_scaler=MinMaxScaler(mins=in_min, maxs=in_max),
         label_scaler=MinMaxScaler(mins=np.float64(label_min),
                                   maxs=np.float64(label_max)),
     )

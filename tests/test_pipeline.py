@@ -5,10 +5,12 @@ import os
 
 import pytest
 
-from fxstack import trees
+from fxstack import pipeline, trees
 from fxstack.config import PipelineConfig
 from fxstack.errors import SchemaError, SpecError
-from fxstack.pipeline import StageError, run_pipeline
+from fxstack.evaluation import compute_metrics
+from fxstack.market_data import in_range, split_spec_from_fractions
+from fxstack.pipeline import BASE_LEARNERS, StageError, run_pipeline
 from fxstack.recurrent import rnn_from_dict, rnn_to_dict
 from fxstack.stacking import MODEL_ORDER
 
@@ -45,7 +47,7 @@ def test_rnn_artifacts_load(run, cell):
     model = rnn_from_dict(payload)
     assert model.arch.cell == cell
     assert model.arch.hidden_size == SMALL["rnn_hidden"]
-    assert model.weights.W.shape[0] == {"gru": 3, "lstm": 4}[cell]
+    assert model.W.shape[0] == {"gru": 3, "lstm": 4}[cell]
 
 
 @pytest.mark.parametrize("name", MODEL_ORDER)
@@ -56,6 +58,32 @@ def test_model_artifacts_round_trip(run, name):
     load, dump = ((rnn_from_dict, rnn_to_dict) if name in ("lstm", "gru")
                   else (trees.model_from_dict, trees.model_to_dict))
     assert json.dumps(dump(load(json.loads(text))), sort_keys=True) == text
+
+
+@pytest.fixture(scope="module")
+def test_frame(run):
+    """The run's test (stacking) range on its selected features, recomputed
+    from its config as the pipeline computes it."""
+    cfg, report, _ = run
+    series, _ = pipeline._ingest(cfg)
+    frame, _, _ = pipeline._features(cfg, series)
+    clean_frame, _ = pipeline._label_and_clean(cfg, series, frame)
+    spec = split_spec_from_fractions(clean_frame.index, cfg.main_split)
+    narrowed = clean_frame.select(report.selected_features)
+    return narrowed.take(in_range(narrowed.index, *spec.test))
+
+
+@pytest.mark.parametrize("name", MODEL_ORDER)
+def test_saved_models_reproduce_the_run(run, test_frame, name):
+    """Each model file, loaded with its loader and applied to the run's own
+    test windows, scores exactly the run's metrics for that model."""
+    cfg, report, out = run
+    load = rnn_from_dict if name in ("lstm", "gru") else trees.model_from_dict
+    model = load(json.loads((out / "models" / f"{name}.json").read_text()))
+    pred = BASE_LEARNERS[name].predict(model, test_frame, cfg)
+    windows = pipeline.to_sequences(test_frame, cfg.lookback)
+    assert (compute_metrics(pred, windows.y).to_dict()
+            == report.base_metrics[name])
 
 
 def test_report_contents(run):

@@ -17,7 +17,11 @@ from oracles import (
     gradient_check,
     gru_step_oracle,
     lstm_step_oracle,
+    unit_scalers,
 )
+
+# make_dataset's inputs are already on a unit scale; this scaler keeps them
+UNIT, _ = unit_scalers(3)
 
 
 def make_dataset(n=200, steps=5, features=3, seed=0, signal=True):
@@ -32,19 +36,19 @@ def make_dataset(n=200, steps=5, features=3, seed=0, signal=True):
                            X=X, y=y, row_timestamps=ts)
 
 
-def random_weights(gates, seed, input_size=4, hidden_size=6):
+def random_weights(cell, seed, input_size=4, hidden_size=6):
     """Glorot weights plus nonzero biases, so every term is exercised."""
     rng = np.random.default_rng(seed)
-    w = rnn.CellWeights.init(rng, gates, input_size=input_size,
-                             hidden_size=hidden_size)
-    w.b[...] = rng.normal(size=(gates, hidden_size))
+    w = rnn._build_model(rnn.RnnArch(cell, hidden_size),
+                         *unit_scalers(input_size), seed)
+    w.b[...] = rng.normal(size=w.b.shape)
     return w, rng.normal(size=(1, 5, input_size))
 
 
 def test_gru_forward_matches_scalar_oracle():
-    w, X = random_weights(3, seed=1)
-    h_T, caches = rnn._gru_forward(w, X)
-    h = np.zeros(w.hidden_size)
+    w, X = random_weights("gru", seed=1)
+    h_T, caches = rnn._gru_forward(w.W, w.U, w.b, X)
+    h = np.zeros(w.arch.hidden_size)
     for t, cache in enumerate(caches):
         np.testing.assert_allclose(cache[1][0], h, atol=1e-12)  # h_prev
         h = gru_step_oracle(w, X[0, t], h)
@@ -52,9 +56,9 @@ def test_gru_forward_matches_scalar_oracle():
 
 
 def test_lstm_forward_matches_scalar_oracle():
-    w, X = random_weights(4, seed=2)
-    h_T, caches = rnn._lstm_forward(w, X)
-    h = c = np.zeros(w.hidden_size)
+    w, X = random_weights("lstm", seed=2)
+    h_T, caches = rnn._lstm_forward(w.W, w.U, w.b, X)
+    h = c = np.zeros(w.arch.hidden_size)
     for t, cache in enumerate(caches):
         np.testing.assert_allclose(cache[1][0], h, atol=1e-12)  # h_prev
         np.testing.assert_allclose(cache[2][0], c, atol=1e-12)  # c_prev
@@ -66,9 +70,9 @@ def test_lstm_forward_matches_scalar_oracle():
 def test_gru_gates_old_state():
     """With z saturated at 1, the zero initial state passes through every
     step unchanged (z multiplies the old state, not the candidate)."""
-    w, X = random_weights(3, seed=3, input_size=2, hidden_size=3)
+    w, X = random_weights("gru", seed=3, input_size=2, hidden_size=3)
     w.b[0] = 50.0  # z's bias; sigmoid(50) == 1 to machine precision
-    h_T, _ = rnn._gru_forward(w, X)
+    h_T, _ = rnn._gru_forward(w.W, w.U, w.b, X)
     np.testing.assert_allclose(h_T, 0.0, atol=1e-12)
 
 
@@ -130,7 +134,7 @@ def test_training_learns_signal(cell):
     cfg = rnn.TrainConfig(batch_size=64, learning_rate=3e-3, max_epochs=30,
                           patience=10, seed=1)
     model, history = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell=cell, hidden_size=8), cfg)
+        train, val, rnn.RnnArch(cell=cell, hidden_size=8), cfg, UNIT)
     assert history[-1].val_rmse < history[0].val_rmse
     pred = rnn.predict_rnn(model, val)
     rmse = np.sqrt(np.mean((pred - val.y) ** 2))
@@ -143,8 +147,8 @@ def test_training_is_deterministic():
     cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=5,
                           seed=3)
     arch = rnn.RnnArch(cell="gru", hidden_size=6)
-    m1, _ = rnn.train_rnn(train, val, arch, cfg)
-    m2, _ = rnn.train_rnn(train, val, arch, cfg)
+    m1, _ = rnn.train_rnn(train, val, arch, cfg, UNIT)
+    m2, _ = rnn.train_rnn(train, val, arch, cfg, UNIT)
     np.testing.assert_array_equal(rnn.predict_rnn(m1, val),
                                   rnn.predict_rnn(m2, val))
 
@@ -158,30 +162,42 @@ def test_divergence_raises_training_error():
     # gates but keeps the loss finite, 1e300 overflows it in the first epoch
     huge = rnn.TrainConfig(batch_size=32, learning_rate=1e12, max_epochs=3,
                            seed=0)
-    _, history = rnn.train_rnn(train, val, arch, huge)
+    _, history = rnn.train_rnn(train, val, arch, huge, UNIT)
     assert len(history) == 3
     cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e300, max_epochs=50,
                           seed=0)
     with pytest.raises(TrainingError, match="at epoch 0$"):
-        rnn.train_rnn(train, val, arch, cfg)
+        rnn.train_rnn(train, val, arch, cfg, UNIT)
 
 
 def _small_model(cell, hidden_size=5):
+    """A model trained on inputs min-max scaled by a scaler fit on its
+    training rows, and raw validation windows."""
     train = make_dataset(n=150, seed=12)
     val = make_dataset(n=40, seed=13)
+    scaler = rnn.fit_scaler(train)
     cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=3,
                           seed=2)
     model, _ = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell=cell, hidden_size=hidden_size), cfg)
+        rnn.apply_scaler(scaler, train), rnn.apply_scaler(scaler, val),
+        rnn.RnnArch(cell=cell, hidden_size=hidden_size), cfg, scaler)
     return model, val
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_serialization_roundtrip(cell):
+    """The weights and both scalers round-trip, so the reloaded model
+    predicts the same bits from raw windows."""
     model, val = _small_model(cell)
     payload = json.loads(json.dumps(rnn.rnn_to_dict(model)))
-    assert payload["version"] == 2
+    assert payload["version"] == 3
     restored = rnn.rnn_from_dict(payload)
+    for scaler in ("in_scaler", "label_scaler"):
+        for end in ("mins", "maxs"):
+            np.testing.assert_array_equal(
+                getattr(getattr(restored, scaler), end),
+                getattr(getattr(model, scaler), end))
+    assert not np.array_equal(model.in_scaler.mins, UNIT.mins)
     np.testing.assert_array_equal(rnn.predict_rnn(restored, val),
                                   rnn.predict_rnn(model, val))
 
@@ -190,9 +206,10 @@ def test_serialization_roundtrip(cell):
 def test_gate_blocks_are_contiguous(cell, gates):
     """Each gate's block is its own contiguous (H, F) / (H, H) / (H,) array,
     after init and after a JSON round trip."""
-    model = rnn._build_model(rnn.RnnArch(cell=cell, hidden_size=5), 3, seed=0)
+    model = rnn._build_model(rnn.RnnArch(cell=cell, hidden_size=5),
+                             *unit_scalers(3), seed=0)
     restored = rnn.rnn_from_dict(json.loads(json.dumps(rnn.rnn_to_dict(model))))
-    for w in (model.weights, restored.weights):
+    for w in (model, restored):
         assert (w.W.shape, w.U.shape, w.b.shape) == (
             (gates, 5, 3), (gates, 5, 5), (gates, 5))
         for g in range(gates):
@@ -202,9 +219,9 @@ def test_gate_blocks_are_contiguous(cell, gates):
 
 def test_rnn_from_dict_rejects_malformed_payloads():
     good = rnn.rnn_to_dict(rnn._build_model(
-        rnn.RnnArch(cell="gru", hidden_size=4), 3, seed=0))
+        rnn.RnnArch(cell="gru", hidden_size=4), *unit_scalers(3), seed=0))
     lstm_w = rnn._build_model(
-        rnn.RnnArch(cell="lstm", hidden_size=4), 3, seed=0).weights
+        rnn.RnnArch(cell="lstm", hidden_size=4), *unit_scalers(3), seed=0)
 
     def with_w_entry(value):
         W = json.loads(json.dumps(good["W"]))
@@ -213,6 +230,8 @@ def test_rnn_from_dict_rejects_malformed_payloads():
 
     bad = {
         "version 1": {**good, "version": 1},
+        "version 2": {**{k: v for k, v in good.items()
+                         if k not in ("in_min", "in_max")}, "version": 2},
         "no version": {k: v for k, v in good.items() if k != "version"},
         "missing U": {k: v for k, v in good.items() if k != "U"},
         "missing label_max": {k: v for k, v in good.items()
@@ -240,6 +259,9 @@ def test_rnn_from_dict_rejects_malformed_payloads():
         "label_min bool": {**good, "label_min": True},
         "head_b NaN": {**good, "head_b": math.nan},
         "label_max infinite": {**good, "label_max": math.inf},
+        "missing in_min": {k: v for k, v in good.items() if k != "in_min"},
+        "in_max too long": {**good, "in_max": good["in_max"] + [1.0]},
+        "in_min entry infinite": {**good, "in_min": [0.0, -math.inf, 0.0]},
         "W entry text": with_w_entry("1.0"),
         "W entry bool": with_w_entry(True),
         "W entry null": with_w_entry(None),
@@ -259,7 +281,7 @@ def test_predict_shape_mismatch_rejected():
     cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=2,
                           seed=0)
     model, _ = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell="gru", hidden_size=4), cfg)
+        train, val, rnn.RnnArch(cell="gru", hidden_size=4), cfg, UNIT)
     bad = make_dataset(n=10, features=5, seed=16)
     with pytest.raises(ParameterError):
         rnn.predict_rnn(model, bad)
@@ -329,8 +351,8 @@ def test_stopped_model_is_held_at_its_best_weights():
 def _train_rnn_full_pass(train, val, arch, cfg):
     """``train_rnn`` as it was when each epoch also ran a forward pass over
     the whole training split to score ``train_rmse``."""
-    model = rnn._build_model(arch, train.X.shape[2], cfg.seed)
-    model.label_scaler = label_scaler = rnn.MinMaxScaler.fit(train.y)
+    label_scaler = rnn.MinMaxScaler.fit(train.y)
+    model = rnn._build_model(arch, UNIT, label_scaler, cfg.seed)
     y_train = label_scaler.transform(train.y)
     y_val = label_scaler.transform(val.y)
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
@@ -366,7 +388,7 @@ def test_history_and_weights_match_full_pass_training(cell):
     train = make_dataset(n=150, seed=21)
     val = make_dataset(n=40, seed=22)
     arch = rnn.RnnArch(cell=cell, hidden_size=6)
-    model, history = rnn.train_rnn(train, val, arch, HISTORY_CFG)
+    model, history = rnn.train_rnn(train, val, arch, HISTORY_CFG, UNIT)
     ref, ref_history = _train_rnn_full_pass(train, val, arch, HISTORY_CFG)
     assert len(history) == len(ref_history)
     assert [r.epoch for r in history] == list(range(len(history)))
@@ -395,7 +417,8 @@ def test_history_train_rmse_is_minibatch_loss_rms(cell, monkeypatch):
 
     monkeypatch.setattr(rnn, "_loss_and_grads", recording_loss_and_grads)
     monkeypatch.setattr(rnn, "_predict_scaled", recording_predict)
-    _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG)
+    _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG,
+                               UNIT)
     epochs.pop()  # opened by the last validation pass
     assert len(epochs) == len(history)
     span = float(train.y.max() - train.y.min())
@@ -414,12 +437,13 @@ def test_training_runs_no_forward_pass_over_train_split(cell, monkeypatch):
     gates, forward, backward = rnn._CELLS[cell]
     seen = []
 
-    def recording_forward(w, X):
+    def recording_forward(W, U, b, X):
         seen.append(X)
-        return forward(w, X)
+        return forward(W, U, b, X)
 
     monkeypatch.setitem(rnn._CELLS, cell, (gates, recording_forward, backward))
-    _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG)
+    _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG,
+                               UNIT)
     # per epoch: three minibatches, then one pass over the validation split
     assert [len(X) for X in seen] == [64, 64, 22, 40] * len(history)
     assert not any(np.shares_memory(X, train.X) for X in seen)
