@@ -383,12 +383,12 @@ class _Splitter:
 
         The tree grows a generation at a time. Each generation's nodes are
         made in order: a node's leaf weight is stored and, if the node is
-        shallower than ``max_depth`` and has two or more rows, its features
-        are drawn. Then one :meth:`search` covers all the drawn nodes, and a
-        node of positive best gain waits to split. Without ``max_leaves``
-        every waiting node splits next (level-wise); with it, the first one
-        of highest gain (leaf-wise), until the tree has ``max_leaves``
-        leaves; the rest stay leaves. The children of the nodes that split
+        shallower than ``max_depth`` and has two or more rows whose gradients
+        are not all equal, its features are drawn. Then one :meth:`search`
+        covers all the drawn nodes, and a node of positive best gain waits
+        to split. Without ``max_leaves`` every waiting node splits next
+        (level-wise); with it, the first one of highest gain (leaf-wise),
+        until the tree has ``max_leaves`` leaves; the rest stay leaves. The children of the nodes that split
         are the next generation, partitioned from their parents' rows at
         once.
         """
@@ -411,10 +411,14 @@ class _Splitter:
         while True:
             cands, ids = [], []
             for node_idx, rows in born:
-                G, H = float(g[node_idx].sum()), float(h[node_idx].sum())
+                g_node = g[node_idx]
+                G, H = float(g_node.sum()), float(h[node_idx].sum())
                 nodes.append([-1, 0.0, 0.0, leaf_weight(G, H, params.lam),
                               -1, -1])
-                if depth < params.max_depth and len(node_idx) >= 2:
+                # equal gradients leave no split to find, only gains of a
+                # few ulps from rounding in their prefix sums
+                if (depth < params.max_depth and len(node_idx) >= 2
+                        and g_node.min() < g_node.max()):
                     features = (
                         np.arange(self.F) if m is None or m >= self.F
                         else np.sort(rng.choice(self.F, size=m, replace=False)))

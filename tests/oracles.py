@@ -514,7 +514,8 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
     nodes first in, first out and searches each as it is popped. Leaf-wise
     growth searches every node in the frontier, whatever its depth, and
     splits the first of highest positive gain; ``max_leaves`` caps the
-    leaves in both modes. Each node is searched alone, and each child's
+    leaves in both modes. A node whose gradients are all equal is a leaf
+    and draws no features. Each node is searched alone, and each child's
     sorted rows are taken from its parent's with a row mask."""
     params = splitter.params
     max_leaves = np.inf if params.max_leaves is None else params.max_leaves
@@ -527,11 +528,13 @@ def grow_oracle(splitter, idx, g, h, growth, rng=None, m=None):
         return trees.leaf_weight(G, H, params.lam)
 
     def search(entry):
+        node_idx = entry[1]
+        if len(node_idx) and g[node_idx].min() == g[node_idx].max():
+            return None  # equal gradients: no features drawn, no split
         if m is None or m >= splitter.F:
             features = np.arange(splitter.F)
         else:
             features = np.sort(rng.choice(splitter.F, size=m, replace=False))
-        node_idx = entry[1]
         G, H = float(g[node_idx].sum()), float(h[node_idx].sum())
         # a node with H + lambda <= 0 is degenerate before its gains divide
         # by it, as the grower finds when it makes the node

@@ -202,8 +202,7 @@ def test_importance_matches_per_split_oracle(case):
         got = trees.importance(model, kind)
         assert got.dtype == float and got.shape == (12,)
         assert got.tolist() == importance_oracle(model, kind)
-    # 0.5 keeps every gradient sum exact: a label such as 0.7 leaves the
-    # forest rounding-noise gains of about 1e-14, which it splits on
+    # 0.5 keeps every gradient sum exact; see the next test for 0.7
     flat = fit(X, np.full(300, 0.5))
     assert all(len(t.splits()) == 0 for t in flat.trees)
     with warnings.catch_warnings():
@@ -211,6 +210,23 @@ def test_importance_matches_per_split_oracle(case):
         for kind in kinds:
             assert trees.importance(flat, kind).tolist() == [0.0] * 12
             assert importance_oracle(flat, kind) == [0.0] * 12
+
+
+@pytest.mark.parametrize("label", [0.7, 0.1])
+def test_forest_does_not_split_a_constant_label(label):
+    """A constant label that no float holds exactly leaves the prefix sums
+    of its gradients a few ulps apart, and so split gains of about 1e-14:
+    the forest grows no split on them, and its impurity importance is all
+    zeros without a warning."""
+    X, _ = random_data(300, 12, seed=3)
+    model = trees.fit_random_forest(
+        X, np.full(300, label),
+        trees.ForestParams(n_trees=5, max_depth=4, m=4, seed=3))
+    assert [len(t.splits()) for t in model.trees] == [0] * 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (trees.importance(model, "impurity_decrease").tolist()
+                == [0.0] * 12)
 
 
 def test_serialization_roundtrip():
