@@ -55,7 +55,7 @@ def _gru_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
 
 def _gru_backward(W: np.ndarray, U: np.ndarray, b: np.ndarray, caches,
                   dh: np.ndarray) -> list[np.ndarray]:
-    """Gradients of ``W``, ``U`` and ``b`` given ``dh``, the gradient of h_T."""
+    """Gradients of ``W``, ``U`` and ``b`` given dh, the gradient of h_T."""
     U_z, U_r, U_h = U
     grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
     per_gate = tuple(zip(*grads))

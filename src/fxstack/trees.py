@@ -388,9 +388,9 @@ class _Splitter:
         covers all the drawn nodes, and a node of positive best gain waits
         to split. Without ``max_leaves`` every waiting node splits next
         (level-wise); with it, the first one of highest gain (leaf-wise),
-        until the tree has ``max_leaves`` leaves; the rest stay leaves. The children of the nodes that split
-        are the next generation, partitioned from their parents' rows at
-        once.
+        until the tree has ``max_leaves`` leaves; the rest stay leaves. The
+        children of the nodes that split are the next generation,
+        partitioned from their parents' rows at once.
         """
         params = self.params
         budget = np.inf if params.max_leaves is None else params.max_leaves

@@ -280,11 +280,14 @@ def test_predict_shape_mismatch_rejected():
     val = make_dataset(n=30, seed=15)
     cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=2,
                           seed=0)
-    model, _ = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell="gru", hidden_size=4), cfg, UNIT)
+    arch = rnn.RnnArch(cell="gru", hidden_size=4)
+    model, _ = rnn.train_rnn(train, val, arch, cfg, UNIT)
     bad = make_dataset(n=10, features=5, seed=16)
     with pytest.raises(ParameterError):
         rnn.predict_rnn(model, bad)
+    for held, scaler in ((bad, UNIT), (val, unit_scalers(5)[0])):
+        with pytest.raises(ParameterError, match="feature counts differ"):
+            rnn.train_rnn(train, held, arch, cfg, scaler)
 
 
 def test_flat_adam_matches_per_array_oracle():
