@@ -425,18 +425,16 @@ def to_sequences(frame: FeatureFrame, lookback: int) -> SequenceDataset:
     )
 
 
-def to_windowed(frame: FeatureFrame, lookback: int) -> SequenceDataset:
-    """Flattened sliding windows for tree models.
-
-    Column order is oldest lag first, grouped by lag:
-    ``close(t-4), high(t-4), ..., close(t), high(t)``.
+def to_windowed(windows: SequenceDataset) -> SequenceDataset:
+    """:func:`to_sequences` windows flattened for tree models, as a view
+    shaped rows x (lookback*F). Column order is oldest lag first, grouped
+    by lag: ``close(t-4), high(t-4), ..., close(t), high(t)``.
     """
-    seq = to_sequences(frame, lookback)
-    rows = seq.X.shape[0]
-    X = seq.X.reshape(rows, lookback * len(seq.feature_names))
+    rows, lookback, n_features = windows.X.shape
     names = [
         lagged_name(base, lookback - 1 - step)
         for step in range(lookback)
-        for base in seq.feature_names
+        for base in windows.feature_names
     ]
-    return replace(seq, feature_names=names, X=X)
+    return replace(windows, feature_names=names,
+                   X=windows.X.reshape(rows, lookback * n_features))

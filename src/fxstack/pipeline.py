@@ -33,8 +33,8 @@ from .errors import FxStackError, InsufficientDataError
 from .evaluation import Metrics, compute_metrics, format_results_table
 from .indicators import compute_features
 from .market_data import (
-    CandleSeries, FeatureFrame, SplitSpec, clean, compute_highest_high,
-    generate_synthetic_ohlc, in_range, load_ohlc_csv,
+    CandleSeries, FeatureFrame, SequenceDataset, SplitSpec, clean,
+    compute_highest_high, generate_synthetic_ohlc, in_range, load_ohlc_csv,
     split_spec_from_fractions, to_sequences, to_windowed)
 from .recap import RecapConfig, RecapResult, export_scores_csv, run_recap
 from .recurrent import (RnnArch, TrainConfig, apply_scaler, fit_scaler,
@@ -122,25 +122,24 @@ def _features(
 
 
 class BaseLearner(NamedTuple):
-    """How the train stage fits, applies and saves one base learner:
-    ``fit(fit_frame, config, seed)`` returns the model, ``predict(model,
-    frame, config)`` one prediction per lookback window of ``frame``, and
-    ``save(model, path)`` writes ``models/<name>.json``. Each looks up this
-    module's functions when it runs, so a wrapper set on one sees the call.
+    """How the train stage fits, applies and saves one base learner, on
+    the lookback windows of :func:`to_sequences`: ``fit(windows, config,
+    seed)`` returns the model, ``predict(model, windows)`` one prediction
+    per window, and ``save(model, path)`` writes ``models/<name>.json``.
+    Each looks up this module's functions when it runs, so a wrapper set on
+    one sees the call.
     """
 
-    fit: Callable[[FeatureFrame, PipelineConfig, int], object]
-    predict: Callable[[object, FeatureFrame, PipelineConfig], np.ndarray]
+    fit: Callable[[SequenceDataset, PipelineConfig, int], object]
+    predict: Callable[[object, SequenceDataset], np.ndarray]
     save: Callable[[object, str], None]
 
 
 def _tree_learner(fit) -> BaseLearner:
     """A tree learner on flattened windows; ``fit(windowed, config, seed)``."""
     return BaseLearner(
-        lambda frame, config, seed: fit(
-            to_windowed(frame, config.lookback), config, seed),
-        lambda model, frame, config: predict_trees(
-            model, to_windowed(frame, config.lookback).X),
+        lambda windows, config, seed: fit(to_windowed(windows), config, seed),
+        lambda model, windows: predict_trees(model, to_windowed(windows).X),
         lambda model, path: save_model(model, path))
 
 
@@ -155,10 +154,9 @@ def _rnn_learner(cell: str) -> BaseLearner:
     """A recurrent learner whose input scaler is fit on all the fit rows;
     the last 15% of them stop training early."""
 
-    def fit(frame, config, seed):
-        sequences = to_sequences(frame, config.lookback)
-        scaler = fit_scaler(sequences)
-        scaled = apply_scaler(scaler, sequences)
+    def fit(windows, config, seed):
+        scaler = fit_scaler(windows)
+        scaled = apply_scaler(scaler, windows)
         n_stop = max(1, int(round(len(scaled.y) * 0.15)))
         model, _ = train_rnn(
             scaled.take(slice(None, -n_stop)),
@@ -173,8 +171,7 @@ def _rnn_learner(cell: str) -> BaseLearner:
 
     return BaseLearner(
         fit,
-        lambda model, frame, config: predict_rnn(
-            model, to_sequences(frame, config.lookback)),
+        lambda model, windows: predict_rnn(model, windows),
         lambda model, path: _write_json(path, rnn_to_dict(model)))
 
 
@@ -200,21 +197,26 @@ BASE_LEARNERS: dict[str, BaseLearner] = dict(zip(MODEL_ORDER, (
 
 def _train_base_models(config: PipelineConfig, frame: FeatureFrame,
                        spec: SplitSpec, selected_base: list[str]):
-    """Fit each base learner on train+validation rows of the selected
-    features, with seed ``derive_seed(config.seed, "base", name)``, and
-    predict over the test (stacking) window, whose windows are returned
-    for their labels and stamps."""
+    """Fit each base learner on the windows of the train+validation rows of
+    the selected features, with seed ``derive_seed(config.seed, "base",
+    name)``, and predict over the windows of the test (stacking) range,
+    which are returned for their labels and stamps. Each range is windowed
+    once, here."""
     narrowed = frame.select(selected_base)
-    fit_frame = narrowed.take(
-        in_range(narrowed.index, spec.train[0], spec.validation[1]))
-    test_frame = narrowed.take(in_range(narrowed.index, *spec.test))
+
+    def windows(start, end):
+        return to_sequences(narrowed.take(
+            in_range(narrowed.index, start, end)), config.lookback)
+
+    fit_windows = windows(spec.train[0], spec.validation[1])
+    test_windows = windows(*spec.test)
     models: dict[str, object] = {}
     predictions: dict[str, np.ndarray] = {}
     for name, learner in BASE_LEARNERS.items():
         models[name] = learner.fit(
-            fit_frame, config, derive_seed(config.seed, "base", name))
-        predictions[name] = learner.predict(models[name], test_frame, config)
-    return models, predictions, to_sequences(test_frame, config.lookback)
+            fit_windows, config, derive_seed(config.seed, "base", name))
+        predictions[name] = learner.predict(models[name], test_windows)
+    return models, predictions, test_windows
 
 
 def _label_and_clean(config: PipelineConfig, series: CandleSeries,

@@ -148,7 +148,7 @@ def run_recap(
     Nothing it computes depends on a row of ``spec.test``.
     """
     train_frame, heldout_frame, _ = split_by_dates(frame, spec)
-    windowed = to_windowed(train_frame, config.lookback)
+    windowed = to_windowed(to_sequences(train_frame, config.lookback))
     rnn_cfg = dataclasses.replace(
         config.rnn_cfg, seed=derive_seed(config.seed, "recap-rnn")
     )

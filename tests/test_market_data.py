@@ -131,7 +131,7 @@ def test_lagged_names_and_window_order():
         "close": series.close, "high": series.high,
     })
     frame = frame.with_label("y", np.arange(30, dtype=float))
-    ds = md.to_windowed(frame, lookback=3)
+    ds = md.to_windowed(md.to_sequences(frame, lookback=3))
     assert ds.feature_names == [
         "close(t-2)", "high(t-2)", "close(t-1)", "high(t-1)",
         "close(t)", "high(t)",
@@ -150,10 +150,12 @@ def test_windowed_is_flattened_sequences():
         "close": series.close, "high": series.high,
     }).with_label("y", np.arange(50, dtype=float))
     seq = md.to_sequences(frame, 5)
-    flat = md.to_windowed(frame, 5)
+    flat = md.to_windowed(seq)
     assert seq.X.shape == (46, 5, 2)
     np.testing.assert_array_equal(flat.X, seq.X.reshape(46, 10))
     np.testing.assert_array_equal(flat.y, seq.y)
+    # a view of the windows: flattening builds no window
+    assert np.shares_memory(flat.X, seq.X)
 
 
 def test_windowing_requires_finite_cells():
@@ -163,7 +165,7 @@ def test_windowing_requires_finite_cells():
     frame = md.FeatureFrame(index=series.timestamps, columns={"close": values})
     frame = frame.with_label("y", np.ones(20))
     with pytest.raises(ParameterError):
-        md.to_windowed(frame, 3)
+        md.to_windowed(md.to_sequences(frame, 3))
 
 
 def test_split_spec_validation():

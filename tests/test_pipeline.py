@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from fxstack import pipeline, trees
+from fxstack import market_data, pipeline, trees
 from fxstack.config import PipelineConfig
 from fxstack.errors import SchemaError, SpecError
 from fxstack.evaluation import compute_metrics
@@ -61,16 +61,41 @@ def test_model_artifacts_round_trip(run, name):
 
 
 @pytest.fixture(scope="module")
-def test_frame(run):
-    """The run's test (stacking) range on its selected features, recomputed
-    from its config as the pipeline computes it."""
-    cfg, report, _ = run
+def clean_split(run):
+    """The run's clean frame and split, recomputed from its config as the
+    pipeline computes them."""
+    cfg, _, _ = run
     series, _ = pipeline._ingest(cfg)
     frame, _, _ = pipeline._features(cfg, series)
     clean_frame, _ = pipeline._label_and_clean(cfg, series, frame)
-    spec = split_spec_from_fractions(clean_frame.index, cfg.main_split)
+    return clean_frame, split_spec_from_fractions(clean_frame.index,
+                                                  cfg.main_split)
+
+
+@pytest.fixture(scope="module")
+def test_frame(run, clean_split):
+    """The run's test (stacking) range on its selected features."""
+    _, report, _ = run
+    clean_frame, spec = clean_split
     narrowed = clean_frame.select(report.selected_features)
     return narrowed.take(in_range(narrowed.index, *spec.test))
+
+
+def test_train_stage_windows_each_range_once(run, clean_split, monkeypatch):
+    """The train stage windows its fit range and its test range once each,
+    and every learner reads those windows; the run's base metrics follow."""
+    cfg, report, _ = run
+    builds = []
+    for module in (pipeline, market_data):
+        def counted(*args, _build=module.to_sequences, **kwargs):
+            builds.append(args)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(module, "to_sequences", counted)
+    _, predictions, test_windows = pipeline._train_base_models(
+        cfg, *clean_split, report.selected_features)
+    assert len(builds) == 2
+    assert {name: compute_metrics(pred, test_windows.y).to_dict()
+            for name, pred in predictions.items()} == report.base_metrics
 
 
 @pytest.mark.parametrize("name", MODEL_ORDER)
@@ -80,8 +105,8 @@ def test_saved_models_reproduce_the_run(run, test_frame, name):
     cfg, report, out = run
     load = rnn_from_dict if name in ("lstm", "gru") else trees.model_from_dict
     model = load(json.loads((out / "models" / f"{name}.json").read_text()))
-    pred = BASE_LEARNERS[name].predict(model, test_frame, cfg)
     windows = pipeline.to_sequences(test_frame, cfg.lookback)
+    pred = BASE_LEARNERS[name].predict(model, windows)
     assert (compute_metrics(pred, windows.y).to_dict()
             == report.base_metrics[name])
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fxstack import recap
 from fxstack.errors import ParameterError
 from fxstack.market_data import (FeatureFrame, in_range, split_by_dates,
-                                 split_spec_from_fractions, to_windowed)
+                                 split_spec_from_fractions, to_sequences,
+                                 to_windowed)
 from planted import generate_planted_frame
 from fxstack.recurrent import MinMaxScaler, RnnArch, TrainConfig
 from fxstack.trees import BoostParams, ForestParams
@@ -108,7 +109,8 @@ def test_run_recap_structure(planted):
         [result.normalized[m] for m in ordered],
         [result.model_rmses[m] for m in ordered])
     train = split_by_dates(planted.frame, spec)[0]
-    names = to_windowed(train, _quick_config().lookback).feature_names
+    names = to_windowed(
+        to_sequences(train, _quick_config().lookback)).feature_names
     assert result.final_scores == dict(zip(names, expected.tolist()))
 
 
