@@ -21,10 +21,15 @@ its findings; ``check_config`` raises on them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SpecError
+from .indicators import compute_features
+from .market_data import generate_synthetic_ohlc, split_sizes
 
 
 def _key(key: str, default, bound: str | None = None):
@@ -197,6 +202,46 @@ def config_to_mapping(config: PipelineConfig) -> dict:
     return out
 
 
+def _too_few_bars(config: PipelineConfig) -> str | None:
+    """Why ``data.n`` synthetic bars are too few for a run of ``config``,
+    or None if they are enough.
+
+    Cleaning drops the feature warm-up, the leading rows of
+    ``compute_features`` that hold a NaN (the indicator windows set it,
+    whatever the prices) or ``arima.fit_len`` with ARIMA on, and the last
+    ``horizon`` rows, which have no label. The rows left, split with
+    ``split_spec_from_fractions``' rounding, must give recap train and
+    validation ranges of ``lookback`` rows or more and a test range of 3
+    windows or more, the fewest the stack can split.
+    """
+    n, lookback = config.synthetic_n, config.lookback
+    frame = compute_features(generate_synthetic_ohlc(n, 0),
+                             config.use_indicators)
+    defined = np.isfinite(frame.matrix()).all(axis=1)
+    if not defined.any():
+        return f"data.n = {n} bars are all feature warm-up"
+    warm_up = int(np.argmax(defined))
+    if config.use_arima:
+        warm_up = max(warm_up, config.arima_fit_len)
+
+    def enough(rows):
+        if rows < 3:
+            return False
+        n_train, n_val, n_test = split_sizes(rows, config.main_split)
+        return min(n_train, n_val) >= lookback and n_test - lookback + 1 >= 3
+
+    rows = n - warm_up - config.horizon
+    if enough(rows):
+        return None
+    # the rounding can leave a count short where a smaller one is enough
+    fewest = next(r for r in itertools.count(rows + 1) if enough(r))
+    return (f"data.n = {n} is too few bars for a run, and "
+            f"{fewest + warm_up + config.horizon} is the next count that is "
+            f"enough: recap needs {lookback} train and {lookback} validation "
+            f"rows and the stack 3 test windows, after a feature warm-up of "
+            f"{warm_up} bars and {config.horizon} bars without a label")
+
+
 @dataclass(frozen=True)
 class Finding:
     severity: str  # "error", the one severity validate_config reports
@@ -239,6 +284,10 @@ def validate_config(config: PipelineConfig) -> list[Finding]:
             err("arima.fit_len too small for the requested grid")
         if config.arima_refit_every < 1:
             err("arima.refit_every must be >= 1")
+    if config.source == "synthetic" and not findings:
+        too_few = _too_few_bars(config)
+        if too_few:
+            err(too_few)
     return findings
 
 

@@ -214,20 +214,27 @@ class SplitSpec:
                 "test": self.test}
 
 
-def split_spec_from_fractions(
-    index: np.ndarray, fractions: tuple[float, float, float]
-) -> SplitSpec:
-    """Build a SplitSpec covering ``index`` with the given row fractions."""
-    if len(index) < 3:
+def split_sizes(n: int, fractions: tuple[float, float, float]
+                ) -> tuple[int, int, int]:
+    """The train, validation and test row counts that
+    :func:`split_spec_from_fractions` gives ``n`` rows."""
+    if n < 3:
         raise InsufficientDataError("need at least 3 rows to split")
     total = sum(fractions)
     if total <= 0 or any(f <= 0 for f in fractions):
         raise ParameterError("fractions must be positive")
-    n = len(index)
     n_train = max(1, int(round(n * fractions[0] / total)))
     n_val = max(1, int(round(n * fractions[1] / total)))
     n_train = min(n_train, n - 2)
     n_val = min(n_val, n - n_train - 1)
+    return n_train, n_val, n - n_train - n_val
+
+
+def split_spec_from_fractions(
+    index: np.ndarray, fractions: tuple[float, float, float]
+) -> SplitSpec:
+    """Build a SplitSpec covering ``index`` with the given row fractions."""
+    n_train, n_val, _ = split_sizes(len(index), fractions)
     eps = np.timedelta64(1, "s")
     start = index[0]
     t1 = index[n_train]

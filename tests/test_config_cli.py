@@ -168,6 +168,28 @@ def test_validate_flags_bad_training_values(field, value):
                for m in messages)
 
 
+@pytest.mark.parametrize("bars,arima,next_enough", [
+    (100, False, 134), (120, False, 134), (133, False, 134), (134, False, None),
+    (135, False, None), (136, False, 137), (137, False, None),
+    (140, False, None), (646, True, 647), (647, True, None),
+])
+def test_validate_names_the_bars_a_run_needs(bars, arima, next_enough):
+    # the default indicators leave 87 rows of warm-up, ARIMA leaves
+    # arima.fit_len; a run of 133 or 136 bars without ARIMA fails in the
+    # stack (the test range rounds to 2 windows), one of 646 with it too
+    cfg = config.PipelineConfig(synthetic_n=bars, use_arima=arima)
+    messages = [f.message for f in config.validate_config(cfg)]
+    if next_enough is None:
+        assert messages == []
+    else:
+        assert messages == [
+            f"data.n = {bars} is too few bars for a run, and {next_enough} is"
+            " the next count that is enough: recap needs 5 train and 5 "
+            "validation rows and the stack 3 test windows, after a feature "
+            f"warm-up of {600 if arima else 87} bars and 5 bars without a "
+            "label"]
+
+
 def test_validate_csv_requires_path():
     cfg = config.PipelineConfig(source="csv")
     assert any(f.severity == "error"
@@ -275,12 +297,15 @@ def test_cli_run_on_the_100_bar_minimum(tmp_path, seed):
     assert values and all(math.isfinite(v) for v in values)
 
 
-def test_cli_100_bars_with_indicators_exit_3(tmp_path, capsys):
+def test_cli_100_bars_with_indicators_exit_2(tmp_path, capsys):
     # the indicator warm-up takes most of the 100 bars, so the recap
-    # held-out range is shorter than its lookback
-    assert _hundred_bars(tmp_path, 1, indicators=True) == cli.EXIT_DATA
+    # held-out range would be shorter than its lookback; the config is
+    # refused before any stage runs, with the bar count that is enough
+    assert _hundred_bars(tmp_path, 1, indicators=True) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "stage 'recap' failed: 1 rows < lookback 5" in err
+    assert "data.n = 100 is too few bars for a run, and 134 is the next " \
+           "count that is enough" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_csv_exit_3(tmp_path):
@@ -293,7 +318,9 @@ def test_cli_bad_csv_exit_3(tmp_path):
 
 def test_cli_ingest_synthetic(tmp_path, capsys):
     cfg = tmp_path / "cfg.cfg"
-    cfg.write_text("data.source = synthetic\ndata.n = 500\n")
+    # without ARIMA, whose 600-bar fit would leave a run of 500 too few
+    cfg.write_text("data.source = synthetic\ndata.n = 500\n"
+                   "features.arima = false\n")
     assert cli.main(["--config", str(cfg), "ingest"]) == 0
     out = capsys.readouterr().out
     assert "bars: 500" in out
