@@ -227,9 +227,8 @@ def _label_and_clean(config: PipelineConfig, series: CandleSeries,
         "highest_high", compute_highest_high(series, config.horizon)))
 
 
-def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunReport:
+def run_pipeline(config: PipelineConfig) -> RunReport:
     check_config(config)
-    out_dir = config.out_dir if out_dir is None else out_dir
 
     timings: dict[str, float] = {}
 
@@ -318,12 +317,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str | None = None) -> RunRepor
     written: list[str] = []
     staged(
         "emit", _emit_artifacts,
-        out_dir, report, recap_results[selected_k], base_metrics,
+        config.out_dir, report, recap_results[selected_k], base_metrics,
         stacking_report, models, written,
     )
     # written once the emit stage has returned, so that it includes "emit"
-    _write_artifacts(out_dir, report, {"timings.json": lambda p: _write_json(
-        p, report.timings, indent=2)}, written)
+    _write_artifacts(config.out_dir, report, {
+        "timings.json": lambda p: _write_json(p, report.timings, indent=2)},
+        written)
     return report
 
 
