@@ -218,9 +218,7 @@ def _too_few_bars(config: PipelineConfig) -> str | None:
     frame = compute_features(generate_synthetic_ohlc(n, 0),
                              config.use_indicators)
     defined = np.isfinite(frame.matrix()).all(axis=1)
-    if not defined.any():
-        return f"data.n = {n} bars are all feature warm-up"
-    warm_up = int(np.argmax(defined))
+    warm_up = int(np.append(defined, True).argmax())
     if config.use_arima:
         warm_up = max(warm_up, config.arima_fit_len)
 
