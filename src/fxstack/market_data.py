@@ -11,6 +11,7 @@ import csv
 from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,9 +144,9 @@ class FeatureFrame:
             cols[label] = self.columns[label]
         return FeatureFrame(index=self.index, columns=cols, label_name=label)
 
-    def take(self, mask: np.ndarray) -> "FeatureFrame":
-        cols = {n: v[mask] for n, v in self.columns.items()}
-        return FeatureFrame(index=self.index[mask], columns=cols,
+    def take(self, rows) -> "FeatureFrame":
+        cols = {n: v[rows] for n, v in self.columns.items()}
+        return FeatureFrame(index=self.index[rows], columns=cols,
                             label_name=self.label_name)
 
     def matrix(self, names: list[str] | None = None) -> np.ndarray:
@@ -192,26 +193,13 @@ class SequenceDataset:
                        row_timestamps=self.row_timestamps[rows])
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Half-open [start, end) timestamp ranges for train/validation/test."""
+class SplitSpec(NamedTuple):
+    """The three consecutive row ranges, train/validation/test, of the frame
+    a spec was built for: ``test.stop`` is that frame's row count."""
 
-    train: tuple[np.datetime64, np.datetime64]
-    validation: tuple[np.datetime64, np.datetime64]
-    test: tuple[np.datetime64, np.datetime64]
-
-    def __post_init__(self) -> None:
-        for name, (start, end) in self.ranges().items():
-            if start >= end:
-                raise SplitError(f"{name} range is empty or inverted")
-        if not (self.train[1] <= self.validation[0] <= self.validation[1]
-                <= self.test[0]):
-            raise SplitError("ranges must be disjoint and ordered "
-                             "train < validation < test")
-
-    def ranges(self) -> dict[str, tuple[np.datetime64, np.datetime64]]:
-        return {"train": self.train, "validation": self.validation,
-                "test": self.test}
+    train: slice
+    validation: slice
+    test: slice
 
 
 def split_sizes(n: int, fractions: tuple[float, float, float]
@@ -233,14 +221,11 @@ def split_sizes(n: int, fractions: tuple[float, float, float]
 def split_spec_from_fractions(
     index: np.ndarray, fractions: tuple[float, float, float]
 ) -> SplitSpec:
-    """Build a SplitSpec covering ``index`` with the given row fractions."""
+    """Split the rows of ``index`` (only its length is read) by the row
+    counts of :func:`split_sizes`."""
     n_train, n_val, _ = split_sizes(len(index), fractions)
-    eps = np.timedelta64(1, "s")
-    start = index[0]
-    t1 = index[n_train]
-    t2 = index[n_train + n_val]
-    end = index[-1] + eps
-    return SplitSpec(train=(start, t1), validation=(t1, t2), test=(t2, end))
+    t1, t2 = n_train, n_train + n_val
+    return SplitSpec(slice(0, t1), slice(t1, t2), slice(t2, len(index)))
 
 
 def load_ohlc_csv(path) -> tuple[CandleSeries, dict[str, int]]:
@@ -372,27 +357,14 @@ def clean(frame: FeatureFrame) -> tuple[FeatureFrame, dict[str, int]]:
     return frame.take(keep), report
 
 
-def in_range(index: np.ndarray, start, end) -> np.ndarray:
-    """Mask of the timestamps in ``index`` inside the half-open [start, end)."""
-    return (index >= start) & (index < end)
-
-
 def split_by_dates(
     frame: FeatureFrame, spec: SplitSpec
 ) -> tuple[FeatureFrame, FeatureFrame, FeatureFrame]:
-    """Partition rows into train/validation/test by half-open timestamp ranges."""
-    if len(frame) == 0:
-        raise EmptyFrameError("cannot split an empty frame")
-    out = []
-    for name, (start, end) in spec.ranges().items():
-        mask = in_range(frame.index, start, end)
-        if not mask.any():
-            raise SplitError(
-                f"{name} split [{format_rfc3339(start)}, {format_rfc3339(end)}) "
-                "contains no rows"
-            )
-        out.append(frame.take(mask))
-    return out[0], out[1], out[2]
+    """The train, validation and test rows of ``frame``, as views."""
+    if len(frame) != spec.test.stop:
+        raise SplitError(f"the split is for {spec.test.stop} rows, "
+                         f"the frame has {len(frame)}")
+    return tuple(frame.take(rows) for rows in spec)
 
 
 def lagged_name(base: str, lag: int) -> str:

@@ -34,7 +34,7 @@ from .evaluation import Metrics, compute_metrics, format_results_table
 from .indicators import compute_features
 from .market_data import (
     CandleSeries, FeatureFrame, SequenceDataset, SplitSpec, clean,
-    compute_highest_high, generate_synthetic_ohlc, in_range, load_ohlc_csv,
+    compute_highest_high, generate_synthetic_ohlc, load_ohlc_csv,
     split_spec_from_fractions, to_sequences, to_windowed)
 from .recap import RecapConfig, RecapResult, export_scores_csv, run_recap
 from .recurrent import (RnnArch, TrainConfig, apply_scaler, fit_scaler,
@@ -203,13 +203,9 @@ def _train_base_models(config: PipelineConfig, frame: FeatureFrame,
     which are returned for their labels and stamps. Each range is windowed
     once, here."""
     narrowed = frame.select(selected_base)
-
-    def windows(start, end):
-        return to_sequences(narrowed.take(
-            in_range(narrowed.index, start, end)), config.lookback)
-
-    fit_windows = windows(spec.train[0], spec.validation[1])
-    test_windows = windows(*spec.test)
+    fit_windows = to_sequences(narrowed.take(slice(spec.test.start)),
+                               config.lookback)
+    test_windows = to_sequences(narrowed.take(spec.test), config.lookback)
     models: dict[str, object] = {}
     predictions: dict[str, np.ndarray] = {}
     for name, learner in BASE_LEARNERS.items():

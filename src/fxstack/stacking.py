@@ -71,7 +71,7 @@ def enumerate_combinations() -> list[tuple[str, ...]]:
 def split_meta(
     frame: FeatureFrame, spec: SplitSpec
 ) -> tuple[FeatureFrame, FeatureFrame, FeatureFrame]:
-    """Timestamp partition of the stacking window into train/val/test (its
+    """The stacking window's consecutive train/val/test row ranges (its
     own name so that the benchmark tracer can time the meta split)."""
     return split_by_dates(frame, spec)
 

@@ -14,7 +14,6 @@ from fxstack.errors import (
     OrderingError,
     ParameterError,
     SchemaError,
-    SplitError,
 )
 from oracles import feature_csv_oracle, highest_high_oracle, load_csv_oracle
 from planted import generate_planted_frame
@@ -168,17 +167,22 @@ def test_windowing_requires_finite_cells():
         md.to_windowed(md.to_sequences(frame, 3))
 
 
-def test_split_spec_validation():
-    t0 = np.datetime64("2021-01-01", "us")
-    day = np.timedelta64(1, "D")
-    with pytest.raises(SplitError):
-        md.SplitSpec(train=(t0, t0), validation=(t0, t0), test=(t0, t0))
-    with pytest.raises(SplitError):  # overlapping train/validation
-        md.SplitSpec(
-            train=(t0, t0 + 2 * day),
-            validation=(t0 + day, t0 + 3 * day),
-            test=(t0 + 3 * day, t0 + 4 * day),
-        )
+def test_split_counts_ignore_stamp_gaps():
+    """Gaps between stamps from a microsecond to a week: the three parts
+    hold exactly split_sizes' counts of consecutive rows."""
+    gaps = 10 ** np.random.default_rng(8).uniform(0, 11.8, size=99)
+    index = np.datetime64("2021-01-01", "us") + np.concatenate(
+        [[0], np.cumsum(gaps.astype(np.int64) + 1)]).astype("timedelta64[us]")
+    frame = md.FeatureFrame(index=index, columns={"row": np.arange(100.0)})
+    for fractions in [(0.6, 0.2, 0.2), (0.7, 0.15, 0.15), (1, 1, 98),
+                      (98, 1, 1)]:
+        spec = md.split_spec_from_fractions(frame.index, fractions)
+        parts = md.split_by_dates(frame, spec)
+        assert [len(p) for p in parts] == list(md.split_sizes(100, fractions))
+        np.testing.assert_array_equal(
+            np.concatenate([p.columns["row"] for p in parts]), np.arange(100.0))
+        np.testing.assert_array_equal(
+            np.concatenate([p.index for p in parts]), index)
 
 
 def test_split_by_dates_partitions_rows():

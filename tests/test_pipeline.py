@@ -9,7 +9,7 @@ from fxstack import market_data, pipeline, trees
 from fxstack.config import PipelineConfig
 from fxstack.errors import SchemaError, SpecError
 from fxstack.evaluation import compute_metrics
-from fxstack.market_data import in_range, split_spec_from_fractions
+from fxstack.market_data import split_spec_from_fractions
 from fxstack.pipeline import BASE_LEARNERS, StageError, run_pipeline
 from fxstack.recurrent import rnn_from_dict, rnn_to_dict
 from fxstack.stacking import MODEL_ORDER
@@ -78,7 +78,7 @@ def test_frame(run, clean_split):
     _, report, _ = run
     clean_frame, spec = clean_split
     narrowed = clean_frame.select(report.selected_features)
-    return narrowed.take(in_range(narrowed.index, *spec.test))
+    return narrowed.take(spec.test)
 
 
 def test_train_stage_windows_each_range_once(run, clean_split, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fxstack import recap
 from fxstack.errors import ParameterError
-from fxstack.market_data import (FeatureFrame, in_range, split_by_dates,
+from fxstack.market_data import (FeatureFrame, split_by_dates,
                                  split_spec_from_fractions, to_sequences,
                                  to_windowed)
 from planted import generate_planted_frame
@@ -127,7 +127,7 @@ def test_recap_never_reads_test_rows(planted):
     spec = split_spec_from_fractions(frame.index, (0.7, 0.15, 0.15))
     expected = recap.run_recap(frame, spec, _quick_config()).to_dict()
     # overwrite every column, label included, on the test rows only
-    rows = in_range(frame.index, *spec.test)
+    rows = spec.test
     columns = {name: values.copy() for name, values in frame.columns.items()}
     for values in columns.values():
         values[rows] = values[rows][::-1] * 7 + 3

@@ -6,7 +6,7 @@ import pytest
 
 from fxstack import stacking
 from fxstack.errors import ParameterError, SplitError, TrainingError
-from fxstack.market_data import SplitSpec, split_spec_from_fractions
+from fxstack.market_data import split_spec_from_fractions
 from fxstack.seeding import derive_seed
 from oracles import meta_nn_oracle
 
@@ -54,17 +54,13 @@ def test_split_meta_partitions():
     assert train.index[-1] < val.index[0] <= val.index[-1] < test.index[0]
 
 
-def test_split_meta_empty_range_rejected():
+def test_split_meta_rejects_a_spec_for_other_rows():
     frame = make_frame(50)
-    day = np.timedelta64(1, "D")
-    t0 = frame.index[-1] + day
-    spec = SplitSpec(
-        train=(t0, t0 + day),
-        validation=(t0 + day, t0 + 2 * day),
-        test=(t0 + 2 * day, t0 + 3 * day),
-    )
-    with pytest.raises(SplitError):
-        stacking.split_meta(frame, spec)
+    for rows in (40, 60):
+        spec = split_spec_from_fractions(make_frame(rows).index,
+                                         (0.6, 0.2, 0.2))
+        with pytest.raises(SplitError, match=f"split is for {rows} rows"):
+            stacking.split_meta(frame, spec)
 
 
 def test_meta_nn_learns_near_identity():
