@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .config import (
@@ -37,7 +38,9 @@ from .errors import (
     SplitError,
     TrainingError,
 )
-from .pipeline import StageError, run_pipeline
+from .market_data import format_rfc3339
+from .pipeline import (StageError, _features, _ingest, _label_and_clean,
+                       run_pipeline)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -82,9 +85,6 @@ def _cmd_validate(config: PipelineConfig, args) -> int:
 
 
 def _cmd_ingest(config: PipelineConfig, args) -> int:
-    from .market_data import format_rfc3339
-    from .pipeline import _ingest
-
     series, dropped = _ingest(config)
     print(f"bars: {len(series)}")
     if len(series):
@@ -96,10 +96,6 @@ def _cmd_ingest(config: PipelineConfig, args) -> int:
 
 
 def _cmd_features(config: PipelineConfig, args) -> int:
-    import os
-
-    from .pipeline import _features, _ingest, _label_and_clean
-
     series, _ = _ingest(config)
     frame, orders, fallbacks = _features(config, series)
     cleaned, _ = _label_and_clean(config, series, frame)
@@ -167,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        if args.command != "validate":
+        # run_pipeline checks its config itself
+        if args.command in ("ingest", "features"):
             check_config(config)
         return _COMMANDS[args.command](config, args)
     except FxStackError as exc:

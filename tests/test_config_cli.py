@@ -245,12 +245,23 @@ def test_cli_removed_subcommands_exit_2(name, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_cli_run_prints_recap_base_and_stacking_sections(tmp_path, capsys):
+def test_cli_run_prints_recap_base_and_stacking_sections(tmp_path, capsys,
+                                                         monkeypatch):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config.config_to_mapping(
         config.PipelineConfig(out_dir=str(out), **SMALL))))
+    # the bar-minimum check computes the features of every synthetic bar,
+    # so the config is validated once per run
+    checks = []
+
+    def counted(*args, _check=config._too_few_bars):
+        checks.append(args)
+        return _check(*args)
+
+    monkeypatch.setattr(config, "_too_few_bars", counted)
     assert cli.main(["--config", str(cfg), "run"]) == 0
+    assert len(checks) == 1
     lines = capsys.readouterr().out.splitlines()
     report = json.loads((out / "report.json").read_text())
     assert [line for line in lines if line.startswith("recap k=")] == [
@@ -359,6 +370,23 @@ def test_cli_too_few_bars_for_arima_exit_3(tmp_path, capsys, command, bars):
     assert f"{bars} bars; the ARIMA columns need more than " \
         "arima.fit_len = 600" in err
     assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "run"])
+def test_cli_failed_fit_exit_4(tmp_path, capsys, monkeypatch, command):
+    # no order in the grid fits, so the order search fails
+    def fit(series, p, d, q):
+        raise DegenerateFitError("injected")
+
+    monkeypatch.setattr(arima, "fit_arma", fit)
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(f"data.n = 700\nout_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["--config", str(cfg), command]) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert "every grid cell failed to fit" in err
+    if command == "run":
+        assert "stage 'features' failed" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_features_reports_refit_fallbacks(tmp_path, capsys, monkeypatch):
