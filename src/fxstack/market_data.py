@@ -360,7 +360,8 @@ def clean(frame: FeatureFrame) -> tuple[FeatureFrame, dict[str, int]]:
 def split_by_dates(
     frame: FeatureFrame, spec: SplitSpec
 ) -> tuple[FeatureFrame, FeatureFrame, FeatureFrame]:
-    """The train, validation and test rows of ``frame``, as views."""
+    """The train, validation and test rows of ``frame``: views of its
+    columns, which no code writes to."""
     if len(frame) != spec.test.stop:
         raise SplitError(f"the split is for {spec.test.stop} rows, "
                          f"the frame has {len(frame)}")

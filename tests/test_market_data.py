@@ -193,7 +193,7 @@ def test_split_by_dates_partitions_rows():
     train, val, test = md.split_by_dates(frame, spec)
     assert len(train) + len(val) + len(test) == 100
     assert train.index[-1] < val.index[0] < test.index[0]
-    # half-open ranges: no timestamp appears twice
+    # consecutive row ranges: no timestamp appears twice
     all_ts = list(train.index) + list(val.index) + list(test.index)
     assert len(set(all_ts)) == 100
 
