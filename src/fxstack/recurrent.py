@@ -23,8 +23,15 @@ from .seeding import derive_seed
 from .trees import _numbers, _require
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """The logistic function of ``a``, written over ``a`` and returned. An
+    entry below about -709 overflows ``exp`` to inf and gives exactly 0, so
+    the overflow is not reported."""
+    np.negative(a, out=a)
+    with np.errstate(over="ignore"):
+        np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -33,22 +40,37 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+# The cell passes make each weight's G gate products with one matmul over
+# the gate axis, which runs one BLAS call per gate on the same 2-D operands
+# as x @ W[g].T, and do the gates' element-wise steps on (G, batch, H)
+# blocks. Every element sees the per-gate operations in the same order (a
+# sum of three or more terms keeps its grouping, gW and gU still add step
+# by step), so the results equal per-gate code bit for bit; exp and tanh
+# run on contiguous blocks only, as they did per gate.
+
+
 def _gru_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
-    """Batched forward over X (batch, time, features); returns (h_T, caches)."""
+    """Batched forward over X (batch, time, features); returns (h_T, caches).
+    Each step caches ``(x, h_prev, gates, uh)``: ``gates`` stacks z, r and
+    h_tilde, and ``uh`` is the candidate's recurrent product."""
     batch, steps, _ = X.shape
-    W_z, W_r, W_h = W
-    U_z, U_r, U_h = U
-    b_z, b_r, b_h = b
+    WT, UT = W.transpose(0, 2, 1), U.transpose(0, 2, 1)
     h = np.zeros((batch, W.shape[1]))
     caches = []
     for t in range(steps):
         x = X[:, t, :]
-        z = _sigmoid(x @ W_z.T + h @ U_z.T + b_z)
-        r = _sigmoid(x @ W_r.T + h @ U_r.T + b_r)
-        uh = h @ U_h.T
-        h_tilde = np.tanh(x @ W_h.T + r * uh + b_h)
-        h_new = z * h + (1.0 - z) * h_tilde
-        caches.append((x, h, z, r, uh, h_tilde))
+        gates = np.matmul(x, WT)
+        hU = np.matmul(h, UT)
+        zr, h_tilde, uh = gates[:2], gates[2], hU[2]
+        zr += hU[:2]
+        zr += b[:2, None]
+        z, r = _sigmoid(zr)
+        h_tilde += r * uh
+        h_tilde += b[2]
+        np.tanh(h_tilde, out=h_tilde)
+        h_new = z * h
+        h_new += (1.0 - z) * h_tilde
+        caches.append((x, h, gates, uh))
         h = h_new
     return h, caches
 
@@ -56,73 +78,91 @@ def _gru_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
 def _gru_backward(W: np.ndarray, U: np.ndarray, b: np.ndarray, caches,
                   dh: np.ndarray) -> list[np.ndarray]:
     """Gradients of ``W``, ``U`` and ``b`` given dh, the gradient of h_T."""
-    U_z, U_r, U_h = U
     grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
-    per_gate = tuple(zip(*grads))
-    for x, h_prev, z, r, uh, h_tilde in reversed(caches):
-        dz = dh * (h_prev - h_tilde)
-        dht = dh * (1.0 - z)
-        dh_prev = dh * z
-        daz = dz * z * (1.0 - z)
-        dah = dht * (1.0 - h_tilde**2)
-        dar = (dah * uh) * r * (1.0 - r)
-        duh = dah * r
+    gW, gU, gb = grads
+    da = np.empty((3,) + dh.shape)  # the gates' pre-activation deltas
+    daT = da.transpose(0, 2, 1)
+    for x, h_prev, gates, uh in reversed(caches):
+        z, r, h_tilde = gates
+        zr = gates[:2]
+        one_minus = 1.0 - zr
+        np.multiply(dh, h_prev - h_tilde, out=da[0])
+        dah = np.multiply(dh, one_minus[0], out=da[2])
+        dah *= 1.0 - h_tilde**2
+        np.multiply(dah, uh, out=da[1])
+        da[:2] *= zr
+        da[:2] *= one_minus
+        gW += np.matmul(daT, x)
+        gb += da.sum(axis=1)
         # the candidate's recurrent term is gated by r, so its U gradient
-        # takes duh where the other two gates take their pre-activation's
-        for (gW, gU, gb), da, du in zip(per_gate, (daz, dar, dah),
-                                        (daz, dar, duh)):
-            gW += da.T @ x
-            gU += du.T @ h_prev
-            gb += da.sum(axis=0)
-        dh = dh_prev + daz @ U_z + dar @ U_r + duh @ U_h
+        # takes dah * r where the other two gates take their pre-activation's
+        dah *= r
+        gU += np.matmul(daT, h_prev)
+        dU = np.matmul(da, U)
+        dh = dh * z  # dh_prev, then the three gates' terms in gate order
+        dh += dU[0]
+        dh += dU[1]
+        dh += dU[2]
     return grads
 
 
 def _lstm_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
+    """Batched forward over X (batch, time, features); returns (h_T, caches).
+    Each step caches ``(x, h_prev, c_prev, gates, c_new)``, where ``gates``
+    stacks i, f, o and c_tilde."""
     batch, steps, _ = X.shape
-    W_i, W_f, W_o, W_c = W
-    U_i, U_f, U_o, U_c = U
-    b_i, b_f, b_o, b_c = b
+    WT, UT = W.transpose(0, 2, 1), U.transpose(0, 2, 1)
     h = np.zeros((batch, W.shape[1]))
     c = np.zeros((batch, W.shape[1]))
     caches = []
     for t in range(steps):
         x = X[:, t, :]
-        i = _sigmoid(x @ W_i.T + h @ U_i.T + b_i)
-        f = _sigmoid(x @ W_f.T + h @ U_f.T + b_f)
-        o = _sigmoid(x @ W_o.T + h @ U_o.T + b_o)
-        c_tilde = np.tanh(x @ W_c.T + h @ U_c.T + b_c)
-        c_new = f * c + i * c_tilde
-        h_new = o * np.tanh(c_new)
-        caches.append((x, h, c, i, f, o, c_tilde, c_new))
+        gates = np.matmul(x, WT)
+        gates += np.matmul(h, UT)
+        gates += b[:, None]
+        i, f, o, c_tilde = gates
+        _sigmoid(gates[:3])
+        np.tanh(c_tilde, out=c_tilde)
+        c_new = f * c
+        c_new += i * c_tilde
+        h_new = np.tanh(c_new)
+        h_new *= o
+        caches.append((x, h, c, gates, c_new))
         h, c = h_new, c_new
     return h, caches
 
 
 def _lstm_backward(W: np.ndarray, U: np.ndarray, b: np.ndarray, caches,
                    dh: np.ndarray) -> list[np.ndarray]:
-    U_i, U_f, U_o, U_c = U
+    """Gradients of ``W``, ``U`` and ``b`` given dh, the gradient of h_T."""
     grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
-    per_gate = tuple(zip(*grads))
+    gW, gU, gb = grads
+    da = np.empty((4,) + dh.shape)  # the gates' pre-activation deltas
+    daT = da.transpose(0, 2, 1)
+    dai, daf, dao, dac = da
     dc = np.zeros_like(dh)
-    for x, h_prev, c_prev, i, f, o, c_tilde, c_new in reversed(caches):
+    for x, h_prev, c_prev, gates, c_new in reversed(caches):
+        i, f, o, c_tilde = gates
+        ifo = gates[:3]
         tc = np.tanh(c_new)
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc**2)
-        di = dc * c_tilde
-        df = dc * c_prev
-        dct = dc * i
-        dc_prev = dc * f
-        dai = di * i * (1.0 - i)
-        daf = df * f * (1.0 - f)
-        dao = do * o * (1.0 - o)
-        dac = dct * (1.0 - c_tilde**2)
-        for (gW, gU, gb), da in zip(per_gate, (dai, daf, dao, dac)):
-            gW += da.T @ x
-            gU += da.T @ h_prev
-            gb += da.sum(axis=0)
-        dh = dai @ U_i + daf @ U_f + dao @ U_o + dac @ U_c
-        dc = dc_prev
+        np.multiply(dh, tc, out=dao)
+        dc_h = dh * o
+        dc_h *= 1.0 - tc**2
+        dc += dc_h
+        np.multiply(dc, c_tilde, out=dai)
+        np.multiply(dc, c_prev, out=daf)
+        np.multiply(dc, i, out=dac)
+        dc *= f  # dc_prev
+        da[:3] *= ifo
+        da[:3] *= 1.0 - ifo
+        dac *= 1.0 - c_tilde**2
+        gW += np.matmul(daT, x)
+        gU += np.matmul(daT, h_prev)
+        gb += da.sum(axis=1)
+        dU = np.matmul(da, U)
+        dh = dU[0] + dU[1]
+        dh += dU[2]
+        dh += dU[3]
     return grads
 
 
@@ -349,8 +389,11 @@ class RnnRegressor:
 
     The cell's weights are stacked by gate: ``W`` (G, H, F), ``U`` (G, H, H)
     and ``b`` (G, H). The GRU has G = 3 (gates z, r, h), the LSTM G = 4
-    (gates i, f, o, c). Each ``W[g]`` and ``U[g]`` is a contiguous block, so
-    every gate keeps its own matrix products."""
+    (gates i, f, o, c). Each ``W[g]`` and ``U[g]`` is a contiguous block.
+    The cell passes make the G products of ``W``, and those of ``U``, with
+    one matmul over the gate axis, one BLAS call per gate, and run the
+    gates' element-wise steps in place on the stacked (G, batch, H)
+    blocks."""
 
     arch: RnnArch
     W: np.ndarray

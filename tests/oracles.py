@@ -348,6 +348,97 @@ def meta_nn_oracle(meta_train, meta_val, members, seed, cfg):
     return model, epoch + 1
 
 
+def _sigmoid_oracle(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_pass_oracle(W, U, b, X, dh):
+    """The GRU's forward and backward passes with every gate's products and
+    element-wise steps made one gate at a time. Returns ``(h_T, [gW, gU,
+    gb])`` for ``dh``, the gradient of h_T."""
+    batch, steps, _ = X.shape
+    W_z, W_r, W_h = W
+    U_z, U_r, U_h = U
+    b_z, b_r, b_h = b
+    h = np.zeros((batch, W.shape[1]))
+    caches = []
+    for t in range(steps):
+        x = X[:, t, :]
+        z = _sigmoid_oracle(x @ W_z.T + h @ U_z.T + b_z)
+        r = _sigmoid_oracle(x @ W_r.T + h @ U_r.T + b_r)
+        uh = h @ U_h.T
+        h_tilde = np.tanh(x @ W_h.T + r * uh + b_h)
+        h_new = z * h + (1.0 - z) * h_tilde
+        caches.append((x, h, z, r, uh, h_tilde))
+        h = h_new
+    h_T = h
+
+    grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
+    per_gate = tuple(zip(*grads))
+    for x, h_prev, z, r, uh, h_tilde in reversed(caches):
+        dz = dh * (h_prev - h_tilde)
+        dht = dh * (1.0 - z)
+        dh_prev = dh * z
+        daz = dz * z * (1.0 - z)
+        dah = dht * (1.0 - h_tilde**2)
+        dar = (dah * uh) * r * (1.0 - r)
+        duh = dah * r
+        for (gW, gU, gb), da, du in zip(per_gate, (daz, dar, dah),
+                                        (daz, dar, duh)):
+            gW += da.T @ x
+            gU += du.T @ h_prev
+            gb += da.sum(axis=0)
+        dh = dh_prev + daz @ U_z + dar @ U_r + duh @ U_h
+    return h_T, grads
+
+
+def lstm_pass_oracle(W, U, b, X, dh):
+    """The LSTM's forward and backward passes with every gate's products
+    and element-wise steps made one gate at a time. Returns ``(h_T, [gW,
+    gU, gb])`` for ``dh``, the gradient of h_T."""
+    batch, steps, _ = X.shape
+    W_i, W_f, W_o, W_c = W
+    U_i, U_f, U_o, U_c = U
+    b_i, b_f, b_o, b_c = b
+    h = np.zeros((batch, W.shape[1]))
+    c = np.zeros((batch, W.shape[1]))
+    caches = []
+    for t in range(steps):
+        x = X[:, t, :]
+        i = _sigmoid_oracle(x @ W_i.T + h @ U_i.T + b_i)
+        f = _sigmoid_oracle(x @ W_f.T + h @ U_f.T + b_f)
+        o = _sigmoid_oracle(x @ W_o.T + h @ U_o.T + b_o)
+        c_tilde = np.tanh(x @ W_c.T + h @ U_c.T + b_c)
+        c_new = f * c + i * c_tilde
+        h_new = o * np.tanh(c_new)
+        caches.append((x, h, c, i, f, o, c_tilde, c_new))
+        h, c = h_new, c_new
+    h_T = h
+
+    grads = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
+    per_gate = tuple(zip(*grads))
+    dc = np.zeros_like(dh)
+    for x, h_prev, c_prev, i, f, o, c_tilde, c_new in reversed(caches):
+        tc = np.tanh(c_new)
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc**2)
+        di = dc * c_tilde
+        df = dc * c_prev
+        dct = dc * i
+        dc_prev = dc * f
+        dai = di * i * (1.0 - i)
+        daf = df * f * (1.0 - f)
+        dao = do * o * (1.0 - o)
+        dac = dct * (1.0 - c_tilde**2)
+        for (gW, gU, gb), da in zip(per_gate, (dai, daf, dao, dac)):
+            gW += da.T @ x
+            gU += da.T @ h_prev
+            gb += da.sum(axis=0)
+        dh = dai @ U_i + daf @ U_f + dao @ U_o + dac @ U_c
+        dc = dc_prev
+    return h_T, grads
+
+
 def gru_step_oracle(w, x, h_prev):
     """Single GRU step via scalar loops (paper convention: z gates the old
     state, r applies inside the candidate's recurrent term). ``w`` holds

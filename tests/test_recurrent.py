@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +15,9 @@ from fxstack.seeding import derive_seed
 from oracles import (
     adam_step_oracle,
     gradient_check,
+    gru_pass_oracle,
     gru_step_oracle,
+    lstm_pass_oracle,
     lstm_step_oracle,
     unit_scalers,
 )
@@ -64,7 +66,7 @@ def test_lstm_forward_matches_scalar_oracle():
         np.testing.assert_allclose(cache[2][0], c, atol=1e-12)  # c_prev
         h, c = lstm_step_oracle(w, X[0, t], h, c)
     np.testing.assert_allclose(h_T[0], h, atol=1e-12)
-    np.testing.assert_allclose(caches[-1][7][0], c, atol=1e-12)
+    np.testing.assert_allclose(caches[-1][4][0], c, atol=1e-12)
 
 
 def test_gru_gates_old_state():
@@ -74,6 +76,48 @@ def test_gru_gates_old_state():
     w.b[0] = 50.0  # z's bias; sigmoid(50) == 1 to machine precision
     h_T, _ = rnn._gru_forward(w.W, w.U, w.b, X)
     np.testing.assert_allclose(h_T, 0.0, atol=1e-12)
+
+
+PASS_ORACLES = {"gru": gru_pass_oracle, "lstm": lstm_pass_oracle}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=st.sampled_from(sorted(PASS_ORACLES)),
+       batch=st.integers(1, 300), steps=st.integers(1, 7),
+       features=st.integers(1, 80), hidden=st.integers(1, 69),
+       seed=st.integers(0, 2**32 - 1))
+@example(cell="gru", batch=1, steps=1, features=1, hidden=1, seed=0)
+@example(cell="lstm", batch=1, steps=1, features=1, hidden=1, seed=0)
+@example(cell="gru", batch=64, steps=5, features=80, hidden=48, seed=1)
+@example(cell="lstm", batch=64, steps=5, features=80, hidden=48, seed=1)
+def test_cell_passes_equal_per_gate_passes(cell, batch, steps, features,
+                                           hidden, seed):
+    """The gate-batched passes give h_T and every gradient bit for bit as
+    the per-gate passes do. ``X`` is a row gather, as training takes its
+    minibatches."""
+    rng = np.random.default_rng(seed)
+    gates, forward, backward = rnn._CELLS[cell]
+    W = rnn._glorot(rng, (gates, hidden, features))
+    U = rnn._glorot(rng, (gates, hidden, hidden))
+    b = rng.normal(size=(gates, hidden))
+    pool = rng.normal(size=(batch + 5, steps, features))
+    X = pool[rng.integers(0, len(pool), size=batch)]
+    dh = rng.normal(size=(batch, hidden))
+    h_T, caches = forward(W, U, b, X)
+    grads = backward(W, U, b, caches, dh)
+    want_h_T, want_grads = PASS_ORACLES[cell](W, U, b, X, dh)
+    assert np.array_equal(h_T, want_h_T)
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_sigmoid_saturates_without_a_warning():
+    x = np.array([-1e308, -800.0, 800.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rnn._sigmoid(x)
+    assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
