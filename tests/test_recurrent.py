@@ -108,7 +108,6 @@ def test_cell_passes_equal_per_gate_passes(cell, batch, steps, features,
     want_h_T, want_grads = PASS_ORACLES[cell](W, U, b, X, dh)
     assert np.array_equal(h_T, want_h_T)
     for got, want in zip(grads, want_grads):
-        assert got.shape == want.shape
         assert np.array_equal(got, want)
 
 
