@@ -76,8 +76,8 @@ def _build_config(args) -> PipelineConfig:
 
 def _cmd_validate(config: PipelineConfig, args) -> int:
     findings = validate_config(config)
-    for finding in findings:
-        print(f"{finding.severity}: {finding.message}")
+    for message in findings:
+        print(f"error: {message}")
     if findings:
         return EXIT_CONFIG
     print("config ok")

@@ -15,7 +15,7 @@ Example config file::
 Each ``PipelineConfig`` field declares its dotted key, its default (which
 fixes the type values are coerced to) and its bound, if any, in one place.
 Unknown keys are rejected so typos fail fast. ``validate_config`` returns
-its findings; ``check_config`` raises on them.
+a message per error; ``check_config`` raises on them.
 """
 
 from __future__ import annotations
@@ -240,20 +240,11 @@ def _too_few_bars(config: PipelineConfig) -> str | None:
             f"{warm_up} bars and {config.horizon} bars without a label")
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str  # "error", the one severity validate_config reports
-    message: str
-
-
-def validate_config(config: PipelineConfig) -> list[Finding]:
-    """Bounds and split sanity; every finding is an error that blocks the
+def validate_config(config: PipelineConfig) -> list[str]:
+    """Bounds and split sanity: one message per error that blocks the
     run."""
-    findings: list[Finding] = []
-
-    def err(msg):
-        findings.append(Finding("error", msg))
-
+    findings: list[str] = []
+    err = findings.append
     if config.source not in ("synthetic", "csv"):
         err(f"data.source must be 'synthetic' or 'csv', got {config.source!r}")
     if config.source == "csv" and not config.csv_path:
@@ -293,5 +284,4 @@ def check_config(config: PipelineConfig) -> None:
     """Raise ``SpecError`` listing every finding."""
     findings = validate_config(config)
     if findings:
-        raise SpecError("invalid config: "
-                        + "; ".join(f.message for f in findings))
+        raise SpecError("invalid config: " + "; ".join(findings))

@@ -26,7 +26,8 @@ class EmptyFrameError(FxStackError):
 
 
 class SplitError(FxStackError):
-    """A date split produced an empty or overlapping partition."""
+    """A split spec was built for a different number of rows than the
+    frame it is applied to."""
 
 
 class SpecError(FxStackError):

@@ -40,7 +40,7 @@ from .recap import RecapConfig, RecapResult, export_scores_csv, run_recap
 from .recurrent import (RnnArch, TrainConfig, apply_scaler, fit_scaler,
                         predict_rnn, rnn_to_dict, train_rnn)
 from .seeding import derive_seed
-from .stacking import (MODEL_ORDER, MetaTrainConfig, StackingReport,
+from .stacking import (META_TRAIN, MODEL_ORDER, StackingReport,
                        build_meta_frame, run_stacking_search)
 from .trees import BoostParams, ForestParams, newton_boost_fit, fit_random_forest
 from .trees import predict as predict_trees
@@ -164,9 +164,8 @@ def _rnn_learner(cell: str) -> BaseLearner:
             RnnArch(cell=cell, hidden_size=config.rnn_hidden),
             TrainConfig(
                 batch_size=config.rnn_batch, learning_rate=config.rnn_lr,
-                max_epochs=config.rnn_epochs, patience=config.rnn_patience,
-                seed=seed),
-            scaler)
+                max_epochs=config.rnn_epochs, patience=config.rnn_patience),
+            scaler, seed=seed)
         return model
 
     return BaseLearner(
@@ -188,8 +187,8 @@ BASE_LEARNERS: dict[str, BaseLearner] = dict(zip(MODEL_ORDER, (
     _tree_learner(lambda windowed, c, seed: fit_random_forest(
         windowed.X, windowed.y, ForestParams(
             n_trees=c.forest_n_trees, max_depth=c.forest_max_depth,
-            m=min(c.forest_m, windowed.X.shape[1]), seed=seed),
-        feature_names=windowed.feature_names)),
+            m=min(c.forest_m, windowed.X.shape[1])),
+        feature_names=windowed.feature_names, seed=seed)),
     _rnn_learner("lstm"),
     _rnn_learner("gru"),
 ), strict=True))
@@ -287,8 +286,9 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         return run_stacking_search(
             meta, meta_spec,
             seed=derive_seed(config.seed, "stack"),
-            cfg=MetaTrainConfig(
-                hidden=config.meta_hidden, learning_rate=config.meta_lr,
+            hidden=config.meta_hidden,
+            cfg=dataclasses.replace(
+                META_TRAIN, learning_rate=config.meta_lr,
                 max_epochs=config.meta_epochs, patience=config.meta_patience,
             ),
         )

@@ -11,13 +11,13 @@ base features) feed the final sequence model.
 
 ``IMPORTANCE_MODELS`` is the one table of the three tree models, in the
 order their scores are fused: each entry's name, importance kind and fit,
-with the budget and seed of :class:`RecapConfig`. The sequence model stops
-early on the held-out range it is scored on.
+with its budget from :class:`RecapConfig` and a seed derived from
+``RecapConfig.seed``. The sequence model stops early on the held-out range
+it is scored on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass, field
 
@@ -125,10 +125,9 @@ IMPORTANCE_MODELS = (
         seed=derive_seed(config.seed, "recap-xgb"))),
     ("random_forest", "impurity_decrease",
      lambda windowed, config: fit_random_forest(
-         windowed.X, windowed.y,
-         dataclasses.replace(config.forest_params,
-                             seed=derive_seed(config.seed, "recap-rf")),
-         feature_names=windowed.feature_names)),
+         windowed.X, windowed.y, config.forest_params,
+         feature_names=windowed.feature_names,
+         seed=derive_seed(config.seed, "recap-rf"))),
     ("lightgbm", "split_count", lambda windowed, config: newton_boost_fit(
         windowed.X, windowed.y, config.hist_params,
         feature_names=windowed.feature_names,
@@ -149,9 +148,6 @@ def run_recap(
     """
     train_frame, heldout_frame, _ = split_by_dates(frame, spec)
     windowed = to_windowed(to_sequences(train_frame, config.lookback))
-    rnn_cfg = dataclasses.replace(
-        config.rnn_cfg, seed=derive_seed(config.seed, "recap-rnn")
-    )
 
     def sequence_metrics(base_features: list[str]) -> Metrics:
         """Held-out metrics of ``config.rnn_arch`` on ``base_features``: it
@@ -162,7 +158,8 @@ def run_recap(
         scaler = fit_scaler(train_seq)
         model, _ = train_rnn(apply_scaler(scaler, train_seq),
                              apply_scaler(scaler, held_seq), config.rnn_arch,
-                             rnn_cfg, scaler)
+                             config.rnn_cfg, scaler,
+                             seed=derive_seed(config.seed, "recap-rnn"))
         return compute_metrics(predict_rnn(model, held_seq), held_seq.y)
 
     names = windowed.feature_names

@@ -273,13 +273,34 @@ class Adam:
             p -= step[part].reshape(p.shape)
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """The budget of :func:`train_minibatch`, shared by the recurrent nets
+    and the stacking meta-nets."""
+
+    batch_size: int = 256
+    learning_rate: float = 1e-5
+    max_epochs: int = 100
+    patience: int = 5
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ParameterError("batch_size must be >= 1")
+        if not (self.learning_rate > 0):
+            raise ParameterError("learning_rate must be > 0")
+        if self.max_epochs < 1:
+            raise ParameterError("max_epochs must be >= 1")
+        if self.patience < 0:
+            raise ParameterError("patience must be >= 0")
+
+
 def train_minibatch(
     params: list[np.ndarray],
     loss_and_grads: Callable[[np.ndarray],
                              tuple[np.ndarray, list[np.ndarray]]],
     val_rmse: Callable[[], np.ndarray],
     n_rows: int,
-    cfg,
+    cfg: TrainConfig,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minibatch Adam with early stopping for K = ``len(rngs)`` independent
@@ -289,8 +310,8 @@ def train_minibatch(
     length K, entry k belonging to model k. ``loss_and_grads(rows)`` takes
     a (K, batch) array whose row k is model k's minibatch and returns the K
     mean losses and one gradient per array, shaped like it; ``val_rmse()``
-    returns the K validation scores of the current parameters. ``cfg`` has
-    ``batch_size``, ``learning_rate``, ``max_epochs`` and ``patience``.
+    returns the K validation scores of the current parameters. ``cfg`` is
+    the :class:`TrainConfig` budget that every model shares.
 
     Each model draws its epoch's row order from its own ``rngs[k]`` and keeps
     its own best-validation copy and patience count. It stops after more than
@@ -364,21 +385,6 @@ class RnnArch:
             raise ParameterError(f"unknown cell {self.cell!r}")
         if self.hidden_size < 1:
             raise ParameterError("hidden_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 256
-    learning_rate: float = 1e-5
-    max_epochs: int = 100
-    patience: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if not (self.learning_rate > 0):
-            raise ParameterError("learning_rate must be > 0")
 
 
 @dataclass
@@ -464,8 +470,10 @@ def train_rnn(
     arch: RnnArch,
     cfg: TrainConfig,
     in_scaler: MinMaxScaler,
+    seed: int = 0,
 ) -> tuple[RnnRegressor, list[EpochRecord]]:
-    """Minimize MSE by full BPTT over the lookback window.
+    """Minimize MSE by full BPTT over the lookback window; ``seed`` draws
+    the initial weights and each epoch's row order.
 
     Inputs must already be scaled with ``in_scaler``, which the model keeps
     so that :func:`predict_rnn` takes raw windows. The label is min-max
@@ -480,7 +488,7 @@ def train_rnn(
     if not train.X.shape[2] == val.X.shape[2] == len(in_scaler.mins):
         raise ParameterError("train/val/in_scaler feature counts differ")
     label_scaler = MinMaxScaler.fit(train.y)
-    model = _build_model(arch, in_scaler, label_scaler, cfg.seed)
+    model = _build_model(arch, in_scaler, label_scaler, seed)
     y_train = label_scaler.transform(train.y)
     y_val = label_scaler.transform(val.y)
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
@@ -499,7 +507,7 @@ def train_rnn(
     losses, scores = train_minibatch(
         [p[None] for p in model.params()], loss_and_grads, val_rmse,
         train.X.shape[0], cfg,
-        [np.random.default_rng(derive_seed(cfg.seed, "rnn-batches"))],
+        [np.random.default_rng(derive_seed(seed, "rnn-batches"))],
     )
     return model, [EpochRecord(epoch=k, train_rmse=math.sqrt(loss) * span,
                                val_rmse=val)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError
 from .evaluation import Metrics, compute_metrics
 from .market_data import FeatureFrame, SplitSpec, split_by_dates
-from .recurrent import MinMaxScaler, train_minibatch
+from .recurrent import MinMaxScaler, TrainConfig, train_minibatch
 from .seeding import derive_seed
 
 MODEL_ORDER = ("xgboost", "lightgbm", "random_forest", "lstm", "gru")
@@ -99,13 +99,10 @@ class MetaModel:
         return self.label_scaler.inverse_transform(ys)
 
 
-@dataclass(frozen=True)
-class MetaTrainConfig:
-    hidden: int = 16
-    learning_rate: float = 0.01
-    max_epochs: int = 300
-    patience: int = 30
-    batch_size: int = 128
+# the meta-nets' default budget; their minibatch of 128 rows has no
+# config key
+META_TRAIN = TrainConfig(batch_size=128, learning_rate=0.01, max_epochs=300,
+                         patience=30)
 
 
 def train_meta_nn(
@@ -113,11 +110,12 @@ def train_meta_nn(
     meta_val: FeatureFrame,
     combos: list[tuple[str, ...]],
     seeds: list[int],
-    cfg: MetaTrainConfig = MetaTrainConfig(),
+    hidden: int = 16,
+    cfg: TrainConfig = META_TRAIN,
 ) -> list[MetaModel]:
-    """Fit one meta network per combination, all in one stacked
-    :func:`recurrent.train_minibatch` call (Adam, early stopping on each
-    net's meta-validation RMSE).
+    """Fit one meta network of ``hidden`` units per combination, all in
+    one stacked :func:`recurrent.train_minibatch` call with budget ``cfg``
+    (Adam, early stopping on each net's meta-validation RMSE).
 
     Net k sees the prediction columns of ``combos[k]``; inputs and label are
     min-max scaled on meta-train. A generator seeded from ``seeds[k]`` draws
@@ -133,7 +131,9 @@ def train_meta_nn(
     if len(seeds) != len(combos):
         raise ParameterError(
             f"{len(combos)} combinations but {len(seeds)} seeds")
-    n_nets, hid = len(combos), cfg.hidden
+    if hidden < 1:
+        raise ParameterError("hidden must be >= 1")
+    n_nets, hid = len(combos), hidden
     # per-column scaling, so each net's inputs are columns of one scaled frame
     X = meta_train.matrix(list(MODEL_ORDER))
     in_scaler = MinMaxScaler.fit(X)
@@ -263,18 +263,20 @@ def run_stacking_search(
     frame: FeatureFrame,
     meta_spec: SplitSpec,
     seed: int,
-    cfg: MetaTrainConfig = MetaTrainConfig(),
+    hidden: int = 16,
+    cfg: TrainConfig = META_TRAIN,
 ) -> StackingReport:
-    """Train all 31 meta models, score each on meta-validation and
-    meta-test, and select the one with the minimum meta-validation RMSE
-    (ties go to the lower combination id)."""
+    """Train all 31 meta models of ``hidden`` units with budget ``cfg``,
+    score each on meta-validation and meta-test, and select the one with
+    the minimum meta-validation RMSE (ties go to the lower combination
+    id)."""
     meta_train, meta_val, meta_test = split_meta(frame, meta_spec)
     combos = enumerate_combinations()
     models = train_meta_nn(
         meta_train, meta_val, combos,
         [derive_seed(seed, "stacking", combo_id)
          for combo_id in range(len(combos))],
-        cfg=cfg,
+        hidden, cfg,
     )
     rows = [
         CombinationResult(

@@ -126,7 +126,6 @@ class ForestParams:
     n_trees: int = 100
     max_depth: int = 12
     m: int | None = None  # features drawn per split; None = all
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -605,8 +604,10 @@ def fit_random_forest(
     y: np.ndarray,
     params: ForestParams,
     feature_names: list[str] | None = None,
+    seed: int = 0,
 ) -> ForestModel:
-    """Bagged variance-reduction trees; prediction is the mean over trees."""
+    """Bagged variance-reduction trees, tree i drawn from ``derive_seed(seed,
+    "forest-tree", i)``; prediction is the mean over trees."""
     X, y, feature_names = _fit_inputs(X, y, feature_names)
     n = len(y)
     tree_params = BoostParams(
@@ -615,10 +616,8 @@ def fit_random_forest(
     )
     ranks = _dense_ranks(X)
     trees = []
-    seeds = []
-    for i in range(params.n_trees):
-        tree_seed = derive_seed(params.seed, "forest-tree", i)
-        seeds.append(tree_seed)
+    seeds = [derive_seed(seed, "forest-tree", i) for i in range(params.n_trees)]
+    for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, n, size=n)
         Xb, yb = X[rows], y[rows]

@@ -289,16 +289,16 @@ def adam_step_oracle(params, grads, m, v, t, learning_rate,
         p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def meta_nn_oracle(meta_train, meta_val, members, seed, cfg):
-    """One combination's meta network, on the tuple of model names
-    ``members``, fitted on its own: minibatch Adam (array by array,
+def meta_nn_oracle(meta_train, meta_val, members, seed, hidden, cfg):
+    """One combination's meta network of ``hidden`` units, on the tuple of
+    model names ``members``, fitted on its own: minibatch Adam (array by array,
     :func:`adam_step_oracle`) with early stopping on the meta-validation
     RMSE, as a single-net loop. Returns the model at its best-validation
     weights and the number of epochs run."""
     X = np.column_stack([meta_train.columns[m] for m in members])
     Xv = np.column_stack([meta_val.columns[m] for m in members])
     rng = np.random.default_rng(derive_seed(seed, "meta-nn", *members))
-    hid = cfg.hidden
+    hid = hidden
     model = MetaModel(
         members=members,
         in_scaler=MinMaxScaler.fit(X),

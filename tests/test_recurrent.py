@@ -175,9 +175,9 @@ def test_training_learns_signal(cell):
     train = make_dataset(n=400, seed=5)
     val = make_dataset(n=100, seed=6)
     cfg = rnn.TrainConfig(batch_size=64, learning_rate=3e-3, max_epochs=30,
-                          patience=10, seed=1)
+                          patience=10)
     model, history = rnn.train_rnn(
-        train, val, rnn.RnnArch(cell=cell, hidden_size=8), cfg, UNIT)
+        train, val, rnn.RnnArch(cell=cell, hidden_size=8), cfg, UNIT, seed=1)
     assert history[-1].val_rmse < history[0].val_rmse
     pred = rnn.predict_rnn(model, val)
     rmse = np.sqrt(np.mean((pred - val.y) ** 2))
@@ -187,13 +187,24 @@ def test_training_learns_signal(cell):
 def test_training_is_deterministic():
     train = make_dataset(n=200, seed=8)
     val = make_dataset(n=50, seed=9)
-    cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=5,
-                          seed=3)
+    cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=5)
     arch = rnn.RnnArch(cell="gru", hidden_size=6)
-    m1, _ = rnn.train_rnn(train, val, arch, cfg, UNIT)
-    m2, _ = rnn.train_rnn(train, val, arch, cfg, UNIT)
+    m1, _ = rnn.train_rnn(train, val, arch, cfg, UNIT, seed=3)
+    m2, _ = rnn.train_rnn(train, val, arch, cfg, UNIT, seed=3)
     np.testing.assert_array_equal(rnn.predict_rnn(m1, val),
                                   rnn.predict_rnn(m2, val))
+
+
+@pytest.mark.parametrize("budget,message", [
+    ({"max_epochs": 0}, "max_epochs must be >= 1"),
+    ({"patience": -1}, "patience must be >= 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+])
+def test_train_config_rejects_degenerate_loops(budget, message):
+    # max_epochs = 0 returned an untrained model with an empty history, and
+    # a negative patience stopped every model after its first epoch
+    with pytest.raises(ParameterError, match=message):
+        rnn.TrainConfig(**budget)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -203,14 +214,12 @@ def test_divergence_raises_training_error():
     arch = rnn.RnnArch(cell="lstm", hidden_size=8)
     # Adam steps every weight by about the learning rate: 1e12 saturates the
     # gates but keeps the loss finite, 1e300 overflows it in the first epoch
-    huge = rnn.TrainConfig(batch_size=32, learning_rate=1e12, max_epochs=3,
-                           seed=0)
-    _, history = rnn.train_rnn(train, val, arch, huge, UNIT)
+    huge = rnn.TrainConfig(batch_size=32, learning_rate=1e12, max_epochs=3)
+    _, history = rnn.train_rnn(train, val, arch, huge, UNIT, seed=0)
     assert len(history) == 3
-    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e300, max_epochs=50,
-                          seed=0)
+    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e300, max_epochs=50)
     with pytest.raises(TrainingError, match="at epoch 0$"):
-        rnn.train_rnn(train, val, arch, cfg, UNIT)
+        rnn.train_rnn(train, val, arch, cfg, UNIT, seed=0)
 
 
 def _small_model(cell, hidden_size=5):
@@ -219,11 +228,10 @@ def _small_model(cell, hidden_size=5):
     train = make_dataset(n=150, seed=12)
     val = make_dataset(n=40, seed=13)
     scaler = rnn.fit_scaler(train)
-    cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=3,
-                          seed=2)
+    cfg = rnn.TrainConfig(batch_size=64, learning_rate=1e-3, max_epochs=3)
     model, _ = rnn.train_rnn(
         rnn.apply_scaler(scaler, train), rnn.apply_scaler(scaler, val),
-        rnn.RnnArch(cell=cell, hidden_size=hidden_size), cfg, scaler)
+        rnn.RnnArch(cell=cell, hidden_size=hidden_size), cfg, scaler, seed=2)
     return model, val
 
 
@@ -321,16 +329,15 @@ def test_rnn_from_dict_rejects_malformed_payloads():
 def test_predict_shape_mismatch_rejected():
     train = make_dataset(n=100, seed=14)
     val = make_dataset(n=30, seed=15)
-    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=2,
-                          seed=0)
+    cfg = rnn.TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=2)
     arch = rnn.RnnArch(cell="gru", hidden_size=4)
-    model, _ = rnn.train_rnn(train, val, arch, cfg, UNIT)
+    model, _ = rnn.train_rnn(train, val, arch, cfg, UNIT, seed=0)
     bad = make_dataset(n=10, features=5, seed=16)
     with pytest.raises(ParameterError):
         rnn.predict_rnn(model, bad)
     for held, scaler in ((bad, UNIT), (val, unit_scalers(5)[0])):
         with pytest.raises(ParameterError, match="feature counts differ"):
-            rnn.train_rnn(train, held, arch, cfg, scaler)
+            rnn.train_rnn(train, held, arch, cfg, scaler, seed=0)
 
 
 def test_flat_adam_matches_per_array_oracle():
@@ -394,11 +401,11 @@ def test_stopped_model_is_held_at_its_best_weights():
     assert not np.array_equal(p[0], after_epoch[3][0])
 
 
-def _train_rnn_full_pass(train, val, arch, cfg):
+def _train_rnn_full_pass(train, val, arch, cfg, seed):
     """``train_rnn`` as it was when each epoch also ran a forward pass over
     the whole training split to score ``train_rmse``."""
     label_scaler = rnn.MinMaxScaler.fit(train.y)
-    model = rnn._build_model(arch, UNIT, label_scaler, cfg.seed)
+    model = rnn._build_model(arch, UNIT, label_scaler, seed)
     y_train = label_scaler.transform(train.y)
     y_val = label_scaler.transform(val.y)
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
@@ -420,13 +427,14 @@ def _train_rnn_full_pass(train, val, arch, cfg):
     rnn.train_minibatch(
         [p[None] for p in model.params()], loss_and_grads, val_rmse,
         train.X.shape[0], cfg,
-        [np.random.default_rng(derive_seed(cfg.seed, "rnn-batches"))])
+        [np.random.default_rng(derive_seed(seed, "rnn-batches"))])
     return model, history
 
 
 # both cells stop early on these data and restore their best weights
 HISTORY_CFG = rnn.TrainConfig(batch_size=64, learning_rate=5e-2,
-                              max_epochs=12, patience=1, seed=4)
+                              max_epochs=12, patience=1)
+HISTORY_SEED = 4
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
@@ -434,8 +442,10 @@ def test_history_and_weights_match_full_pass_training(cell):
     train = make_dataset(n=150, seed=21)
     val = make_dataset(n=40, seed=22)
     arch = rnn.RnnArch(cell=cell, hidden_size=6)
-    model, history = rnn.train_rnn(train, val, arch, HISTORY_CFG, UNIT)
-    ref, ref_history = _train_rnn_full_pass(train, val, arch, HISTORY_CFG)
+    model, history = rnn.train_rnn(train, val, arch, HISTORY_CFG, UNIT,
+                                   seed=HISTORY_SEED)
+    ref, ref_history = _train_rnn_full_pass(train, val, arch, HISTORY_CFG,
+                                            HISTORY_SEED)
     assert len(history) == len(ref_history)
     assert [r.epoch for r in history] == list(range(len(history)))
     assert [r.val_rmse for r in history] == [r.val_rmse for r in ref_history]
@@ -464,7 +474,7 @@ def test_history_train_rmse_is_minibatch_loss_rms(cell, monkeypatch):
     monkeypatch.setattr(rnn, "_loss_and_grads", recording_loss_and_grads)
     monkeypatch.setattr(rnn, "_predict_scaled", recording_predict)
     _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG,
-                               UNIT)
+                               UNIT, seed=HISTORY_SEED)
     epochs.pop()  # opened by the last validation pass
     assert len(epochs) == len(history)
     span = float(train.y.max() - train.y.min())
@@ -489,7 +499,7 @@ def test_training_runs_no_forward_pass_over_train_split(cell, monkeypatch):
 
     monkeypatch.setitem(rnn._CELLS, cell, (gates, recording_forward, backward))
     _, history = rnn.train_rnn(train, val, rnn.RnnArch(cell, 6), HISTORY_CFG,
-                               UNIT)
+                               UNIT, seed=HISTORY_SEED)
     # per epoch: three minibatches, then one pass over the validation split
     assert [len(X) for X in seen] == [64, 64, 22, 40] * len(history)
     assert not any(np.shares_memory(X, train.X) for X in seen)

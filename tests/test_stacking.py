@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -94,7 +95,7 @@ def test_meta_nn_divergence_raises_training_error():
     frame = make_frame(300, seed=5)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
     train, val, _ = stacking.split_meta(frame, spec)
-    cfg = stacking.MetaTrainConfig(learning_rate=1e300)
+    cfg = dataclasses.replace(stacking.META_TRAIN, learning_rate=1e300)
     with pytest.raises(TrainingError, match="epoch 0"):
         stacking.train_meta_nn(train, val, [("gru",)], [0], cfg=cfg)
 
@@ -102,13 +103,14 @@ def test_meta_nn_divergence_raises_training_error():
 # on make_frame(300, seed=11) meta-train has 180 rows: patience 3 stops the
 # nets at many different epochs, 64-row batches leave a 52-row remainder and
 # one 256-row batch takes every row
+ORACLE_HIDDEN = 8
 ORACLE_CFGS = {
-    "patience-3": stacking.MetaTrainConfig(hidden=8, max_epochs=60,
-                                           patience=3, batch_size=60),
-    "partial-batch": stacking.MetaTrainConfig(hidden=8, max_epochs=40,
-                                              patience=10, batch_size=64),
-    "one-batch": stacking.MetaTrainConfig(hidden=8, max_epochs=40,
-                                          patience=5, batch_size=256),
+    "patience-3": dataclasses.replace(stacking.META_TRAIN, max_epochs=60,
+                                      patience=3, batch_size=60),
+    "partial-batch": dataclasses.replace(stacking.META_TRAIN, max_epochs=40,
+                                         patience=10, batch_size=64),
+    "one-batch": dataclasses.replace(stacking.META_TRAIN, max_epochs=40,
+                                     patience=5, batch_size=256),
 }
 
 
@@ -124,11 +126,13 @@ def test_stacked_fit_matches_per_net_oracle(case):
     _, _, (train, val, _) = _oracle_split()
     combos = stacking.enumerate_combinations()
     seeds = [derive_seed(5, "stacking", k) for k in range(len(combos))]
-    models = stacking.train_meta_nn(train, val, combos, seeds, cfg)
+    models = stacking.train_meta_nn(train, val, combos, seeds, ORACLE_HIDDEN,
+                                    cfg)
     assert len(models) == 31
     epochs_run = []
     for model, combo, seed in zip(models, combos, seeds):
-        ref, epochs = meta_nn_oracle(train, val, combo, seed, cfg)
+        ref, epochs = meta_nn_oracle(train, val, combo, seed, ORACLE_HIDDEN,
+                                     cfg)
         epochs_run.append(epochs)
         assert model.members == combo
         for name in ("W1", "b1", "W2", "b2"):
@@ -141,15 +145,31 @@ def test_stacked_fit_matches_per_net_oracle(case):
 def test_search_report_matches_oracle_models(monkeypatch):
     frame, spec, _ = _oracle_split()
     cfg = ORACLE_CFGS["partial-batch"]
-    report = stacking.run_stacking_search(frame, spec, seed=3, cfg=cfg)
+    report = stacking.run_stacking_search(frame, spec, seed=3,
+                                          hidden=ORACLE_HIDDEN, cfg=cfg)
 
-    def oracle_fit(meta_train, meta_val, combos, seeds, cfg):
-        return [meta_nn_oracle(meta_train, meta_val, c, s, cfg)[0]
+    def oracle_fit(meta_train, meta_val, combos, seeds, hidden, cfg):
+        return [meta_nn_oracle(meta_train, meta_val, c, s, hidden, cfg)[0]
                 for c, s in zip(combos, seeds)]
 
     monkeypatch.setattr(stacking, "train_meta_nn", oracle_fit)
-    expected = stacking.run_stacking_search(frame, spec, seed=3, cfg=cfg)
+    expected = stacking.run_stacking_search(frame, spec, seed=3,
+                                            hidden=ORACLE_HIDDEN, cfg=cfg)
     assert report.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("hidden,budget", [
+    (0, {}), (16, {"batch_size": 0}), (16, {"max_epochs": 0}),
+    (16, {"patience": -1}),
+])
+def test_meta_nn_rejects_degenerate_budgets(hidden, budget):
+    # no hidden unit makes 31 constant nets and no epoch untrained ones;
+    # a batch of 0 rows used to fail inside range() with a bare ValueError
+    _, _, (train, val, _) = _oracle_split()
+    with pytest.raises(ParameterError, match=" must be >= "):
+        stacking.train_meta_nn(
+            train, val, [("gru",)], [0], hidden,
+            dataclasses.replace(stacking.META_TRAIN, **budget))
 
 
 def test_meta_nn_needs_one_seed_per_combination():
@@ -172,10 +192,11 @@ def test_search_scores_constant_columns(constant):
         labels = np.full(len(labels), 1.25)
     frame = stacking.build_meta_frame(preds, labels, frame.index)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
-    cfg = stacking.MetaTrainConfig(hidden=8, max_epochs=20, patience=5)
+    cfg = dataclasses.replace(stacking.META_TRAIN, max_epochs=20, patience=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = stacking.run_stacking_search(frame, spec, seed=1, cfg=cfg)
+        report = stacking.run_stacking_search(frame, spec, seed=1, hidden=8,
+                                              cfg=cfg)
     assert len(report.rows) == 31
     for r in report.rows:
         for m in (r.val, r.test):
@@ -186,7 +207,7 @@ def test_search_scores_constant_columns(constant):
 def search_report():
     frame = make_frame(500, seed=7)
     spec = split_spec_from_fractions(frame.index, (0.6, 0.2, 0.2))
-    cfg = stacking.MetaTrainConfig(max_epochs=60, patience=10)
+    cfg = dataclasses.replace(stacking.META_TRAIN, max_epochs=60, patience=10)
     return stacking.run_stacking_search(frame, spec, seed=0, cfg=cfg)
 
 

@@ -125,7 +125,7 @@ def test_forest_importance_finds_planted_feature():
     X = rng.normal(size=(2000, 50))
     y = 3.0 * X[:, 3] + rng.normal(size=2000) * 0.1
     model = trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=10, max_depth=6, seed=0))
+        X, y, trees.ForestParams(n_trees=10, max_depth=6), seed=0)
     scores = trees.importance(model, "impurity_decrease")
     assert model.feature_names[int(np.argmax(scores))] == "x3"
     assert sum(scores.tolist()) == pytest.approx(1.0)
@@ -134,7 +134,7 @@ def test_forest_importance_finds_planted_feature():
 def test_forest_prediction_is_mean_of_trees():
     X, y = random_data(200, 5, seed=8)
     model = trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=7, max_depth=4, seed=2))
+        X, y, trees.ForestParams(n_trees=7, max_depth=4), seed=2)
     per_tree = np.mean(
         [trees.predict_tree(t, X) for t in model.trees], axis=0)
     np.testing.assert_allclose(trees.predict(model, X), per_tree, atol=1e-12)
@@ -146,7 +146,7 @@ def test_forest_variance_reduction_leaf_is_mean():
     X = rng.normal(size=(100, 1))
     y = rng.normal(size=100)
     model = trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=1, max_depth=1, seed=0))
+        X, y, trees.ForestParams(n_trees=1, max_depth=1), seed=0)
     # the tree's bootstrap sample: the first draw of its generator
     rows = np.random.default_rng(model.tree_seeds[0]).integers(0, 100, 100)
     X, y = X[rows], y[rows]
@@ -162,7 +162,7 @@ def test_importance_kind_compatibility():
     boosted = trees.newton_boost_fit(
         X, y, trees.BoostParams(n_trees=2, max_depth=2), seed=0)
     forest = trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=2, max_depth=2, seed=0))
+        X, y, trees.ForestParams(n_trees=2, max_depth=2), seed=0)
     with pytest.raises(ParameterError):
         trees.importance(boosted, "impurity_decrease")
     with pytest.raises(ParameterError):
@@ -181,7 +181,7 @@ IMPORTANCE_FITS = {
                                 goss=(0.2, 0.1)), seed=2)),
     "forest": (("impurity_decrease", "split_count"),
                lambda X, y: trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=5, max_depth=4, m=4, seed=3))),
+        X, y, trees.ForestParams(n_trees=5, max_depth=4, m=4), seed=3)),
 }
 
 
@@ -221,7 +221,7 @@ def test_forest_does_not_split_a_constant_label(label):
     X, _ = random_data(300, 12, seed=3)
     model = trees.fit_random_forest(
         X, np.full(300, label),
-        trees.ForestParams(n_trees=5, max_depth=4, m=4, seed=3))
+        trees.ForestParams(n_trees=5, max_depth=4, m=4), seed=3)
     assert [len(t.splits()) for t in model.trees] == [0] * 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -235,7 +235,7 @@ def test_serialization_roundtrip():
         trees.newton_boost_fit(
             X, y, trees.BoostParams(n_trees=4, max_depth=3), seed=1),
         trees.fit_random_forest(
-            X, y, trees.ForestParams(n_trees=3, max_depth=3, seed=1)),
+            X, y, trees.ForestParams(n_trees=3, max_depth=3), seed=1),
     ):
         payload = json.loads(json.dumps(trees.model_to_dict(model)))
         restored = trees.model_from_dict(payload)
@@ -250,7 +250,7 @@ def test_serialization_roundtrip():
         X, y, trees.BoostParams(n_trees=1, max_depth=1, splitter="histogram"),
         seed=0),
     lambda X, y: trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=1, max_depth=1, m=None, seed=0)),
+        X, y, trees.ForestParams(n_trees=1, max_depth=1, m=None), seed=0),
 ], ids=["exact", "histogram", "forest"])
 def test_split_tie_break_lowest_feature_index(fit):
     # duplicated feature columns produce identical candidate gains; the split
@@ -380,7 +380,7 @@ def test_grown_trees_match_per_feature_oracle(monkeypatch):
                 n_trees=2, max_depth=6, lam=0.0, splitter="histogram",
                 goss=(0.3, 0.3)), seed=2),
         lambda: trees.fit_random_forest(
-            X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4, seed=3)),
+            X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4), seed=3),
     ]
     vectorised = [trees.model_to_dict(fit()) for fit in fits]
 
@@ -415,9 +415,9 @@ GROWER_CASES = [  # (the growth mode of the oracle, fit)
         X, y, trees.BoostParams(n_trees=2, max_depth=4, max_leaves=1),
         seed=s)),
     ("level", lambda X, y, s: trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4, seed=s))),
+        X, y, trees.ForestParams(n_trees=3, max_depth=6, m=4), seed=s)),
     ("level", lambda X, y, s: trees.fit_random_forest(
-        X, y, trees.ForestParams(n_trees=2, max_depth=4, seed=s))),
+        X, y, trees.ForestParams(n_trees=2, max_depth=4), seed=s)),
 ]
 
 
@@ -481,7 +481,7 @@ def test_grower_matches_oracle_property(n, F, seed, kind, splitter, max_depth,
 
         def fit():
             return trees.fit_random_forest(X, y, trees.ForestParams(
-                n_trees=2, max_depth=max_depth, m=m, seed=seed))
+                n_trees=2, max_depth=max_depth, m=m), seed=seed)
     elif kind == "hessians":
         g = rng.normal(size=n)
         h = rng.random(n)
@@ -547,7 +547,7 @@ def flat_format_fits():
                 n_trees=3, max_depth=8, max_leaves=10,
                 splitter="histogram", bins=16, goss=(0.2, 0.3)), seed=1),
         trees.fit_random_forest(
-            X, y, trees.ForestParams(n_trees=3, max_depth=5, m=4, seed=2)),
+            X, y, trees.ForestParams(n_trees=3, max_depth=5, m=4), seed=2),
         trees.newton_boost_fit(  # a single-leaf tree
             X, y, trees.BoostParams(n_trees=1, max_depth=0), seed=0),
     ]
