@@ -30,6 +30,7 @@ import numpy as np
 from .errors import SpecError
 from .indicators import compute_features
 from .market_data import generate_synthetic_ohlc, split_sizes
+from .stacking import META_HIDDEN, META_TRAIN
 
 
 def _key(key: str, default, bound: str | None = None):
@@ -95,10 +96,10 @@ class PipelineConfig:
     rnn_patience: int = _key("models.rnn.patience", 4, ">= 0")
 
     # stacking meta-learner
-    meta_hidden: int = _key("meta.hidden", 16, ">= 1")
-    meta_epochs: int = _key("meta.epochs", 300, ">= 1")
-    meta_lr: float = _key("meta.lr", 0.01, "> 0")
-    meta_patience: int = _key("meta.patience", 30, ">= 0")
+    meta_hidden: int = _key("meta.hidden", META_HIDDEN, ">= 1")
+    meta_epochs: int = _key("meta.epochs", META_TRAIN.max_epochs, ">= 1")
+    meta_lr: float = _key("meta.lr", META_TRAIN.learning_rate, "> 0")
+    meta_patience: int = _key("meta.patience", META_TRAIN.patience, ">= 0")
 
 
 # dotted config key -> field

@@ -213,11 +213,13 @@ def apply_scaler(scaler: MinMaxScaler, data: SequenceDataset) -> SequenceDataset
 
 
 class Adam:
-    """Adam (Kingma & Ba, 2015) updating a fixed list of arrays in place.
+    """Adam (Kingma & Ba, 2015) updating a list of arrays in place.
 
     The moments of all arrays live in one flat vector each, so a step is one
     pass of elementwise ufuncs over the concatenated gradients; every element
     sees the same operations in the same order as a per-array update.
+    :meth:`take` keeps some entries of the arrays' leading axis, with their
+    moments, and the later steps update those.
     """
 
     BETA1 = 0.9
@@ -225,35 +227,31 @@ class Adam:
     EPS = 1e-8
 
     def __init__(self, params: list[np.ndarray], learning_rate: float):
-        self.params = params
         self.learning_rate = learning_rate
-        self._slices = []  # each array's part of the flat vectors
-        size = 0
-        for p in params:
-            self._slices.append(slice(size, size + p.size))
-            size += p.size
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._step = np.empty(size)
-        self._frozen = None
         self.t = 0
+        size = sum(p.size for p in params)
+        self._use(params, np.zeros(size), np.zeros(size))
 
-    def freeze(self, frozen: np.ndarray) -> None:
-        """Hold the elements flagged in ``frozen`` (one flag per element of
-        the flat vector, arrays in ``params`` order) where they are: their
-        moments restart at zero and their gradients are replaced by zero, so
-        every later step moves them by exactly zero. Each call replaces the
-        previous set."""
-        self.m[frozen] = 0.0
-        self.v[frozen] = 0.0
-        self._frozen = frozen
+    def _use(self, params: list[np.ndarray], m: np.ndarray,
+             v: np.ndarray) -> None:
+        self.params, self.m, self.v = params, m, v
+        ends = np.cumsum([p.size for p in params]).tolist()
+        # each array's part of the flat vectors
+        self._slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+        self._step = np.empty(m.size)
+
+    def take(self, keep: np.ndarray) -> None:
+        """Replace ``params`` by new arrays of their entries ``keep`` along
+        the leading axis, and both moments by those entries' moments."""
+        m, v = (np.concatenate([vec[part].reshape(p.shape)[keep].ravel()
+                                for p, part in zip(self.params, self._slices)])
+                for vec in (self.m, self.v))
+        self._use([p[keep] for p in self.params], m, v)
 
     def step(self, grads: list[np.ndarray]) -> None:
         b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         g = np.concatenate([grad.ravel() for grad in grads])
-        if self._frozen is not None:
-            g[self._frozen] = 0.0
         m, v, step = self.m, self.v, self._step
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g**2
         m *= b1
@@ -296,9 +294,8 @@ class TrainConfig:
 
 def train_minibatch(
     params: list[np.ndarray],
-    loss_and_grads: Callable[[np.ndarray],
-                             tuple[np.ndarray, list[np.ndarray]]],
-    val_rmse: Callable[[], np.ndarray],
+    passes: Callable[[np.ndarray, list[np.ndarray]],
+                     tuple[Callable, Callable]],
     n_rows: int,
     cfg: TrainConfig,
     rngs: list[np.random.Generator],
@@ -306,20 +303,24 @@ def train_minibatch(
     """Minibatch Adam with early stopping for K = ``len(rngs)`` independent
     models trained side by side on the same ``n_rows`` training rows.
 
-    Every array in ``params`` (updated in place) has a leading model axis of
-    length K, entry k belonging to model k. ``loss_and_grads(rows)`` takes
-    a (K, batch) array whose row k is model k's minibatch and returns the K
-    mean losses and one gradient per array, shaped like it; ``val_rmse()``
-    returns the K validation scores of the current parameters. ``cfg`` is
-    the :class:`TrainConfig` budget that every model shares.
+    Every array in ``params`` has a leading model axis of length K, entry k
+    belonging to model k, and ends at each model's best-validation values.
+    The loop steps a stack of the running models' entries, in model order
+    (``params`` itself until one stops). ``passes(running, stack)`` gets the
+    running models' indices and the stack's arrays and returns two passes
+    over them: ``loss_and_grads(rows)`` takes a (running, batch) array whose
+    row j is running model j's minibatch and returns their mean losses and
+    one gradient per array, shaped like it; ``val_rmse()`` returns their
+    validation scores. ``cfg`` is the :class:`TrainConfig` budget that every
+    model shares.
 
     Each model draws its epoch's row order from its own ``rngs[k]`` and keeps
     its own best-validation copy and patience count. It stops after more than
-    ``patience`` epochs without improvement: from then on Adam holds it still
-    (:meth:`Adam.freeze`) and its losses and scores are not read. The loop
-    ends once every model has stopped, or after ``max_epochs``, and leaves
-    every model at its best-validation values. A non-finite loss or score of
-    a model that has not stopped raises :class:`TrainingError`.
+    ``patience`` epochs without improvement: its best values go to
+    ``params``, its entries leave the stack, the Adam moments
+    (:meth:`Adam.take`) and the row orders, and ``passes`` is called again
+    for the rest. The loop ends once every model has stopped, or after
+    ``max_epochs``. A non-finite loss or score raises :class:`TrainingError`.
 
     Returns two (epochs run, K) arrays, NaN after a model stopped: the train
     losses, each the row-weighted mean of that epoch's minibatch losses taken
@@ -327,48 +328,52 @@ def train_minibatch(
     """
     K = len(rngs)
     opt = Adam(params, cfg.learning_rate)
+    running = np.arange(K)
     best = [p.copy() for p in params]
     best_val = np.full(K, np.inf)
     bad_epochs = np.zeros(K, dtype=int)
-    running = np.ones(K, dtype=bool)
     perm = np.empty((K, n_rows), dtype=np.intp)
     losses = np.full((cfg.max_epochs, K), np.nan)
     scores = np.full((cfg.max_epochs, K), np.nan)
+    loss_and_grads, val_rmse = passes(running, opt.params)
     epochs_run = 0
     for epoch in range(cfg.max_epochs):
-        for k in np.flatnonzero(running):
-            perm[k] = rngs[k].permutation(n_rows)
-        total = np.zeros(K)
+        for j, k in enumerate(running.tolist()):
+            perm[j] = rngs[k].permutation(n_rows)
+        total = np.zeros(len(running))
         for start in range(0, n_rows, cfg.batch_size):
             rows = perm[:, start:start + cfg.batch_size]
             loss, grads = loss_and_grads(rows)
-            loss = np.where(running, loss, 0.0)
             if not np.isfinite(loss).all():
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             total += loss * rows.shape[1]
             opt.step(grads)
-        val = np.where(running, val_rmse(), np.inf)
-        if not np.isfinite(val[running]).all():
+        val = val_rmse()
+        if not np.isfinite(val).all():
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        losses[epoch, running] = total[running] / n_rows
-        scores[epoch, running] = val[running]
+        losses[epoch, running] = total / n_rows
+        scores[epoch, running] = val
         epochs_run = epoch + 1
         improved = val < best_val
         best_val[improved] = val[improved]
-        for p, saved in zip(params, best):
+        for p, saved in zip(opt.params, best):
             np.copyto(saved, p, where=improved.reshape(
-                (K,) + (1,) * (p.ndim - 1)))
-        bad_epochs[improved] = 0
-        bad_epochs[running & ~improved] += 1
-        stopping = running & (bad_epochs > cfg.patience)
+                (-1,) + (1,) * (p.ndim - 1)))
+        bad_epochs = np.where(improved, 0, bad_epochs + 1)
+        stopping = bad_epochs > cfg.patience
         if stopping.any():
-            running &= ~stopping
-            if not running.any():
+            for p, saved in zip(params, best):
+                p[running[stopping]] = saved[stopping]
+            keep = ~stopping
+            running, best = running[keep], [saved[keep] for saved in best]
+            if not running.size:
                 break
-            opt.freeze(np.concatenate([np.repeat(~running, p.size // K)
-                                       for p in params]))
+            opt.take(keep)
+            best_val, bad_epochs, perm = (
+                best_val[keep], bad_epochs[keep], perm[keep])
+            loss_and_grads, val_rmse = passes(running, opt.params)
     for p, saved in zip(params, best):
-        p[...] = saved
+        p[running] = saved
     return losses[:epochs_run], scores[:epochs_run]
 
 
@@ -494,7 +499,8 @@ def train_rnn(
     span = float(label_scaler.maxs - label_scaler.mins) or 1.0
 
     # one model: train_minibatch sees each array through a view with a
-    # model axis of length 1, and one row of minibatch indices
+    # model axis of length 1, and one row of minibatch indices; its loop
+    # ends when that model stops, so these passes serve every epoch
     def loss_and_grads(rows: np.ndarray):
         loss, grads = _loss_and_grads(model, train.X[rows[0]],
                                       y_train[rows[0]])
@@ -505,8 +511,9 @@ def train_rnn(
             (_predict_scaled(model, val.X) - y_val) ** 2))) * span])
 
     losses, scores = train_minibatch(
-        [p[None] for p in model.params()], loss_and_grads, val_rmse,
-        train.X.shape[0], cfg,
+        [p[None] for p in model.params()],
+        lambda running, stack: (loss_and_grads, val_rmse), train.X.shape[0],
+        cfg,
         [np.random.default_rng(derive_seed(seed, "rnn-batches"))],
     )
     return model, [EpochRecord(epoch=k, train_rmse=math.sqrt(loss) * span,

@@ -8,7 +8,7 @@ columns in ``MODEL_ORDER`` plus the label column.
 The meta-learners reuse the training pieces of :mod:`fxstack.recurrent`:
 its min-max scaler for inputs and label, and its Adam early-stopping loop,
 which :func:`train_meta_nn` runs once for all 31 nets stacked along a
-leading net axis.
+leading net axis, computing only the nets that have not stopped.
 
 The winner is the combination with the lowest meta-validation RMSE; the
 meta-test rows only score it.
@@ -99,8 +99,9 @@ class MetaModel:
         return self.label_scaler.inverse_transform(ys)
 
 
-# the meta-nets' default budget; their minibatch of 128 rows has no
-# config key
+# the meta-nets' default width and budget, the home of the pipeline's
+# meta.* defaults; their minibatch of 128 rows has no config key
+META_HIDDEN = 16
 META_TRAIN = TrainConfig(batch_size=128, learning_rate=0.01, max_epochs=300,
                          patience=30)
 
@@ -110,7 +111,7 @@ def train_meta_nn(
     meta_val: FeatureFrame,
     combos: list[tuple[str, ...]],
     seeds: list[int],
-    hidden: int = 16,
+    hidden: int = META_HIDDEN,
     cfg: TrainConfig = META_TRAIN,
 ) -> list[MetaModel]:
     """Fit one meta network of ``hidden`` units per combination, all in
@@ -119,14 +120,15 @@ def train_meta_nn(
 
     Net k sees the prediction columns of ``combos[k]``; inputs and label are
     min-max scaled on meta-train. A generator seeded from ``seeds[k]`` draws
-    the net's initial weights and then each epoch's row order. The nets step
-    together on (nets, rows, hidden) arrays. The first layers are one
-    zero-filled (nets, 5, hidden) array, net k's in its first member-count
-    rows; the rows past that get a zero gradient, so Adam never moves them.
-    Each run of consecutive combinations of equal size multiplies on its
-    view of that array. Each slice of a stacked product has the shape and
-    memory layout of a single net's 2-D product, so every net ends with the
-    weights a fit of its own would give.
+    the net's initial weights and then each epoch's row order. The nets
+    still running step together on (nets, rows, hidden) arrays; a net that
+    stops leaves them, and its passes are rebuilt over the rest. The first
+    layers are one zero-filled (nets, 5, hidden) array, a net's in its first
+    member-count rows; the rows past that get a zero gradient, so Adam never
+    moves them. Each run of consecutive running combinations of equal size
+    multiplies on its view of that array. Each slice of a stacked product
+    has the shape and memory layout of a single net's 2-D product, so every
+    net ends with the weights a fit of its own would give.
     """
     if len(seeds) != len(combos):
         raise ParameterError(
@@ -153,55 +155,61 @@ def train_meta_nn(
                              * np.sqrt(6.0 / (len(cols) + hid)))
         W2[k] = rng.uniform(-1, 1, size=hid) * np.sqrt(6.0 / (hid + 1))
     b1, b2 = np.zeros((n_nets, hid)), np.zeros((n_nets, 1))
-    # runs of equal-size combinations: (their nets, (nets, width) columns)
-    groups = []
-    for _, run in itertools.groupby(range(n_nets),
-                                    key=lambda k: len(columns[k])):
-        run = list(run)
-        groups.append((slice(run[0], run[-1] + 1),
-                       np.array([columns[k] for k in run])))
-    # each run's views of the first layers and of their gradient, whose
-    # rows past a net's width stay zero
-    g_W1 = np.zeros_like(W1)
-    W1_runs = [W1[nets, :cols.shape[1]] for nets, cols in groups]
-    g_runs = [g_W1[nets, :cols.shape[1]] for nets, cols in groups]
-    Xv = [np.ascontiguousarray(Sv[:, cols].transpose(1, 0, 2))
-          for _, cols in groups]
 
-    def forward(inputs: list[np.ndarray], y: np.ndarray):
-        """The hidden layer, in a new (nets, rows, hidden) buffer, and the
-        residuals against ``y``."""
-        hidden = np.empty((n_nets, y.shape[-1], hid))
-        for (nets, _), x, w in zip(groups, inputs, W1_runs):
-            np.matmul(x, w, out=hidden[nets])
-        hidden += b1[:, None, :]
-        np.maximum(hidden, 0.0, out=hidden)
-        resid = (hidden @ W2[:, :, None])[:, :, 0]
-        resid += b2
-        resid -= y
-        return hidden, resid
+    def passes(running: np.ndarray, stack: list[np.ndarray]):
+        """The passes over the running nets' arrays ``stack``."""
+        W1, b1, W2, b2 = stack
+        # runs of equal-size combinations: (their nets, (nets, width) columns)
+        groups, start = [], 0
+        for _, run in itertools.groupby(
+                [columns[k] for k in running.tolist()], len):
+            run = np.array(list(run))
+            groups.append((slice(start, start + len(run)), run))
+            start += len(run)
+        # each run's views of the first layers and of their gradient, whose
+        # rows past a net's width stay zero
+        g_W1 = np.zeros_like(W1)
+        W1_runs = [W1[nets, :cols.shape[1]] for nets, cols in groups]
+        g_runs = [g_W1[nets, :cols.shape[1]] for nets, cols in groups]
+        Xv = [np.ascontiguousarray(Sv[:, cols].transpose(1, 0, 2))
+              for _, cols in groups]
 
-    def loss_and_grads(rows: np.ndarray):
-        xb = [S[rows[nets][:, :, None], cols[:, None, :]]
-              for nets, cols in groups]
-        hidden, resid = forward(xb, ys[rows])
-        dpred = 2.0 * resid / rows.shape[1]
-        g_W2 = hidden.transpose(0, 2, 1) @ dpred[:, :, None]
-        # the hidden gradient overwrites the hidden layer
-        active = hidden > 0
-        dhidden = np.multiply(dpred[:, :, None], W2[:, None, :], out=hidden)
-        dhidden *= active
-        for (nets, _), x, g in zip(groups, xb, g_runs):
-            np.matmul(x.transpose(0, 2, 1), dhidden[nets], out=g)
-        return np.mean(resid**2, axis=1), [
-            g_W1, dhidden.sum(axis=1), g_W2, dpred.sum(axis=1)]
+        def forward(inputs: list[np.ndarray], y: np.ndarray):
+            """The hidden layer, in a new (nets, rows, hidden) buffer, and
+            the residuals against ``y``."""
+            hidden = np.empty((len(running), y.shape[-1], hid))
+            for (nets, _), x, w in zip(groups, inputs, W1_runs):
+                np.matmul(x, w, out=hidden[nets])
+            hidden += b1[:, None, :]
+            np.maximum(hidden, 0.0, out=hidden)
+            resid = (hidden @ W2[:, :, None])[:, :, 0]
+            resid += b2
+            resid -= y
+            return hidden, resid
 
-    def val_rmse() -> np.ndarray:
-        _, resid = forward(Xv, yvs)
-        return np.sqrt(np.mean(resid**2, axis=1))
+        def loss_and_grads(rows: np.ndarray):
+            xb = [S[rows[nets][:, :, None], cols[:, None, :]]
+                  for nets, cols in groups]
+            hidden, resid = forward(xb, ys[rows])
+            dpred = 2.0 * resid / rows.shape[1]
+            g_W2 = hidden.transpose(0, 2, 1) @ dpred[:, :, None]
+            # the hidden gradient overwrites the hidden layer
+            active = hidden > 0
+            dhidden = np.multiply(dpred[:, :, None], W2[:, None, :],
+                                  out=hidden)
+            dhidden *= active
+            for (nets, _), x, g in zip(groups, xb, g_runs):
+                np.matmul(x.transpose(0, 2, 1), dhidden[nets], out=g)
+            return np.mean(resid**2, axis=1), [
+                g_W1, dhidden.sum(axis=1), g_W2, dpred.sum(axis=1)]
 
-    train_minibatch([W1, b1, W2, b2], loss_and_grads, val_rmse, len(ys),
-                    cfg, rngs)
+        def val_rmse() -> np.ndarray:
+            _, resid = forward(Xv, yvs)
+            return np.sqrt(np.mean(resid**2, axis=1))
+
+        return loss_and_grads, val_rmse
+
+    train_minibatch([W1, b1, W2, b2], passes, len(ys), cfg, rngs)
     return [
         MetaModel(members=c,
                   in_scaler=MinMaxScaler(mins=in_scaler.mins[cols],
@@ -263,7 +271,7 @@ def run_stacking_search(
     frame: FeatureFrame,
     meta_spec: SplitSpec,
     seed: int,
-    hidden: int = 16,
+    hidden: int = META_HIDDEN,
     cfg: TrainConfig = META_TRAIN,
 ) -> StackingReport:
     """Train all 31 meta models of ``hidden`` units with budget ``cfg``,

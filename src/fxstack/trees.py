@@ -406,21 +406,29 @@ class _Splitter:
         # that waits to split
         frontier: list[tuple] = []
         born = [(idx, self.sorted_rows if exact else None)]
+        # the exact splitter's h holds one value, so H is its node size's
+        H_of_size: dict[int, float] = {}
+        every, draw = np.arange(self.F), m is not None and m < self.F
         depth, n_leaves = 0, 1
         while True:
             cands, ids = [], []
             for node_idx, rows in born:
                 g_node = g[node_idx]
-                G, H = float(g_node.sum()), float(h[node_idx].sum())
+                G, size = float(np.add.reduce(g_node)), len(node_idx)
+                if not exact:
+                    H = float(np.add.reduce(h[node_idx]))
+                elif (H := H_of_size.get(size)) is None:
+                    H = H_of_size[size] = float(np.add.reduce(h[node_idx]))
                 nodes.append([-1, 0.0, 0.0, leaf_weight(G, H, params.lam),
                               -1, -1])
                 # equal gradients leave no split to find, only gains of a
                 # few ulps from rounding in their prefix sums
-                if (depth < params.max_depth and len(node_idx) >= 2
-                        and g_node.min() < g_node.max()):
-                    features = (
-                        np.arange(self.F) if m is None or m >= self.F
-                        else np.sort(rng.choice(self.F, size=m, replace=False)))
+                if (depth < params.max_depth and size >= 2 and
+                        np.minimum.reduce(g_node) < np.maximum.reduce(g_node)):
+                    features = every
+                    if draw:
+                        features = rng.choice(self.F, size=m, replace=False)
+                        features.sort()
                     cands.append(_Candidate(node_idx, rows, features, G, H))
                     ids.append(len(nodes) - 1)
             for cand, node, found in zip(

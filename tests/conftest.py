@@ -11,3 +11,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+# the opt-in --linecov collector (tests/linecov.py); without the option it
+# traces nothing
+from linecov import pytest_addoption, pytest_configure  # noqa: E402,F401

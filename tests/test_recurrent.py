@@ -360,45 +360,103 @@ def test_flat_adam_matches_per_array_oracle():
             np.testing.assert_array_equal(got, want)
 
 
+def _quadratic_passes(target, scores, calls, weights):
+    """``train_minibatch`` passes for models that fit each row of their
+    stack to ``target``. ``scores[k]`` lists model k's validation score per
+    epoch. ``calls`` gets each call's running models and stack shape, and
+    ``weights`` the {model: weights} of the stack at each scoring."""
+    epochs = {}  # model -> epochs it has been scored
+
+    def passes(running, stack):
+        calls.append((running.tolist(), stack[0].shape))
+        (w,) = stack
+
+        def loss_and_grads(rows):
+            assert rows.shape[0] == len(running)
+            diff = w - target
+            return np.mean(diff**2, axis=1), [2.0 * diff / 3]
+
+        def val_rmse():
+            weights.append(dict(zip(running.tolist(), w.copy())))
+            val = []
+            for k in running.tolist():
+                epochs[k] = epochs.get(k, -1) + 1
+                val.append(scores[k][epochs[k]])
+            return np.array(val)
+
+        return loss_and_grads, val_rmse
+
+    return passes
+
+
 def test_stopped_model_is_held_at_its_best_weights():
-    """Two quadratic models in one loop. Model 0 scores worse after epoch 1,
-    stops after epoch 3 and from then on returns infinite losses, gradients
-    and scores; the loop neither raises nor warns, holds model 0 still and
-    returns its epoch-1 weights, while model 1 trains through all epochs."""
+    """Two quadratic models in one loop. Model 0 scores worse after epoch 1
+    and stops after epoch 3, at its epoch-1 weights and with NaN losses and
+    scores from then on. From then on the passes see only model 1, which
+    trains through all epochs as it would alone, Adam moments included."""
     cfg = rnn.TrainConfig(batch_size=4, learning_rate=0.1, max_epochs=10,
                           patience=1)
-    p = np.zeros((2, 3))
     target = np.array([1.0, 2.0, 3.0])
-    after_epoch = []  # p after each epoch's last step
-
-    def loss_and_grads(rows):
-        assert rows.shape == (2, 4)
-        diff = p - target
-        loss, grad = np.mean(diff**2, axis=1), 2.0 * diff / 3
-        if len(after_epoch) > 3:
-            loss[0], grad[0] = np.inf, np.inf
-        return loss, [grad]
-
-    def val_rmse():
-        after_epoch.append(p.copy())
-        epoch = len(after_epoch) - 1
-        val0 = [3.0, 2.0, 5.0, 5.0][epoch] if epoch <= 3 else np.inf
-        return np.array([val0, 10.0 - epoch])
-
+    model_scores = [[3.0, 2.0, 5.0, 5.0], [10.0 - e for e in range(10)]]
+    p = np.zeros((2, 3))
+    calls, weights = [], []
     rngs = [np.random.default_rng(seed) for seed in (0, 1)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        losses, scores = rnn.train_minibatch([p], loss_and_grads, val_rmse,
-                                             8, cfg, rngs)
+    losses, scores = rnn.train_minibatch(
+        [p], _quadratic_passes(target, model_scores, calls, weights), 8, cfg,
+        rngs)
+    assert calls == [([0, 1], (2, 3)), ([1], (1, 3))]
     assert losses.shape == scores.shape == (10, 2)
-    assert scores[:4, 0].tolist() == [3.0, 2.0, 5.0, 5.0]
+    assert scores[:4, 0].tolist() == model_scores[0]
     assert np.isnan(scores[4:, 0]).all() and np.isnan(losses[4:, 0]).all()
-    assert scores[:, 1].tolist() == [10.0 - epoch for epoch in range(10)]
-    for held in after_epoch[4:]:
-        np.testing.assert_array_equal(held[0], after_epoch[3][0])
-    np.testing.assert_array_equal(p[0], after_epoch[1][0])
-    np.testing.assert_array_equal(p[1], after_epoch[-1][1])
-    assert not np.array_equal(p[0], after_epoch[3][0])
+    assert not np.isnan(losses[:4, 0]).any()
+    assert scores[:, 1].tolist() == model_scores[1]
+    assert [sorted(w) for w in weights] == [[0, 1]] * 4 + [[1]] * 6
+    np.testing.assert_array_equal(p[0], weights[1][0])
+    assert not np.array_equal(p[0], weights[3][0])
+    np.testing.assert_array_equal(p[1], weights[-1][1])
+    # model 1 alone: the same losses, scores and weights
+    alone = np.zeros((1, 3))
+    alone_losses, alone_scores = rnn.train_minibatch(
+        [alone], _quadratic_passes(target, model_scores[1:], [], []), 8, cfg,
+        [np.random.default_rng(1)])
+    np.testing.assert_array_equal(alone_losses[:, 0], losses[:, 1])
+    np.testing.assert_array_equal(alone_scores[:, 0], scores[:, 1])
+    np.testing.assert_array_equal(alone[0], p[1])
+
+
+def test_models_stopping_together_end_the_loop():
+    """Models 0 and 1 stop together after epoch 2 and model 2 after epoch
+    4, which ends the loop before ``max_epochs``; each ends at its best
+    epoch's weights."""
+    cfg = rnn.TrainConfig(batch_size=4, learning_rate=0.1, max_epochs=10,
+                          patience=1)
+    p = np.zeros((3, 3))
+    calls, weights = [], []
+    passes = _quadratic_passes(
+        np.ones(3), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+                     [5.0, 4.0, 3.0, 4.0, 5.0]], calls, weights)
+    losses, scores = rnn.train_minibatch(
+        [p], passes, 8, cfg, [np.random.default_rng(s) for s in range(3)])
+    assert calls == [([0, 1, 2], (3, 3)), ([2], (1, 3))]
+    assert scores.shape == (5, 3) and np.isnan(scores[3:, :2]).all()
+    for k, epoch in ((0, 0), (1, 0), (2, 2)):
+        np.testing.assert_array_equal(p[k], weights[epoch][k])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_validation_score_raises_training_error(bad):
+    """Model 0 stops after epoch 1; model 1's non-finite score at epoch 3
+    raises, naming the epoch."""
+    cfg = rnn.TrainConfig(batch_size=4, learning_rate=0.1, max_epochs=10,
+                          patience=0)
+    calls = []
+    passes = _quadratic_passes(np.ones(3), [[1.0, 2.0], [9.0, 8.0, 7.0, bad]],
+                               calls, [])
+    with pytest.raises(TrainingError,
+                       match="^non-finite validation loss at epoch 3$"):
+        rnn.train_minibatch([np.zeros((2, 3))], passes, 8, cfg,
+                            [np.random.default_rng(seed) for seed in (0, 1)])
+    assert calls == [([0, 1], (2, 3)), ([1], (1, 3))]
 
 
 def _train_rnn_full_pass(train, val, arch, cfg, seed):
@@ -425,8 +483,9 @@ def _train_rnn_full_pass(train, val, arch, cfg, seed):
         return np.array([loss]), grads
 
     rnn.train_minibatch(
-        [p[None] for p in model.params()], loss_and_grads, val_rmse,
-        train.X.shape[0], cfg,
+        [p[None] for p in model.params()],
+        lambda running, stack: (loss_and_grads, val_rmse), train.X.shape[0],
+        cfg,
         [np.random.default_rng(derive_seed(seed, "rnn-batches"))])
     return model, history
 
