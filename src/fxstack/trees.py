@@ -182,7 +182,8 @@ class _Splitter:
     when given, which order the rows as ``X`` does) and hands every node
     its rows in ascending-x order as an (F, m) matrix. The histogram
     splitter keeps row-major bin codes (n, F) and per-feature cut points
-    padded with NaN to (F, bins - 1).
+    padded with NaN to (F, bins - 1). The search and the grower call array
+    methods and ufunc reductions, not numpy's Python-level wrappers of them.
     """
 
     def __init__(self, X: np.ndarray, params: BoostParams,
@@ -247,7 +248,7 @@ class _Splitter:
         # best[j, f]: the best finite gain of live candidate j on feature f,
         # -inf where there is none or f was not drawn; the first maximum
         # of a candidate is its lowest feature index
-        at = np.argmax(best, axis=1)
+        at = best.argmax(axis=1)
         top = best[np.arange(len(live)), at]
         for j, (i, t, f) in enumerate(zip(live, top.tolist(), at.tolist())):
             if t > -np.inf:
@@ -265,15 +266,15 @@ class _Splitter:
         params = self.params
         k = np.array([len(c.features) for c in cands])
         m = np.array([len(c.idx) for c in cands])
-        row_m = np.repeat(m, k)
-        row_start = np.cumsum(row_m) - row_m
+        row_m = m.repeat(k)
+        row_start = row_m.cumsum() - row_m
         feature = np.concatenate([c.features for c in cands])
         rows = np.concatenate([
             (c.rows if len(c.features) == self.F else c.rows[c.features])
             .ravel() for c in cands])
-        xs = self.XT.ravel()[np.repeat(feature * self.n, row_m) + rows]
-        G = np.repeat([c.G for c in cands], k)
-        H = np.repeat([c.H for c in cands], k)
+        xs = self.XT.ravel()[(feature * self.n).repeat(row_m) + rows]
+        G = np.array([c.G for c in cands]).repeat(k)
+        H = np.array([c.H for c in cands]).repeat(k)
         parent = G * G / (H + params.lam)
         g_rows = g[rows]
         # a split after an entry is valid if the next entry's x is larger
@@ -302,7 +303,7 @@ class _Splitter:
                     np.arange(width), row_m[r0:r1, None] - 1)
                 shape = at.shape
             # 0.5 * (gl^2 / (hl + lam) + gr^2 / (hr + lam) - parent) in place
-            gl = np.cumsum(g_rows[at].reshape(shape), axis=1)
+            gl = g_rows[at].reshape(shape).cumsum(axis=1)
             hl = h_prefix[:width]
             gr = np.subtract(G[r0:r1, None], gl)
             hr = np.subtract(H[r0:r1, None], hl)
@@ -317,14 +318,14 @@ class _Splitter:
                 gains *= 0.5
             gains = np.where(valid[at].reshape(shape), gains, -np.inf)
             # first maximum = lowest threshold
-            pos[r0:r1] = np.argmax(gains, axis=1)
+            pos[r0:r1] = gains.argmax(axis=1)
             best[r0:r1] = gains[np.arange(r1 - r0), pos[r0:r1]]
             r0 = r1
         at = row_start + np.minimum(pos, row_m - 2)
         lo, hi = xs[at], xs[at + 1]
         with np.errstate(over="ignore"):
             mid = (lo + hi) / 2.0
-        at = (np.repeat(np.arange(len(cands)), k), feature)
+        at = (np.arange(len(cands)).repeat(k), feature)
         full_best = np.full((len(cands), self.F), -np.inf)
         full_best[at] = np.where(np.isfinite(best), best, -np.inf)
         full_threshold = np.empty((len(cands), self.F))
@@ -342,7 +343,7 @@ class _Splitter:
         nbins = self.cuts.shape[1] + 1
         m = [len(c.idx) for c in cands]
         idx = np.concatenate([c.idx for c in cands])
-        first_bin = (np.repeat(np.arange(len(cands)) * F, m)[:, None]
+        first_bin = ((np.arange(len(cands)) * F).repeat(m)[:, None]
                      + np.arange(F)) * nbins
         codes = (self.codes[idx] + first_bin).ravel()
 
@@ -363,8 +364,8 @@ class _Splitter:
             )
         valid = (left_n > 0) & (left_n < np.array(m)[:, None, None])
         gains = np.where(valid, gains, -np.inf)
-        at = np.argmax(gains, axis=2)  # first maximum = lowest threshold
-        best = np.max(gains, axis=2)
+        at = gains.argmax(axis=2)  # first maximum = lowest threshold
+        best = np.maximum.reduce(gains, axis=2)
         return (np.where(np.isfinite(best), best, -np.inf),
                 self.cuts[np.arange(F), at])
 
@@ -458,23 +459,24 @@ class _Splitter:
         cands = [p[5] for p in popped]
         sizes = np.array([len(c.idx) for c in cands])
         idx = np.concatenate([c.idx for c in cands])
-        goes_right = ~(self.X[idx, np.repeat([p[1] for p in popped], sizes)]
-                       <= np.repeat([p[2] for p in popped], sizes))
+        goes_right = ~(
+            self.X[idx, np.array([p[1] for p in popped]).repeat(sizes)]
+            <= np.array([p[2] for p in popped]).repeat(sizes))
         # uint16 labels are radix-sorted
         first = np.arange(0, 2 * len(popped), 2,
                           dtype=np.uint16 if len(popped) <= 1 << 15
                           else np.intp)
-        label = np.repeat(first, sizes) + goes_right
-        ends = np.cumsum(np.bincount(label, minlength=2 * len(popped)))
+        label = first.repeat(sizes) + goes_right
+        ends = np.bincount(label, minlength=2 * len(popped)).cumsum()
         spans = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
-        children = idx[np.argsort(label, kind="stable")]
+        children = idx[label.argsort(kind="stable")]
         if not sort:
             return [(children[a:b], None) for a, b in spans]
         side = np.zeros(self.n, dtype=bool)
         side[idx] = goes_right
         rows = np.concatenate([c.rows.ravel() for c in cands])
-        rows = rows[np.argsort(np.repeat(first, sizes * self.F) + side[rows],
-                               kind="stable")]
+        rows = rows[(first.repeat(sizes * self.F) + side[rows]).argsort(
+            kind="stable")]
         F = self.F
         return [(children[a:b], rows[F * a:F * b].reshape(F, b - a))
                 for a, b in spans]

@@ -1,14 +1,15 @@
 """Opt-in line coverage for pytest, standard library only.
 
-    PYTHONPATH=src python -m pytest --linecov src/fxstack/recurrent.py \
-        tests/test_recurrent.py
+    PYTHONPATH=src python -m pytest --linecov=src/fxstack/recurrent.py
 
-``--linecov PATH`` (a ``.py`` file or a directory of them; repeatable)
+``--linecov=PATH`` (a ``.py`` file or a directory of them; repeatable)
 traces those files with :func:`sys.settrace` and, at the end of the
 session, reports each one's function-body lines that no test ran. Module
 and class bodies run at import, before the trace starts, so only function
 bodies count. Without the option nothing is traced. ``conftest.py`` imports
-the two hooks.
+the two hooks. Join PATH with ``=``: pytest reads the arguments before it
+loads ``conftest.py``, and unless test paths are given it would take a
+separate PATH for one and never load this plugin.
 """
 
 import inspect
